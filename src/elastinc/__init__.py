@@ -9,7 +9,6 @@ solver cross-checks the result.
 """
 
 from .materials import MaterialPair, derive_constants, cavity_limit
-from .laurent import LaurentSeries
 from .geometry import ConformalMap, GeometryBundle, build_geometry
 from .loading import LoadingSpec, RhsVector, rhs_vectors, eval_loading
 from .system import BlockSystem, DensitySolution, assemble_system, solve
@@ -42,7 +41,6 @@ __all__ = [
     "MaterialPair",
     "derive_constants",
     "cavity_limit",
-    "LaurentSeries",
     "ConformalMap",
     "GeometryBundle",
     "build_geometry",

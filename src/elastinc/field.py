@@ -7,8 +7,8 @@ driven by a pair of holomorphic functions (f, g):
     u = loading_part + (kappa f - z conj(f') - conj(g) - mean_term) / 2.
 
 Exterior evaluation carries two interchangeable routes: a polynomial route,
-exact near the boundary, that evaluates the map-adapted polynomials in z and
-corrects them by explicit powers of w, and a tail route for far points that
+exact near the boundary, that evaluates the map-adapted polynomials in z by
+their recurrence and corrects them by explicit powers of w, and a tail route for far points that
 sums the reflected coefficient series in 1/w. The switch radius keeps both
 routes well inside their accurate regimes. Interior evaluation uses the
 polynomial closed forms, valid throughout the inclusion.
@@ -27,6 +27,7 @@ from .geometry import (
     eval_map,
     eval_map_derivative,
     faber_matrix,
+    faber_series,
     grunsky_rows,
     monomial_derivative_matrix,
     poly_eval,
@@ -152,8 +153,6 @@ class FieldEvaluator:
         self.n = n
 
         order = max(n + max(depth, 0), loading.order, 1)
-        P = faber_matrix(cmap, order)
-        dP = P @ monomial_derivative_matrix(order)
 
         xp = solution.xe_plus
         xm = solution.xe_minus
@@ -165,22 +164,23 @@ class FieldEvaluator:
         scale = np.zeros(order + 1)
         scale[1:] = 1.0 / (np.arange(1, order + 1) * gamma ** np.arange(1, order + 1))
 
-        # polynomial route: z-polynomial rows plus explicit powers of w
-        self.poly_L = -np.einsum("m,mk->k", xp[1:] * scale[1 : n + 1], P[1 : n + 1])
+        def layer(x):
+            """Faber-basis coefficients -x_m / (m gamma^m) of a layer transform."""
+            out = np.zeros(order + 1, dtype=complex)
+            out[1 : n + 1] = -x[1:] * scale[1 : n + 1]
+            return out
+
+        # polynomial route: Faber series in z plus explicit powers of w
         self.wpos_L = np.concatenate([[0.0], xp[1:] * scale[1 : n + 1]])
         self.wneg_L = np.concatenate(
             [[0.0], -xm[1:] * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)]
         )
 
-        self.poly_Lbar = -np.einsum(
-            "m,mk->k", np.conj(xm[1:]) * scale[1 : n + 1], P[1 : n + 1]
-        )
         self.wpos_Lbar = np.concatenate([[0.0], np.conj(xm[1:]) * scale[1 : n + 1]])
         self.wneg_Lbar = np.concatenate(
             [[0.0], -np.conj(xp[1:]) * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)]
         )
 
-        self.poly_C = -np.einsum("m,mk->k", xp[1:] * scale[1 : n + 1], dP[1 : n + 1])
         # numerator of the 1/Psi' part: sum_m xp[m] gamma^{-m} w^{m-1}
         #                             + xm[0]/w + sum_k xm[k] gamma^k w^{-k-1}
         vpos = np.zeros(order + 1, dtype=complex)
@@ -191,25 +191,27 @@ class FieldEvaluator:
         self.vpos_C, self.vneg_C = vpos, vneg
 
         ypos = np.zeros(order + 1, dtype=complex)
-        poly_Cy = np.zeros(order + 1, dtype=complex)
+        faber_Cy = np.zeros(order + 1, dtype=complex)
         yneg = np.zeros(n + 3, dtype=complex)
         for j, yj in sorted(y.items()):
             if j >= 1:
-                poly_Cy += yj * (-scale[j]) * dP[j]
+                faber_Cy[j] = -yj * scale[j]
                 ypos[j - 1] += yj * gamma ** (-j)
             elif j == 0:
                 yneg[1] += yj
             else:
                 yneg[-j + 1] += yj * gamma ** (-j)
-        self.poly_Cy = poly_Cy
+        # rows: (L, Lbar) as sums of F_m(z), (C, Cy) as sums of F_m'(z)
+        self.faber_values = np.stack([layer(xp), layer(np.conj(xm))])
+        self.faber_derivs = np.stack([layer(xp), faber_Cy])
         self.ypos_C, self.yneg_C = ypos, yneg
         self.y = y
         self.x0_log = xm[0]
         self.x0bar_log = np.conj(xm[0])
 
         # tail route: reflected coefficient series in 1/w
-        kfar = FAR_TAIL_TERMS
-        Cg = grunsky_rows(cmap, order, kfar, guard=kfar, P=P)
+        kfar = max(FAR_TAIL_TERMS, n)
+        Cg = grunsky_rows(cmap, order, kfar)
         ks = np.arange(1, kfar + 1)
         tail_f = -np.einsum("m,mk->k", xp[1 : n + 1] * scale[1 : n + 1], Cg[1 : n + 1, 1:])
         tail_f[: n] -= xm[1:] * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)
@@ -242,18 +244,15 @@ class FieldEvaluator:
             full_i.update({-k: xmi[k] for k in range(1, n + 1)})
             full_i[0] = xmi[0]
             yi = _shifted_coefficients(cmap, full_i)
-            self.poly_Li = -np.einsum("m,mk->k", xpi[1:] * scale[1 : n + 1], P[1 : n + 1])
             self.const_Li = xmi[0] * np.log(gamma)
-            self.poly_Ci = -np.einsum("m,mk->k", xpi[1:] * scale[1 : n + 1], dP[1 : n + 1])
-            self.poly_Libar = -np.einsum(
-                "m,mk->k", np.conj(xmi[1:]) * scale[1 : n + 1], P[1 : n + 1]
-            )
             self.const_Libar = np.conj(xmi[0]) * np.log(gamma)
-            poly_Cyi = np.zeros(order + 1, dtype=complex)
+            faber_Cyi = np.zeros(order + 1, dtype=complex)
             for j, yj in sorted(yi.items()):
                 if j >= 1:
-                    poly_Cyi += yj * (-scale[j]) * dP[j]
-            self.poly_Cyi = poly_Cyi
+                    faber_Cyi[j] = -yj * scale[j]
+            # rows: (Li, Libar) as sums of F_m(z), (Ci, Cyi) as sums of F_m'(z)
+            self.faber_values_i = np.stack([layer(xpi), layer(np.conj(xmi))])
+            self.faber_derivs_i = np.stack([layer(xpi), faber_Cyi])
             self.mean_i = xmi[0]
 
     # -- exterior ----------------------------------------------------------
@@ -262,12 +261,13 @@ class FieldEvaluator:
         alpha, beta = self.material.alpha, self.material.beta
         dpsi = eval_map_derivative(self.cmap, w)
         logw = np.log(w)
-        Lpsi = poly_eval(self.poly_L, z) + _two_sided(self.wpos_L, self.wneg_L, w)
+        (sL, sLbar), (sC, sCy) = faber_series(self.cmap, z, self.faber_values, self.faber_derivs)
+        Lpsi = sL + _two_sided(self.wpos_L, self.wneg_L, w)
         Lpsi = Lpsi + self.x0_log * logw
-        Lbar = poly_eval(self.poly_Lbar, z) + _two_sided(self.wpos_Lbar, self.wneg_Lbar, w)
+        Lbar = sLbar + _two_sided(self.wpos_Lbar, self.wneg_Lbar, w)
         Lbar = Lbar + self.x0bar_log * logw
-        Cpsi = poly_eval(self.poly_C, z) + _two_sided(self.vpos_C, self.vneg_C, w) / dpsi
-        Cy = poly_eval(self.poly_Cy, z) + _two_sided(self.ypos_C, self.yneg_C, w) / dpsi
+        Cpsi = sC + _two_sided(self.vpos_C, self.vneg_C, w) / dpsi
+        Cy = sCy + _two_sided(self.ypos_C, self.yneg_C, w) / dpsi
         f = beta * Lpsi
         fp = beta * Cpsi
         g = -alpha * Lbar - beta * Cy
@@ -333,11 +333,12 @@ class FieldEvaluator:
             raise FieldError("cavity solutions have no interior field")
         z = np.asarray(z, dtype=complex)
         at, bt, kt = self.material.interior_constants()
-        f = bt * (poly_eval(self.poly_Li, z) + self.const_Li)
-        fp = bt * poly_eval(self.poly_Ci, z)
-        g = -at * (poly_eval(self.poly_Libar, z) + self.const_Libar) - bt * poly_eval(
-            self.poly_Cyi, z
+        (sL, sLbar), (sC, sCy) = faber_series(
+            self.cmap, z, self.faber_values_i, self.faber_derivs_i
         )
+        f = bt * (sL + self.const_Li)
+        fp = bt * sC
+        g = -at * (sLbar + self.const_Libar) - bt * sCy
         mean = bt * self.mean_i
         f_part = 0.5 * kt * f
         fp_part = -0.5 * z * np.conj(fp)

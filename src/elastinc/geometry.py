@@ -11,9 +11,10 @@ module builds, at a shared truncation order n:
   triangular) and its exact inverse,
 * the derivative matrices expressing F_m' in the Faber basis,
 * the Grunsky coefficient matrix (negative-power coefficients of the
-  composition F_m(Psi(w))), via exact Laurent composition,
+  composition F_m(Psi(w))), via the Faber recurrence in the w-plane,
 * Hankel/Toeplitz/corner matrices of the map coefficients,
-* the diagonal and shift matrices used by the block formulas.
+
+and evaluates Faber series at points by the same recurrence.
 """
 
 from __future__ import annotations
@@ -21,17 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-
-from .laurent import LaurentSeries
 
 
 class GeometryError(ValueError):
     """Invalid map data or evaluation outside the allowed domain."""
-
-
-class WindowError(GeometryError):
-    """Requested series coefficients outside the exactly-computed range."""
 
 
 DEFAULT_EXTENSION_MARGIN = 0.1  # fraction of gamma the map may be evaluated inside
@@ -60,10 +54,6 @@ class ConformalMap:
         """Largest K with a_K retained (0 for a pure translation or identity)."""
         return max(self.a.size - 1, 0)
 
-    @property
-    def rho0(self) -> float:
-        return float(np.log(self.gamma))
-
     def coeff(self, k: int) -> complex:
         """Laurent coefficient a_k with the conventions a_{-1}=1, a_{-m}=0 (m>=2)."""
         if k == -1:
@@ -71,13 +61,6 @@ class ConformalMap:
         if 0 <= k < self.a.size:
             return complex(self.a[k])
         return 0.0 + 0.0j
-
-    def laurent(self) -> LaurentSeries:
-        """The map as a Laurent series in w."""
-        if self.a.size == 0:
-            return LaurentSeries.monomial(1)
-        coeffs = np.concatenate([self.a[::-1], [1.0]])
-        return LaurentSeries(-self.depth if self.a.size > 1 else 0, coeffs)
 
 
 def eval_map(cmap: ConformalMap, w, margin: float | None = None):
@@ -201,8 +184,45 @@ def faber_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
 
 
 def faber_inverse(P: np.ndarray) -> np.ndarray:
-    """Exact inverse of the unit-lower-triangular Faber coefficient matrix."""
-    return solve_triangular(P, np.eye(P.shape[0], dtype=complex), lower=True, unit_diagonal=True)
+    """Exact inverse of the unit-lower-triangular Faber coefficient matrix.
+
+    Forward substitution on P X = I: row i of X is e_i - sum_{j<i} P[i,j] X[j].
+    """
+    X = np.eye(P.shape[0], dtype=complex)
+    for i in range(1, P.shape[0]):
+        X[i] -= P[i, :i] @ X[:i]
+    return X
+
+
+def faber_series(cmap: ConformalMap, z, coeffs, deriv_coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Sums sum_m c_m F_m(z) and sum_m d_m F_m'(z), one per row of coeffs / deriv_coeffs.
+
+    The Faber recursion and its z-derivative run on the point values, so no
+    monomial coefficients are formed: those grow geometrically with m on
+    elongated boundaries, and summing them cancels away every digit at
+    high order. Only the last K+1 values are kept.
+    """
+    z = np.asarray(z, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    deriv_coeffs = np.asarray(deriv_coeffs, dtype=complex)
+    a = cmap.a
+    keep = max(a.size, 1)
+    F, dF = [np.ones_like(z)], [np.zeros_like(z)]  # newest F_k(z), F_k'(z); F[-1] is F_m
+    sums = np.multiply.outer(coeffs[:, 0], F[0])
+    dsums = np.zeros(deriv_coeffs.shape[:1] + z.shape, dtype=complex)
+    for m in range(coeffs.shape[1] - 1):
+        f = z * F[-1]
+        df = F[-1] + z * dF[-1]
+        if m < a.size:
+            f -= m * a[m]
+        for k in range(max(0, m - a.size + 1), m + 1):
+            f -= a[m - k] * F[k - m - 1]
+            df -= a[m - k] * dF[k - m - 1]
+        F = (F + [f])[-keep:]
+        dF = (dF + [df])[-keep:]
+        sums += np.multiply.outer(coeffs[:, m + 1], f)
+        dsums += np.multiply.outer(deriv_coeffs[:, m + 1], df)
+    return sums, dsums
 
 
 def reciprocal_derivative_coefficients(cmap: ConformalMap, n: int) -> np.ndarray:
@@ -249,54 +269,43 @@ def monomial_derivative_matrix(n: int) -> np.ndarray:
     return T
 
 
-def _composition_rows(cmap: ConformalMap, rows: int, window: tuple[int, int],
-                      P: np.ndarray | None = None) -> list[LaurentSeries]:
-    """Laurent series of F_m(Psi(w)) for m = 0..rows, truncated to the window."""
-    if P is None:
-        P = faber_matrix(cmap, rows)
-    psi = cmap.laurent()
-    powers = [LaurentSeries.monomial(0)]
-    for _ in range(rows):
-        powers.append(powers[-1].multiply(psi, window=window))
-    out = []
-    for m in range(rows + 1):
-        acc = LaurentSeries.zero()
-        for j in range(m + 1):
-            pj = P[m, j]
-            if pj != 0.0:
-                acc = acc.add(powers[j].scale(pj))
-        out.append(acc.truncate(window))
-    return out
+def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
+    """Grunsky coefficients c_{mk} for m = 0..rows, k = 0..kmax (column 0 zero).
 
+    c_{mk} is the coefficient of w^{-k} in G_m(w) = F_m(Psi(w)). Composing
+    the Faber recursion with the map gives
 
-def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int, guard: int | None = None,
-                 P: np.ndarray | None = None) -> np.ndarray:
-    """Grunsky coefficients c_{mk} for m = 0..rows, k = 0..kmax.
+        G_{m+1} = Psi G_m - m a_m - sum_{k=max(0,m-K)}^{m} a_{m-k} G_k,
 
-    c_{mk} is the coefficient of w^{-k} in F_m(Psi(w)). The Laurent window is
-    [-(rows + guard), rows]; coefficients are exact for k <= guard + 1 because
-    a truncated term can climb at most one power per multiplication by Psi.
+    run here for the unit-radius map (coefficients a_k gamma^{-k-1}) on the
+    powers -(rows + kmax)..rows; the radius returns as
+    c_{mk}(gamma) = gamma^{m+k} c_{mk}(1). Powers dropped below the window
+    climb at most one power per multiplication by Psi, so after rows steps
+    every power down to -kmax is exact.
     """
-    if guard is None:
-        guard = max(rows, kmax)
-    if kmax > guard + 1:
-        raise WindowError(
-            f"Laurent window guard {guard} too small for Grunsky column {kmax}"
-        )
-    window = (-(rows + guard), rows)
-    comps = _composition_rows(cmap, rows, window, P=P)
-    C = np.zeros((rows + 1, kmax + 1), dtype=complex)
-    for m, series in enumerate(comps):
-        for k in range(1, kmax + 1):
-            C[m, k] = series.coefficient(-k)
+    b = cmap.a * cmap.gamma ** -(np.arange(cmap.a.size) + 1.0)
+    zero = rows + kmax  # column of w^0
+    G = np.zeros((rows + 1, zero + rows + 1), dtype=complex)
+    G[0, zero] = 1.0
+    for m in range(rows):
+        g = np.zeros(G.shape[1], dtype=complex)
+        g[1:] = G[m, :-1]  # w G_m
+        for j, bj in enumerate(b):
+            g[: g.size - j] += bj * G[m, j:]  # b_j w^{-j} G_m
+        if m < b.size:
+            g[zero] -= m * b[m]
+        for k in range(max(0, m - b.size + 1), m + 1):
+            g -= b[m - k] * G[k]
+        G[m + 1] = g
+    C = G[:, zero - kmax : zero + 1][:, ::-1].copy()
+    C[:, 0] = 0.0
+    C *= cmap.gamma ** np.add.outer(np.arange(rows + 1), np.arange(kmax + 1))
     return C
 
 
-def grunsky_matrix(cmap: ConformalMap, n: int, guard: int | None = None) -> np.ndarray:
+def grunsky_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
     """Square Grunsky section c_{mk}, m,k = 0..n (row 0 and column 0 zero)."""
-    if guard is None:
-        guard = n
-    return grunsky_rows(cmap, n, n, guard=guard)
+    return grunsky_rows(cmap, n, n)
 
 
 def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,106 +327,44 @@ def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np
 
 
 @dataclass(frozen=True)
-class Diagonals:
-    """Diagonal/shift matrices at order n for a given conformal radius."""
-
-    n: int
-    gamma: float
-
-    @property
-    def mode(self) -> np.ndarray:
-        """diag(1, 1, 2, 3, ..., n)."""
-        d = np.arange(self.n + 1, dtype=float)
-        d[0] = 1.0
-        return np.diag(d)
-
-    @property
-    def mode_inv(self) -> np.ndarray:
-        """diag(1, 1, 1/2, 1/3, ...)."""
-        d = np.arange(self.n + 1, dtype=float)
-        d[0] = 1.0
-        return np.diag(1.0 / d)
-
-    @property
-    def mode0(self) -> np.ndarray:
-        """diag(0, 1, 2, 3, ...)."""
-        return np.diag(np.arange(self.n + 1, dtype=float))
-
-    @property
-    def mode0_inv(self) -> np.ndarray:
-        """diag(0, 1, 1/2, 1/3, ...): pseudo-inverse of mode0."""
-        d = np.zeros(self.n + 1)
-        d[1:] = 1.0 / np.arange(1, self.n + 1)
-        return np.diag(d)
-
-    @property
-    def kill0(self) -> np.ndarray:
-        """diag(0, 1, 1, ..., 1): projection dropping the index-0 entry."""
-        d = np.ones(self.n + 1)
-        d[0] = 0.0
-        return np.diag(d)
-
-    @property
-    def shift_deriv(self) -> np.ndarray:
-        return monomial_derivative_matrix(self.n)
-
-    def gamma_pow(self, k: int) -> np.ndarray:
-        """diag(gamma^{k m}) for m = 0..n (index-0 entry is 1)."""
-        return np.diag(self.gamma ** (k * np.arange(self.n + 1, dtype=float)))
-
-    def gamma_pow0(self, k: int) -> np.ndarray:
-        """gamma_pow(k) with the index-0 entry zeroed."""
-        g = self.gamma_pow(k)
-        g[0, 0] = 0.0
-        return g
-
-
-def diagonal_matrices(n: int, gamma: float) -> Diagonals:
-    if n < 0 or not gamma > 0.0:
-        raise GeometryError("need n >= 0 and gamma > 0")
-    return Diagonals(n=n, gamma=float(gamma))
-
-
-@dataclass(frozen=True)
 class GeometryBundle:
     """All map-derived matrices at one shared truncation order."""
 
     cmap: ConformalMap
     n: int
     faber: np.ndarray            # Faber polynomial coefficients, rows ascending powers
-    faber_inv: np.ndarray
     faber_deriv: np.ndarray      # F_m' in the Faber basis
     faber_deriv_scaled: np.ndarray  # rows divided by m gamma^m, row 0 zero
     grunsky: np.ndarray
     coeff_hankel: np.ndarray
     coeff_toeplitz: np.ndarray
     coeff_corner: np.ndarray
-    diag: Diagonals
 
     @property
     def gamma(self) -> float:
         return self.cmap.gamma
 
+    def gamma_pow(self, k: int) -> np.ndarray:
+        """gamma^(k m) for m = 0..n: a diagonal scaling, applied by broadcasting."""
+        return self.gamma ** (k * np.arange(self.n + 1, dtype=float))
 
-def build_geometry(cmap: ConformalMap, n: int, guard: int | None = None) -> GeometryBundle:
+
+def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     """Construct every matrix of the bundle at truncation order n."""
     P = faber_matrix(cmap, n)
-    P_inv = faber_inverse(P)
     Dt, D = faber_derivative_matrices(cmap, n)
-    C = grunsky_matrix(cmap, n, guard=guard)
+    C = grunsky_matrix(cmap, n)
     hankel, toeplitz, corner = map_coefficient_matrices(cmap, n)
     return GeometryBundle(
         cmap=cmap,
         n=n,
         faber=P,
-        faber_inv=P_inv,
         faber_deriv=Dt,
         faber_deriv_scaled=D,
         grunsky=C,
         coeff_hankel=hankel,
         coeff_toeplitz=toeplitz,
         coeff_corner=corner,
-        diag=diagonal_matrices(n, cmap.gamma),
     )
 
 

@@ -103,29 +103,31 @@ def rhs_matrices(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSp
     """
     n = bundle.n
     A, B = spec.padded(n)
-    Ad = np.diag(A)
-    Bd = np.diag(B)
     C = bundle.grunsky
     # mode-scaled conjugated derivative rows: row m holds conj of F_m' in the basis
     W = np.conj(bundle.faber_deriv)
-    g2 = bundle.diag.gamma_pow(2)
-    gm2 = bundle.diag.gamma_pow(-2)
-    I0 = bundle.diag.kill0
+    g2 = bundle.gamma_pow(2)
+    gm2 = bundle.gamma_pow(-2)
+    kill0 = np.ones(n + 1)
+    kill0[0] = 0.0
     hank = bundle.coeff_hankel
     toep = bundle.coeff_toeplitz
     corner = bundle.coeff_corner
     kappa = material.kappa
     mu = material.mu_ext
+    Ac = np.conj(A)[:, None]
+    Bc = np.conj(B)[:, None]
+    Cbg = np.conj(C) * gm2
 
-    X_pos = np.conj(Ad) @ W @ (g2 @ corner + np.conj(C) @ gm2 @ toep) @ I0
-    X_neg = np.conj(Ad) @ W @ (g2 @ toep.T + np.conj(C) @ gm2 @ hank)
-    Y_pos = np.conj(Bd) @ np.conj(C) @ gm2
-    Y_neg = np.conj(Bd) @ g2
+    X_pos = Ac * W @ (g2[:, None] * corner + Cbg @ toep) * kill0
+    X_neg = Ac * W @ (g2[:, None] * toep.T + Cbg @ hank)
+    Y_pos = Bc * Cbg
+    Y_neg = np.diag(np.conj(B) * g2)
 
-    disp_pos = kappa * Ad - X_pos + Y_pos
-    disp_neg = kappa * (Ad @ C) - X_neg + Y_neg
-    trac_pos = mu * (Ad + X_pos - Y_pos)
-    trac_neg = mu * (Ad @ C + X_neg @ I0 - Y_neg)
+    disp_pos = kappa * np.diag(A) - X_pos + Y_pos
+    disp_neg = kappa * A[:, None] * C - X_neg + Y_neg
+    trac_pos = mu * (np.diag(A) + X_pos - Y_pos)
+    trac_neg = mu * (A[:, None] * C + X_neg * kill0 - Y_neg)
     return disp_pos, disp_neg, trac_pos, trac_neg
 
 

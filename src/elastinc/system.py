@@ -40,21 +40,20 @@ def m_blocks(bundle: GeometryBundle):
     """
     D = np.conj(bundle.faber_deriv_scaled)
     C = np.conj(bundle.grunsky)
-    dg = bundle.diag
-    g1 = dg.gamma_pow(1)
-    gm1 = dg.gamma_pow(-1)
-    g2 = dg.gamma_pow(2)
-    gm2 = dg.gamma_pow(-2)
+    g1 = bundle.gamma_pow(1)
+    gm1 = bundle.gamma_pow(-1)
     toep = bundle.coeff_toeplitz
     hank = bundle.coeff_hankel
     corner = bundle.coeff_corner
 
-    DC = D @ C @ gm2
-    Dg2 = D @ g2
-    M21 = Dg2 @ corner + DC @ toep - g1 @ toep.T @ gm1 @ DC
-    M41 = -(gm1 @ hank @ gm1 @ DC)
-    M22 = Dg2 @ toep.T + DC @ hank - g1 @ toep.T @ gm1 @ Dg2
-    M42 = -(gm1 @ hank @ gm1 @ Dg2)
+    DC = (D @ C) * bundle.gamma_pow(-2)
+    Dg2 = D * bundle.gamma_pow(2)
+    g1_toepT_gm1 = g1[:, None] * toep.T * gm1
+    gm1_hank_gm1 = gm1[:, None] * hank * gm1
+    M21 = Dg2 @ corner + DC @ toep - g1_toepT_gm1 @ DC
+    M41 = -(gm1_hank_gm1 @ DC)
+    M22 = Dg2 @ toep.T + DC @ hank - g1_toepT_gm1 @ Dg2
+    M42 = -(gm1_hank_gm1 @ Dg2)
     return M21, M41, M22, M42
 
 
@@ -79,45 +78,40 @@ def interior_blocks(material: MaterialPair, bundle: GeometryBundle):
 
 def _sided_blocks(bundle, alpha, beta, mu, interior):
     M21, M41, M22, M42 = m_blocks(bundle)
-    dg = bundle.diag
-    Ninv0 = dg.mode0_inv
-    g1 = dg.gamma_pow(1)
-    gm1 = dg.gamma_pow(-1)
-    gm2 = dg.gamma_pow(-2)
-    I0 = dg.kill0
+    n = bundle.n
+    ninv0 = np.zeros(n + 1)
+    ninv0[1:] = 1.0 / np.arange(1, n + 1)
+    kill0 = np.ones(n + 1)
+    kill0[0] = 0.0  # drops the index-0 row or column
+    # the exterior side also drops row 0 of the negative-mode blocks
+    rows41 = np.ones(n + 1) if interior else kill0
+    # gamma^{-m}/m and gamma^{m}/m, index-0 entry zero
+    ngm1 = ninv0 * bundle.gamma_pow(-1)
+    ng1 = ninv0 * bundle.gamma_pow(1)
+    gm2 = bundle.gamma_pow(-2)
     C = bundle.grunsky
     Cb = np.conj(C)
 
     S = [[None] * 4 for _ in range(4)]
-    S[0][0] = -alpha * Ninv0 @ gm1
-    S[1][0] = beta * I0 @ M21 @ I0
-    S[2][0] = -alpha * Ninv0 @ gm1 @ Cb @ gm2
-    S[0][1] = -alpha * Ninv0 @ gm1 @ C
-    S[1][1] = beta * I0 @ M22
-    S[2][1] = -alpha * Ninv0 @ g1
+    S[0][0] = np.diag(-alpha * ngm1)
+    S[1][0] = beta * kill0[:, None] * M21 * kill0
+    S[2][0] = -alpha * ngm1[:, None] * Cb * gm2
+    S[0][1] = -alpha * ngm1[:, None] * C
+    S[1][1] = beta * kill0[:, None] * M22
+    S[2][1] = np.diag(-alpha * ng1)
     if interior:
         # the mode-0 interior density produces a genuine constant displacement
-        S[2][1] = S[2][1].copy()
         S[2][1][0, 0] += 2.0 * alpha * np.log(bundle.gamma) - beta
-        S[3][0] = beta * M41 @ I0
-        S[3][1] = beta * M42
-        S[0][2] = -mu * beta * Ninv0 @ gm1
-        S[3][2] = -mu * beta * M41 @ I0
-        S[3][3] = -mu * beta * M42 @ I0
-    else:
-        S[3][0] = beta * I0 @ M41 @ I0
-        S[3][1] = beta * I0 @ M42
-        S[0][2] = mu * alpha * Ninv0 @ gm1
-        S[3][2] = -mu * beta * I0 @ M41 @ I0
-        S[3][3] = -mu * beta * I0 @ M42 @ I0
-    S[1][2] = -mu * beta * I0 @ M21 @ I0
-    S[2][2] = mu * alpha * Ninv0 @ gm1 @ Cb @ gm2
-    S[0][3] = -mu * beta * Ninv0 @ gm1 @ C
-    S[1][3] = -mu * beta * I0 @ M22 @ I0
-    if interior:
-        S[2][3] = mu * alpha * Ninv0 @ g1
-    else:
-        S[2][3] = -mu * beta * Ninv0 @ g1
+    S[3][0] = beta * rows41[:, None] * M41 * kill0
+    S[3][1] = beta * rows41[:, None] * M42
+    S[0][2] = np.diag((-mu * beta if interior else mu * alpha) * ngm1)
+    S[3][2] = -mu * beta * rows41[:, None] * M41 * kill0
+    S[3][3] = -mu * beta * rows41[:, None] * M42 * kill0
+    S[1][2] = -mu * beta * kill0[:, None] * M21 * kill0
+    S[2][2] = mu * alpha * ngm1[:, None] * Cb * gm2
+    S[0][3] = -mu * beta * ngm1[:, None] * C
+    S[1][3] = -mu * beta * kill0[:, None] * M22 * kill0
+    S[2][3] = np.diag((mu * alpha if interior else -mu * beta) * ng1)
     return S
 
 

@@ -238,6 +238,16 @@ def test_main_dispatches_with_grid_override(tmp_path):
     assert len(rows) == 5
 
 
+def test_solve_beyond_64_modes(tmp_path):
+    # the far-field tail once had a fixed length of 64 and crashed above it
+    path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    code = main(["solve", "--config", path, "--truncation", "65", "--out-dir", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads((out / "solution.json").read_text())
+    assert len(payload["coefficients"]["xe_plus"]) == 66
+
+
 def test_self_test_fixtures_pass():
     buf = io.StringIO()
     assert self_test(stream=buf) == 0

@@ -190,6 +190,24 @@ def test_near_and_far_routes_agree():
         assert np.allclose(a, b, atol=1e-11)
 
 
+def test_near_and_far_routes_agree_beyond_64_modes():
+    # n = 80 exceeds the default far-field tail length. The near route
+    # multiplies the roundoff-level high modes of the density by up to
+    # m |w|^m = 80 * 2^80 here, which limits agreement to about 1e-9.
+    n = 80
+    loading = single_mode(1, 1.0, 1)
+    sol = solve(assemble_system(TRANS, build_geometry(ELLIPSE, n), loading))
+    ev = FieldEvaluator(sol, loading, ELLIPSE, TRANS)
+    w = 2.0 * ELLIPSE.gamma * np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    z = eval_map(ELLIPSE, w)
+    for a, b in zip(ev._pair_near(w, z), ev._pair_far(w, z)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-8 * np.max(np.abs(b)))
+    # exterior_arrays switches routes at |w| = 2 gamma
+    inside = ev.exterior_arrays(w * (1.0 - 1e-12))["u"]
+    outside = ev.exterior_arrays(w * (1.0 + 1e-12))["u"]
+    assert np.allclose(inside, outside, rtol=0.0, atol=1e-8 * np.max(np.abs(outside)))
+
+
 # ---------------------------------------------------------------------------
 # exterior field values
 
@@ -271,6 +289,20 @@ def test_disk_transmission_interface_residuals():
     r_disp, r_trac = transmission_residual(sol, loading, DISK, TRANS, 48, step=1e-5)
     assert r_disp <= 1e-8
     assert r_trac <= 1e-8
+
+
+def test_elongated_ellipse_transmission_is_full_rank():
+    # a1 = 0.9: monomial Faber coefficients reach 6e11 at n = 64
+    cmap = ConformalMap(1.0, [0.0, 0.9])
+    n = 64
+    loading = single_mode(1, 1.0, 1)
+    sol = solve(assemble_system(TRANS, build_geometry(cmap, n), loading))
+    # only the six structurally zero real unknowns (index 0 of xe+, xe-, xi+) are null
+    assert sol.null_dim == 6 and sol.rank == 8 * (n + 1) - 6
+    assert sol.residual <= 1e-12
+    r_disp, r_trac = transmission_residual(sol, loading, cmap, TRANS, 64, step=1e-4)
+    assert r_disp <= 1e-6
+    assert r_trac <= 1e-6
 
 
 def test_transmission_residual_requires_transmission():
