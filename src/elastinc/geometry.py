@@ -134,25 +134,50 @@ def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) 
         raise GeometryError("boundary curve is not simple (sampled self-intersection)")
 
 
+def sweep_pairs(keys, lo, hi, closed: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with lo[i] <= keys[j] <= hi[i] (< hi[i] unless closed).
+
+    The keys are sorted once; each interval then selects one contiguous run
+    of them by searchsorted, so the cost is O((K + I) log K) plus the number
+    of pairs returned, never the full I x K product. j indexes the original
+    (unsorted) keys.
+    """
+    keys = np.asarray(keys, dtype=float)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    start = np.searchsorted(ranked, lo, side="left")
+    stop = np.searchsorted(ranked, hi, side="right" if closed else "left")
+    count = np.maximum(stop - start, 0)
+    i = np.repeat(np.arange(count.size), count)
+    offset = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    return i, order[start[i] + offset]
+
+
 def _polyline_self_intersects(pts: np.ndarray) -> bool:
-    """Proper-intersection sweep over all non-adjacent closed-polyline segments."""
+    """Proper intersection of any two non-adjacent closed-polyline segments.
+
+    Two segments can cross only where their x-ranges overlap; sweep_pairs
+    with each segment's own x-min as key yields every such pair (a pair
+    appears at least once, ordered by x-min), and only those are tested.
+    """
     m = pts.shape[0]
     p1 = pts
     p2 = np.roll(pts, -1, axis=0)
+    xlo = np.minimum(p1[:, 0], p2[:, 0])
+    xhi = np.maximum(p1[:, 0], p2[:, 0])
+    i, j = sweep_pairs(xlo, xlo, xhi)
 
     def cross(o, d, q):
-        # z-component of (d) x (q - o), broadcastable
+        # z-component of (d) x (q - o)
         return d[..., 0] * (q[..., 1] - o[..., 1]) - d[..., 1] * (q[..., 0] - o[..., 0])
 
     d = p2 - p1
-    # pairwise orientation tests, i indexes rows, j columns
-    d1 = cross(p1[:, None, :], d[:, None, :], p1[None, :, :])
-    d2 = cross(p1[:, None, :], d[:, None, :], p2[None, :, :])
-    d3 = cross(p1[None, :, :], d[None, :, :], p1[:, None, :])
-    d4 = cross(p1[None, :, :], d[None, :, :], p2[:, None, :])
+    d1 = cross(p1[i], d[i], p1[j])
+    d2 = cross(p1[i], d[i], p2[j])
+    d3 = cross(p1[j], d[j], p1[i])
+    d4 = cross(p1[j], d[j], p2[i])
     proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    idx = np.arange(m)
-    adjacent = (np.abs(idx[:, None] - idx[None, :]) % (m - 1)) <= 1
+    adjacent = (np.abs(i - j) % (m - 1)) <= 1
     return bool(np.any(proper & ~adjacent))
 
 

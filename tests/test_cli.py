@@ -167,6 +167,20 @@ def test_field_grid_row_count(tmp_path):
     assert np.isfinite(float(corner[5])) and np.isfinite(float(corner[6]))
 
 
+def test_field_on_elongated_ellipse_exits_ok(tmp_path):
+    # the a1 = 0.9 ellipse is a valid map; map inversion once failed on it (exit 3)
+    cfg = base_config(grid={"x0": -2.2, "x1": 2.2, "y0": -0.4, "y1": 0.4, "nx": 23, "ny": 9})
+    cfg["map"] = {"gamma": 1.0, "a": [[0.0, 0.0], [0.9, 0.0]]}
+    out = tmp_path / "out"
+    code = main(["field", "--config", write_config(tmp_path, cfg), "--out-dir", str(out)])
+    assert code == EXIT_OK
+    with open(out / "field.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 23 * 9
+    assert {row[4] for row in rows} == {"exterior", "interior"}
+    assert all(np.isfinite(float(row[5])) and np.isfinite(float(row[6])) for row in rows)
+
+
 def test_field_empty_grid_header_only(tmp_path):
     cfg = base_config(grid={"x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 1.0, "nx": 0, "ny": 0})
     out = tmp_path / "out"

@@ -25,6 +25,7 @@ from elastinc.field import (
     log_layer_exterior,
     log_layer_interior,
     transmission_residual,
+    REGION_SAMPLES,
     _shifted_coefficients,
 )
 from elastinc.geometry import ConformalMap, build_geometry, eval_map, eval_map_derivative
@@ -451,6 +452,98 @@ def test_classify_points_disk():
     regions, near = classify_points(DISK, z, band=0.05)
     assert list(regions) == ["interior", "exterior", "interior"]
     assert near.tolist() == [False, False, True]
+
+
+def winding_regions(cmap, z):
+    """Per-point winding number over the sampled curve (reference for the sweep)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    curve = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
+    closed = np.concatenate([curve, curve[:1]])
+    regions = []
+    for zi in z:
+        rel = closed - zi
+        turns = np.angle(rel[1:] / rel[:-1]).sum() / (2.0 * np.pi)
+        regions.append("interior" if abs(turns) > 0.5 else "exterior")
+    return regions
+
+
+def polyline_distance(cmap, z):
+    """Distance from each point to the sampled curve, all segments at once."""
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))[None, :]
+    d = np.roll(p0, -1, axis=1) - p0
+    rel = np.asarray(z)[:, None] - p0
+    t = np.clip((rel * np.conj(d)).real / np.abs(d) ** 2, 0.0, 1.0)
+    return np.min(np.abs(rel - t * d), axis=1)
+
+
+# the map shapes of the benchmark's cases: disk, ellipse, four-term, elongated
+BENCH_SHAPES = [[0.0], [0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_classify_points_matches_winding_reference(shape, gamma):
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1))
+    rng = np.random.default_rng(7)
+    band = 1e-3 * gamma
+    curve = eval_map(cmap, gamma * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 300)))
+    z = np.concatenate([
+        gamma * (rng.uniform(-2.5, 2.5, 400) + 1j * rng.uniform(-1.5, 1.5, 400)),
+        curve + band * rng.uniform(-3.0, 3.0, 300) * np.exp(1j * rng.uniform(0, 2 * np.pi, 300)),
+    ])
+    regions, near = classify_points(cmap, z, band=band)
+    dist = polyline_distance(cmap, z)
+    assert near.tolist() == (dist <= band).tolist()
+    outside = dist > band
+    assert outside.sum() > 500
+    assert list(regions[outside]) == winding_regions(cmap, z[outside])
+
+
+def test_classify_points_near_band_measures_segments():
+    # a point 5e-4 from the circle, between two samples: the nearest sample
+    # is farther than the band, the nearest segment is not
+    cmap = ConformalMap(1.5, [0.0])
+    z = np.array([1.5005 * np.exp(1j * np.pi / REGION_SAMPLES), 1.5005, 1.502])
+    _, near = classify_points(cmap, z, band=1e-3)
+    assert near.tolist() == [True, True, False]
+
+
+def test_invert_map_elongated_ellipse():
+    # undamped Newton stepped below |w| = 0.5 gamma from the first three points
+    # and the map evaluation refused
+    cmap = ConformalMap(1.0, [0.0, 0.9])
+    w = np.array([1.001, 1.01, 1.05, 1.2, 3.0]) * np.exp(1j * np.array([0.7, 1.1, 1.1, 2.9, 4.0]))
+    z = eval_map(cmap, w)
+    assert np.allclose(invert_map(cmap, z), w, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [[0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]])
+def test_invert_map_reaches_full_precision(a):
+    # the step after the residual first drops below NEWTON_TOL takes the
+    # iterate from about 3e-13 to about 2e-15 (relative residual, measured)
+    cmap = ConformalMap(1.0, a)
+    rng = np.random.default_rng(3)
+    w = (1.0 + 2.0 * rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+    z = eval_map(cmap, w)
+    back = invert_map(cmap, z)
+    assert np.max(np.abs(eval_map(cmap, back) - z) / np.abs(z)) <= 1e-14
+
+
+def test_grid_field_elongated_ellipse_straddling_boundary():
+    cmap = ConformalMap(1.0, [0.0, 0.9])
+    loading = single_mode(1, 1.0, 16)
+    sol = solve(assemble_system(TRANS, build_geometry(cmap, 16), loading))
+    grid = GridSpec(-2.2, 2.2, -0.4, 0.4, 41, 21)
+    samples = grid_field(sol, loading, cmap, TRANS, grid)
+    regions = [s.region for s in samples]
+    assert 0 < regions.count("interior") < len(samples)
+    for s in samples:
+        assert np.isfinite(s.u.real) and np.isfinite(s.u.imag)
+        if s.region == "exterior":
+            assert abs(s.w) > cmap.gamma
+            if not s.near_boundary:
+                assert abs(eval_map(cmap, s.w) - s.z) <= 1e-12
 
 
 def test_grid_field_disk_counts_and_cavity_hole():

@@ -1,9 +1,12 @@
 """Tests for the conformal-map module: Faber, Grunsky and structure matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from elastinc.geometry import (
+    SIMPLE_CURVE_SAMPLES,
     ConformalMap,
     GeometryError,
     boundary_point,
@@ -19,6 +22,8 @@ from elastinc.geometry import (
     map_coefficient_matrices,
     monomial_derivative_matrix,
     poly_eval,
+    sweep_pairs,
+    _polyline_self_intersects,
 )
 
 EXACT_TOL = 1e-12
@@ -219,3 +224,105 @@ def test_bundle_shapes_and_consistency():
     assert bundle.faber.shape == (7, 7)
     assert bundle.grunsky.shape == (7, 7)
     assert bundle.gamma == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# boundary validation: the sweep against the all-pairs scan it replaced
+
+
+def brute_self_intersects(pts: np.ndarray) -> bool:
+    """All-pairs proper-intersection test of a closed polyline (reference)."""
+    m = pts.shape[0]
+    p1 = pts
+    p2 = np.roll(pts, -1, axis=0)
+
+    def cross(o, d, q):
+        return d[..., 0] * (q[..., 1] - o[..., 1]) - d[..., 1] * (q[..., 0] - o[..., 0])
+
+    d = p2 - p1
+    d1 = cross(p1[:, None, :], d[:, None, :], p1[None, :, :])
+    d2 = cross(p1[:, None, :], d[:, None, :], p2[None, :, :])
+    d3 = cross(p1[None, :, :], d[None, :, :], p1[:, None, :])
+    d4 = cross(p1[None, :, :], d[None, :, :], p2[:, None, :])
+    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
+    idx = np.arange(m)
+    adjacent = (np.abs(idx[:, None] - idx[None, :]) % (m - 1)) <= 1
+    return bool(np.any(proper & ~adjacent))
+
+
+def sampled_boundary(cmap, samples=SIMPLE_CURVE_SAMPLES):
+    """The polyline ConformalMap validation tests, as an (S, 2) array."""
+    z, _ = boundary_point(cmap, np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    return np.column_stack([z.real, z.imag])
+
+
+def random_loop(rng):
+    """A random map whose coefficient size sum k|a_k|/gamma^(k+1) is in [0.2, 1.8].
+
+    Above about 1 the curve often crosses itself, so the set mixes simple
+    and self-intersecting boundaries.
+    """
+    depth = int(rng.integers(1, 7))
+    g = 0.5 + 1.5 * rng.random()
+    a = rng.standard_normal(depth + 1) + 1j * rng.standard_normal(depth + 1)
+    ks = np.arange(1, depth + 1)
+    a[1:] *= (0.2 + 1.6 * rng.random()) / np.sum(ks * np.abs(a[1:])) * g ** (ks + 1)
+    a[0] *= g
+    return ConformalMap(g, a, validate=False)
+
+
+# every map the test suite, the self-test and the benchmark shapes build,
+# then the two folded maps the validation must reject
+FIXTURE_MAPS = [
+    (1.0, [0.5]), (1.0, [0.5, 0.3]), (1.0, []), (1.0, [0.0, 0.9]), (1.5, [0.2]),
+    (1.3, [0.2 + 0.1j, -0.15, 0.08j]), (1.3, [0.2 + 0.1j, -0.15, 0.05j]),
+    (1.2, [0.3 + 0.2j, -0.1, 0.05j]), (1.2, [0.1, 0.25, 0.05 - 0.1j]),
+    (1.2, [0.25, 0.1 - 0.2j]), (1.1, [0.2, 0.15 - 0.1j]), (0.9, [0.0, 0.2, 0.1]),
+    (1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03]), (1.0, [0.0, 0.3]),
+    (1.0, [0.0, 1.2]), (1.0, [0.0, 0.0, 0.0, 0.5]),
+]
+
+
+def test_sweep_pairs_matches_all_pairs():
+    rng = np.random.default_rng(11)
+    keys = np.round(rng.random(60), 1)  # many ties
+    lo = np.round(rng.random(40), 1)
+    hi = lo + np.round(0.3 * rng.random(40), 1)
+    for closed in (True, False):
+        i, j = sweep_pairs(keys, lo, hi, closed=closed)
+        upper = keys[None, :] <= hi[:, None] if closed else keys[None, :] < hi[:, None]
+        want = np.argwhere((keys[None, :] >= lo[:, None]) & upper)
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(map(tuple, want.tolist()))
+
+
+def test_self_intersection_matches_brute_force_on_random_maps():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(300):
+        pts = sampled_boundary(random_loop(rng), 256)
+        verdicts.append(brute_self_intersects(pts))
+        assert _polyline_self_intersects(pts) == verdicts[-1]
+    assert 30 <= sum(verdicts) <= 270  # both verdicts are well represented
+
+
+def test_self_intersection_matches_brute_force_on_fixture_maps():
+    verdicts = []
+    for gamma, a in FIXTURE_MAPS:
+        pts = sampled_boundary(ConformalMap(gamma, a, validate=False))
+        verdicts.append(brute_self_intersects(pts))
+        assert _polyline_self_intersects(pts) == verdicts[-1]
+    # only the a3 = 0.5 map crosses itself; the a1 = 1.2 ellipse is simple
+    # but reversed, which the orientation test rejects
+    assert verdicts == [False] * (len(FIXTURE_MAPS) - 1) + [True]
+
+
+def test_map_validation_peak_memory():
+    # the all-pairs scan peaked near 51 MB on this map; the sweep needs well under 1 MB
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ConformalMap(1.0, [0.0, 0.3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
