@@ -15,7 +15,14 @@ into a smooth part (plain periodic trapezoid), a log part (spectrally
 exact weights for the periodic log kernel), and an odd principal-value
 part (spectrally exact weights for the half-cotangent kernel, whose
 diagonal vanishes by odd symmetry); diagonal entries of the smooth parts
-are local Taylor limits involving the curve's second derivative.
+are local Taylor limits involving the curve's second derivative. The
+weights depend on the node angles only through t_i - t_j, so each weight
+matrix is circulant, gathered from one generating column.
+
+The rigid-motion constraints border the discretized equations, with one
+Lagrange multiplier each, into a square system solved by LU; its 1-norm
+condition number is estimated with one or two further LU solves (the
+Hager-Higham estimator behind LAPACK's gecon).
 
 Agreement between this solver and the coefficient-space route is the
 package's main end-to-end correctness check. The solver is a desk-scale
@@ -152,20 +159,30 @@ def kelvin_kernel(x: complex, y: complex, material: MaterialPair,
     ) * np.outer(e, e)
 
 
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The q x q matrix whose (i, j) entry is column[(i - j) mod q]."""
+    k = np.arange(column.size)
+    return column[(k[:, None] - k[None, :]) % column.size]
+
+
+def _mode_angles(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes m = 1 .. q/2 - 1 and the angles m t_k reduced mod 2 pi exactly."""
+    m = np.arange(1, q // 2)
+    return m, (2.0 * np.pi / q) * (np.outer(m, np.arange(q)) % q)
+
+
 @lru_cache(maxsize=8)
 def log_weights(q: int) -> np.ndarray:
     """Quadrature weights for the periodic kernel log(4 sin^2((t-s)/2)).
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
-    applied to the smooth factor sampled at the nodes.
+    applied to the smooth factor sampled at the nodes. The weights depend
+    on t_i - t_j only, so the matrix is circulant in one generating column.
     """
-    t = 2.0 * np.pi * np.arange(q) / q
-    delta = t[:, None] - t[None, :]
-    R = np.zeros((q, q))
-    for m in range(1, q // 2):
-        R -= (4.0 * np.pi / q) * np.cos(m * delta) / m
-    R -= (4.0 * np.pi / q**2) * np.cos(0.5 * q * delta)
-    return R
+    m, angles = _mode_angles(q)
+    column = -(4.0 * np.pi / q) * np.sum(np.cos(angles) / m[:, None], axis=0)
+    column -= (4.0 * np.pi / q**2) * (-1.0) ** np.arange(q)
+    return _circulant(column)
 
 
 @lru_cache(maxsize=8)
@@ -174,13 +191,10 @@ def hilbert_weights(q: int) -> np.ndarray:
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
     the diagonal weight is zero (odd symmetry about the singularity).
+    Circulant like the log weights.
     """
-    t = 2.0 * np.pi * np.arange(q) / q
-    delta = t[:, None] - t[None, :]
-    W = np.zeros((q, q))
-    for m in range(1, q // 2):
-        W -= (4.0 * np.pi / q) * np.sin(m * delta)
-    return W
+    _, angles = _mode_angles(q)
+    return _circulant(-(4.0 * np.pi / q) * np.sum(np.sin(angles), axis=0))
 
 
 @dataclass(frozen=True)
@@ -351,13 +365,19 @@ def loading_conormal(loading: LoadingSpec, mesh: BoundaryMesh,
 
 @dataclass(frozen=True)
 class NystromSystem:
-    """Dense real Nystrom system plus the rigid-motion constraint rows.
+    """Dense real Nystrom system bordered by the rigid-motion constraints.
 
-    For a transmission pair the matrix is (4q, 4q) over the stacked
-    unknowns [phi_1, phi_2, psi_1, psi_2] (component-major nodal values);
-    for a cavity it reduces to (2q, 2q) over psi alone. The three
-    constraint rows enforce rigid-motion orthogonality of psi and are
-    appended for the least-squares solve.
+    For a transmission pair the N = 4q unknowns are the stacked
+    [phi_1, phi_2, psi_1, psi_2] (component-major nodal values); for a
+    cavity N = 2q over psi alone. matrix is the square (N+3, N+3)
+
+        K = [[M, C^T],
+             [C, 0  ]]
+
+    with M the Nystrom discretization and C the three unit-norm rows that
+    make psi orthogonal to the rigid motions; constraints is the view
+    K[N:, :N]. The three trailing unknowns are Lagrange multipliers, zero
+    up to discretization error when the discrete equations are consistent.
     """
 
     matrix: np.ndarray
@@ -401,82 +421,113 @@ class OracleSolution:
 
 def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
                      loading: LoadingSpec) -> NystromSystem:
-    """Discretize the boundary integral equations on the mesh.
+    """Discretize the boundary integral equations into the bordered matrix.
 
     Transmission: displacement rows equate the interior layer to the
     exterior layer plus the loading; traction rows do the same for the
     one-sided conormal derivatives. Cavity: the exterior conormal rows
-    alone, with a traction-free boundary.
+    alone, with a traction-free boundary. The blocks are written into the
+    (N+3, N+3) matrix in place, bordered by the constraint rows and their
+    transpose.
     """
     q = mesh.q
     frames = _chord_frames(mesh)
-    alpha, beta = _kelvin_constants(material, "exterior")
-    lam, mu = material.lam_ext, material.mu_ext
-    trac_ext = _conormal_blocks(mesh, frames, lam, mu, 1.0)
-
     h_nodes = eval_loading(loading, mesh.cmap, material, mesh.z)
     dh_nodes = loading_conormal(loading, mesh, material)
-
-    wq = mesh.weights
-    rig = rigid_fields(mesh.z)
+    trac_ext = _conormal_blocks(mesh, frames, material.lam_ext, material.mu_ext, 1.0)
 
     if material.has_interior:
-        disp_ext = _single_layer_blocks(mesh, frames, alpha, beta)
+        n = 4 * q
+        matrix = np.zeros((n + 3, n + 3))
+        alpha, beta = _kelvin_constants(material, "exterior")
         alpha_t, beta_t = _kelvin_constants(material, "interior")
-        disp_int = _single_layer_blocks(mesh, frames, alpha_t, beta_t)
-        trac_int = _conormal_blocks(mesh, frames, material.lam_int, material.mu_int, -1.0)
-        matrix = np.zeros((4 * q, 4 * q))
-        matrix[: 2 * q, : 2 * q] = disp_int
-        matrix[: 2 * q, 2 * q :] = -disp_ext
-        matrix[2 * q :, : 2 * q] = trac_int
-        matrix[2 * q :, 2 * q :] = -trac_ext
+        matrix[: 2 * q, : 2 * q] = _single_layer_blocks(mesh, frames, alpha_t, beta_t)
+        np.negative(_single_layer_blocks(mesh, frames, alpha, beta), out=matrix[: 2 * q, 2 * q : n])
+        matrix[2 * q : n, : 2 * q] = _conormal_blocks(
+            mesh, frames, material.lam_int, material.mu_int, -1.0
+        )
+        np.negative(trac_ext, out=matrix[2 * q : n, 2 * q : n])
         rhs = np.concatenate([_components(h_nodes), _components(dh_nodes)])
         mode = "transmission"
-        psi_col = 2 * q
     else:
-        matrix = trac_ext
+        n = 2 * q
+        matrix = np.zeros((n + 3, n + 3))
+        matrix[:n, :n] = trac_ext
         rhs = -_components(dh_nodes)
         mode = "cavity"
-        psi_col = 0
 
-    constraints = np.zeros((3, matrix.shape[1]))
-    for i, r in enumerate(rig):
-        constraints[i, psi_col : psi_col + q] = wq * r.real
-        constraints[i, psi_col + q : psi_col + 2 * q] = wq * r.imag
-        constraints[i] /= np.linalg.norm(constraints[i])
+    constraints = matrix[n:, :n]
+    wq = mesh.weights
+    for row, r in zip(constraints, rigid_fields(mesh.z)):
+        row[n - 2 * q : n - q] = wq * r.real
+        row[n - q :] = wq * r.imag
+        row /= np.linalg.norm(row)
+    matrix[:n, n:] = constraints.T
     return NystromSystem(matrix, rhs, constraints, mode, mesh, material, loading)
 
 
-def solve_nystrom(system: NystromSystem, rcond: float | None = None) -> OracleSolution:
-    """Least-squares solve of the stacked system and constraint rows."""
-    stacked = np.vstack([system.matrix, system.constraints])
-    rhs = np.concatenate([system.rhs, np.zeros(3)])
-    sol, _, _, sv = np.linalg.lstsq(stacked, rhs, rcond=rcond)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else np.inf
-    residual = float(np.linalg.norm(stacked @ sol - rhs))
+def _condition_estimate(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray) -> float:
+    """Hager-Higham estimate of the 1-norm condition number ||K||_1 ||K^-1||_1.
 
-    mesh, q = system.mesh, system.mesh.q
-    frames = _chord_frames(mesh)
-    alpha, beta = _kelvin_constants(system.material, "exterior")
+    ||K^-1||_1 is the maximum of the convex function f(x) = ||K^-1 x||_1
+    on the unit 1-norm ball, attained at a unit vector e_j. probe is
+    K^-1 start for the uniform start vector, already solved with the
+    system. One solve with K^T gives the subgradient z = K^-T sign(probe)
+    of f there; if some |z_j| exceeds z . start, f rises towards e_j and
+    one more solve takes that column of K^-1. Every value taken is
+    ||K^-1 x||_1 for some unit x, so the estimate never exceeds the true
+    condition number.
+    """
+    estimate = float(np.sum(np.abs(probe)))
+    z = np.linalg.solve(matrix.T, np.where(probe >= 0.0, 1.0, -1.0))
+    j = int(np.argmax(np.abs(z)))
+    if abs(z[j]) > z @ start:
+        unit = np.zeros_like(start)
+        unit[j] = 1.0
+        estimate = max(estimate, float(np.sum(np.abs(np.linalg.solve(matrix, unit)))))
+    return float(np.max(np.sum(np.abs(matrix), axis=0))) * estimate
+
+
+def solve_nystrom(system: NystromSystem) -> OracleSolution:
+    """LU solve of the bordered system, with a 1-norm condition estimate.
+
+    One LU factorization solves for the densities and the first probe of
+    the condition estimator together; the estimator adds one solve with
+    K^T and at most one more with K. A singular K raises OracleError. The
+    residual is that of the unbordered equations and the constraint rows,
+    ||K [sol, 0] - [rhs, 0]||, without the multipliers.
+    """
+    matrix, mesh = system.matrix, system.mesh
+    q, size = mesh.q, matrix.shape[0]
+    n = size - 3
+    rhs = np.zeros(size)
+    rhs[:n] = system.rhs
+    start = np.full(size, 1.0 / size)
+    try:
+        both = np.linalg.solve(matrix, np.column_stack([rhs, start]))
+        condition = _condition_estimate(matrix, both[:, 1], start)
+    except np.linalg.LinAlgError as exc:
+        raise OracleError(f"singular reference system ({size}x{size} bordered matrix)") from exc
+    sol = both[:n, 0]
+    residual = float(np.linalg.norm(matrix[:, :n] @ sol - rhs))
+
     h_nodes = eval_loading(system.loading, mesh.cmap, system.material, mesh.z)
-
+    psi = sol[n - 2 * q :]
     if system.mode == "transmission":
-        phi_c = _complexify(sol[: 2 * q])
-        psi_c = _complexify(sol[2 * q :])
+        phi = sol[: 2 * q]
+        phi_c = _complexify(phi)
         phi_nodes = np.column_stack([phi_c.real, phi_c.imag])
-        disp_ext = _single_layer_blocks(mesh, frames, alpha, beta)
-        u_ext = h_nodes + _complexify(disp_ext @ sol[2 * q :])
-        alpha_t, beta_t = _kelvin_constants(system.material, "interior")
-        disp_int = _single_layer_blocks(mesh, frames, alpha_t, beta_t)
-        u_int = _complexify(disp_int @ sol[: 2 * q])
+        u_ext = h_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
+        u_int = _complexify(matrix[: 2 * q, : 2 * q] @ phi)
         trace_gap = float(np.max(np.abs(u_int - u_ext)))
     else:
-        psi_c = _complexify(sol)
         phi_nodes = None
-        disp_ext = _single_layer_blocks(mesh, frames, alpha, beta)
-        u_ext = h_nodes + _complexify(disp_ext @ sol)
+        alpha, beta = _kelvin_constants(system.material, "exterior")
+        disp_ext = _single_layer_blocks(mesh, _chord_frames(mesh), alpha, beta)
+        u_ext = h_nodes + _complexify(disp_ext @ psi)
         trace_gap = 0.0
 
+    psi_c = _complexify(psi)
     psi_nodes = np.column_stack([psi_c.real, psi_c.imag])
     return OracleSolution(
         psi_nodes=psi_nodes,
@@ -492,10 +543,10 @@ def solve_nystrom(system: NystromSystem, rcond: float | None = None) -> OracleSo
 
 
 def solve_oracle(geometry, material: MaterialPair, loading: LoadingSpec,
-                 q: int, rcond: float | None = None) -> OracleSolution:
+                 q: int) -> OracleSolution:
     """Mesh, assemble, and solve in one call."""
     mesh = build_mesh(geometry, q)
-    return solve_nystrom(assemble_nystrom(mesh, material, loading), rcond=rcond)
+    return solve_nystrom(assemble_nystrom(mesh, material, loading))
 
 
 # -- off-boundary evaluation --------------------------------------------------

@@ -30,7 +30,9 @@ from elastinc.loading import LoadingSpec, eval_loading, loading_pair
 from elastinc.materials import MaterialError, MaterialPair
 from elastinc.oracle import (
     BoundaryMesh,
+    NystromSystem,
     OracleError,
+    assemble_nystrom,
     build_mesh,
     compare,
     conormal_matrix,
@@ -44,6 +46,7 @@ from elastinc.oracle import (
     self_convergence,
     single_layer_matrix,
     single_layer_potential,
+    solve_nystrom,
     solve_oracle,
 )
 from elastinc.system import assemble_system, solve
@@ -56,6 +59,8 @@ CAV = MaterialPair(2.0, 1.0, cavity=True)
 TRANS = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
 DISK = ConformalMap(1.0, [0.5])
 ELLIPSE = ConformalMap(1.0, [0.5, 0.3])
+FOURTERM = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+ELONGATED = ConformalMap(1.0, [0.0, 0.9])
 
 B1 = LoadingSpec(A=np.zeros(2), B=[0.0, 1.0])
 
@@ -222,6 +227,26 @@ def test_hilbert_weights_reproduce_conjugate_integrals():
     assert np.max(np.abs(W @ np.exp(1j * t) - 2.0j * np.pi * np.exp(1j * t))) <= EXACT_TOL
     assert np.max(np.abs(W @ np.sin(2 * t) - 2.0 * np.pi * np.cos(2 * t))) <= EXACT_TOL
     assert np.max(np.abs(np.diag(W))) == 0.0
+
+
+def double_sum_weights(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log and Hilbert weights summed mode by mode over all t_i - t_j."""
+    t = 2.0 * np.pi * np.arange(q) / q
+    delta = t[:, None] - t[None, :]
+    R = np.zeros((q, q))
+    W = np.zeros((q, q))
+    for m in range(1, q // 2):
+        R -= (4.0 * np.pi / q) * np.cos(m * delta) / m
+        W -= (4.0 * np.pi / q) * np.sin(m * delta)
+    R -= (4.0 * np.pi / q**2) * np.cos(0.5 * q * delta)
+    return R, W
+
+
+@pytest.mark.parametrize("q", [8, 16, 64, 128])
+def test_circulant_weights_match_double_sum(q):
+    R, W = double_sum_weights(q)
+    assert np.max(np.abs(log_weights(q) - R)) <= 1e-13
+    assert np.max(np.abs(hilbert_weights(q) - W)) <= 1e-13
 
 
 # -- layer matrices against the per-mode series route -------------------------
@@ -398,6 +423,68 @@ def test_far_field_decay_of_solved_density():
     scaled = [r * peaks[r] for r in (10.0, 20.0, 40.0)]
     assert max(scaled) / min(scaled) <= 1.05
     assert 0.2 <= peaks[40.0] / peaks[10.0] <= 0.3
+
+
+# -- the bordered system against the stacked least-squares solve ----------------
+
+
+RICH = LoadingSpec(A=[0.0, 0.4 + 0.1j, -0.2j], B=[0.0, 1.0, 0.0, 0.3])
+
+# Meshes that resolve RICH: the bordering multipliers are at most 3e-14,
+# 2.4e-8 for the elongated map at q=256. The four-term map at q=64
+# (multipliers 9e-8) and the elongated map at q=128 (1.5e-2) are
+# under-resolved, and there the bordered and least-squares answers
+# differ by design (8.6e-10, 2.8e-5 relative).
+MAPS = {"disk": DISK, "ellipse": ELLIPSE, "fourterm": FOURTERM, "elongated": ELONGATED}
+RESOLVED = [("disk", 64), ("disk", 128), ("ellipse", 64), ("ellipse", 128),
+            ("fourterm", 128), ("fourterm", 256), ("elongated", 256)]
+MATERIALS = pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+
+
+def stacked_lstsq_densities(system: NystromSystem) -> np.ndarray:
+    """The densities from least squares on [M; C] sol = [rhs; 0]."""
+    n = system.constraints.shape[1]
+    stacked = np.vstack([system.matrix[:n, :n], system.constraints])
+    rhs = np.concatenate([system.rhs, np.zeros(3)])
+    return np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+
+
+@MATERIALS
+@pytest.mark.parametrize("name,q", RESOLVED)
+def test_bordered_solve_matches_stacked_least_squares(name, q, material):
+    system = assemble_nystrom(build_mesh(MAPS[name], q), material, RICH)
+    n = system.constraints.shape[1]
+    assert system.matrix.shape == (n + 3, n + 3)
+    assert np.shares_memory(system.constraints, system.matrix)
+    sol = solve_nystrom(system)
+    got = sol.psi_nodes.T.ravel()
+    if sol.phi_nodes is not None:
+        got = np.concatenate([sol.phi_nodes.T.ravel(), got])
+    want = stacked_lstsq_densities(system)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(sol.rigid_moments)) <= 1e-10
+    assert sol.trace_gap <= 1e-10
+
+
+@MATERIALS
+@pytest.mark.parametrize("name,q", RESOLVED)
+def test_condition_estimate_brackets_exact_one_norm(name, q, material):
+    system = assemble_nystrom(build_mesh(MAPS[name], q), material, RICH)
+    K = system.matrix
+    exact = np.max(np.sum(np.abs(K), axis=0)) * np.max(np.sum(np.abs(np.linalg.inv(K)), axis=0))
+    estimate = solve_nystrom(system).condition_estimate
+    # the estimate is ||K||_1 ||K^-1 x||_1 for a unit x: a lower bound up to roundoff
+    assert estimate <= exact * (1.0 + 1e-10)
+    assert estimate >= 0.1 * exact
+
+
+def test_singular_bordered_system_raises():
+    mesh = build_mesh(DISK, 16)
+    matrix = np.zeros((2 * mesh.q + 3, 2 * mesh.q + 3))
+    system = NystromSystem(matrix, np.ones(2 * mesh.q), matrix[2 * mesh.q :, : 2 * mesh.q],
+                           "cavity", mesh, CAV, B1)
+    with pytest.raises(OracleError, match="singular reference system"):
+        solve_nystrom(system)
 
 
 def test_discrepancy_of_identical_samples_is_zero():
