@@ -27,6 +27,7 @@ from . import __version__
 from .field import (
     DEFAULT_BOUNDARY_BAND,
     FieldError,
+    FieldEvaluator,
     FieldSample,
     GridSpec,
     boundary_traction_spread,
@@ -378,9 +379,7 @@ def solution_payload(solution: DensitySolution) -> dict:
         },
         "residual": solution.residual,
         "rank": solution.rank,
-        "null_dim": solution.null_dim,
-        "sv_smallest_kept": solution.sv_smallest_kept,
-        "sv_largest_dropped": solution.sv_largest_dropped,
+        "condition_estimate": solution.condition_estimate,
         "rotation_projection": solution.rotation_projection,
         "converged": solution.converged,
     }
@@ -425,7 +424,8 @@ def _summary_text(results: RunResults) -> str:
         f"mode: {sol.mode}",
         f"truncation: {sol.n}",
         f"solve residual: {sol.residual:.6e}",
-        f"rank: {sol.rank} (null dim {sol.null_dim}, converged {sol.converged})",
+        f"rank: {sol.rank} (condition estimate {sol.condition_estimate:.6e}, "
+        f"converged {sol.converged})",
         f"rotation projection: {sol.rotation_projection:.6e}",
     ]
     r_disp, r_trac = results.interface_residuals
@@ -626,11 +626,29 @@ def _check_oracle_agreement() -> float:
     return max(report.boundary_max, report.exterior_max)
 
 
+def _check_radius_scale_invariance() -> float:
+    # the four-term map at gamma = 2 against its unit-radius problem: the same
+    # coefficients, and the same displacement at w = gamma omega
+    a1, gamma = np.array([0.1, 0.25, 0.08 + 0.05j, 0.03]), 2.0
+    material = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
+    omega = 1.5 * np.exp(2j * np.pi * np.arange(8) / 8)
+    loading = LoadingSpec([0.0, 0.3], [0.0, 1.0, 0.5j])
+    unit_loading = LoadingSpec([0.0, 0.3 * gamma], [0.0, gamma, 0.5j * gamma**2])
+    runs = []
+    for cmap, spec in ((ConformalMap(gamma, a1 * gamma ** (np.arange(4) + 1)), loading),
+                       (ConformalMap(1.0, a1), unit_loading)):
+        sol = solve(assemble_system(material, build_geometry(cmap, 16), spec))
+        u = FieldEvaluator(sol, spec, cmap, material).exterior_arrays(cmap.gamma * omega)["u"]
+        runs.append(np.concatenate([sol.xe_plus, sol.xe_minus, sol.xi_plus, sol.xi_minus, u]))
+    return float(np.max(np.abs(runs[0] - runs[1])) / np.max(np.abs(runs[1])))
+
+
 SELF_TESTS = (
     ("disk cavity closed form", _check_disk_closed_form, 1e-10),
     ("loading boundary series", _check_loading_series, 1e-8),
     ("ellipse transmission residuals", _check_transmission_residual, 1e-5),
     ("reference-method agreement", _check_oracle_agreement, 1e-3),
+    ("radius-scale invariance", _check_radius_scale_invariance, 1e-12),
 )
 
 

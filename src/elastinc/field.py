@@ -32,6 +32,7 @@ from .geometry import (
     monomial_derivative_matrix,
     poly_eval,
     sweep_pairs,
+    unit_radius,
 )
 from .loading import LoadingSpec, loading_pair
 from .materials import MaterialPair
@@ -138,7 +139,13 @@ def _shifted_coefficients(cmap: ConformalMap, full: dict) -> dict:
 
 
 class FieldEvaluator:
-    """Precomputed series data for evaluating one solved configuration."""
+    """Precomputed series data for evaluating one solved configuration.
+
+    The solution's coefficients belong to the unit-radius problem, so the
+    series are built for unit_radius(cmap) and the loading rescaled to it,
+    and are evaluated at w / gamma and z / gamma; since z = gamma zeta, f and g
+    keep their values and f' is divided by gamma on output.
+    """
 
     def __init__(self, solution: DensitySolution, loading: LoadingSpec,
                  geometry, material: MaterialPair):
@@ -147,11 +154,11 @@ class FieldEvaluator:
         self.material = material
         self.solution = solution
         self.loading = loading
-        gamma = cmap.gamma
+        self.gamma = cmap.gamma
+        unit = unit_radius(cmap)
+        self.unit = unit
         n = solution.n
         depth = cmap.a.size - 1
-        self.gamma = gamma
-        self.n = n
 
         order = max(n + max(depth, 0), loading.order, 1)
 
@@ -160,35 +167,31 @@ class FieldEvaluator:
         full = {m: xp[m] for m in range(1, n + 1)}
         full.update({-k: xm[k] for k in range(1, n + 1)})
         full[0] = xm[0]
-        y = _shifted_coefficients(cmap, full)
+        y = _shifted_coefficients(unit, full)
 
         scale = np.zeros(order + 1)
-        scale[1:] = 1.0 / (np.arange(1, order + 1) * gamma ** np.arange(1, order + 1))
+        scale[1:] = 1.0 / np.arange(1, order + 1)
 
         def layer(x):
-            """Faber-basis coefficients -x_m / (m gamma^m) of a layer transform."""
+            """Faber-basis coefficients -x_m / m of a layer transform."""
             out = np.zeros(order + 1, dtype=complex)
             out[1 : n + 1] = -x[1:] * scale[1 : n + 1]
             return out
 
         # polynomial route: Faber series in z plus explicit powers of w
         self.wpos_L = np.concatenate([[0.0], xp[1:] * scale[1 : n + 1]])
-        self.wneg_L = np.concatenate(
-            [[0.0], -xm[1:] * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)]
-        )
+        self.wneg_L = np.concatenate([[0.0], -xm[1:] * scale[1 : n + 1]])
 
         self.wpos_Lbar = np.concatenate([[0.0], np.conj(xm[1:]) * scale[1 : n + 1]])
-        self.wneg_Lbar = np.concatenate(
-            [[0.0], -np.conj(xp[1:]) * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)]
-        )
+        self.wneg_Lbar = np.concatenate([[0.0], -np.conj(xp[1:]) * scale[1 : n + 1]])
 
-        # numerator of the 1/Psi' part: sum_m xp[m] gamma^{-m} w^{m-1}
-        #                             + xm[0]/w + sum_k xm[k] gamma^k w^{-k-1}
+        # numerator of the 1/Psi' part: sum_m xp[m] w^{m-1}
+        #                             + xm[0]/w + sum_k xm[k] w^{-k-1}
         vpos = np.zeros(order + 1, dtype=complex)
-        vpos[: n] = xp[1 : n + 1] * gamma ** (-np.arange(1, n + 1))
+        vpos[: n] = xp[1 : n + 1]
         vneg = np.zeros(n + 2, dtype=complex)
         vneg[1] = xm[0]
-        vneg[2 : n + 2] = xm[1:] * gamma ** np.arange(1, n + 1)
+        vneg[2 : n + 2] = xm[1:]
         self.vpos_C, self.vneg_C = vpos, vneg
 
         ypos = np.zeros(order + 1, dtype=complex)
@@ -197,43 +200,42 @@ class FieldEvaluator:
         for j, yj in sorted(y.items()):
             if j >= 1:
                 faber_Cy[j] = -yj * scale[j]
-                ypos[j - 1] += yj * gamma ** (-j)
+                ypos[j - 1] += yj
             elif j == 0:
                 yneg[1] += yj
             else:
-                yneg[-j + 1] += yj * gamma ** (-j)
+                yneg[-j + 1] += yj
         # rows: (L, Lbar) as sums of F_m(z), (C, Cy) as sums of F_m'(z)
         self.faber_values = np.stack([layer(xp), layer(np.conj(xm))])
         self.faber_derivs = np.stack([layer(xp), faber_Cy])
         self.ypos_C, self.yneg_C = ypos, yneg
-        self.y = y
         self.x0_log = xm[0]
         self.x0bar_log = np.conj(xm[0])
 
         # tail route: reflected coefficient series in 1/w
         kfar = max(FAR_TAIL_TERMS, n)
-        Cg = grunsky_rows(cmap, order, kfar)
+        Cg = grunsky_rows(unit, order, kfar)
         ks = np.arange(1, kfar + 1)
         tail_f = -np.einsum("m,mk->k", xp[1 : n + 1] * scale[1 : n + 1], Cg[1 : n + 1, 1:])
-        tail_f[: n] -= xm[1:] * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)
+        tail_f[: n] -= xm[1:] * scale[1 : n + 1]
         self.tail_f = np.concatenate([[0.0], tail_f])
         tail_fbar = -np.einsum(
             "m,mk->k", np.conj(xm[1 : n + 1]) * scale[1 : n + 1], Cg[1 : n + 1, 1:]
         )
-        tail_fbar[: n] -= np.conj(xp[1:]) * gamma ** np.arange(1, n + 1) / np.arange(1, n + 1)
+        tail_fbar[: n] -= np.conj(xp[1:]) * scale[1 : n + 1]
         self.tail_fbar = np.concatenate([[0.0], tail_fbar])
         # numerator coefficients of w^{-k-1} in the shifted-density transform
         qco = np.zeros(kfar + 1, dtype=complex)
         for j, yj in sorted(y.items()):
             if j >= 1:
-                qco[1:] += yj * (ks / j) * gamma ** (-j) * Cg[j, 1:]
+                qco[1:] += yj * (ks / j) * Cg[j, 1:]
             elif j <= -1 and -j <= kfar:
-                qco[-j] += yj * gamma ** (-j)
+                qco[-j] += yj
         self.tail_q = qco
         self.y0 = y.get(0, 0.0)
 
-        # loading polynomials
-        fH, gH = loading_pair(loading, cmap)
+        # loading polynomials of the unit-radius problem
+        fH, gH = loading_pair(loading.unit_radius(self.gamma), unit)
         dfH = fH[1:] * np.arange(1, fH.size)
         self.fH, self.dfH, self.gH = fH, dfH, gH
 
@@ -244,9 +246,7 @@ class FieldEvaluator:
             full_i = {m: xpi[m] for m in range(1, n + 1)}
             full_i.update({-k: xmi[k] for k in range(1, n + 1)})
             full_i[0] = xmi[0]
-            yi = _shifted_coefficients(cmap, full_i)
-            self.const_Li = xmi[0] * np.log(gamma)
-            self.const_Libar = np.conj(xmi[0]) * np.log(gamma)
+            yi = _shifted_coefficients(unit, full_i)
             faber_Cyi = np.zeros(order + 1, dtype=complex)
             for j, yj in sorted(yi.items()):
                 if j >= 1:
@@ -259,10 +259,11 @@ class FieldEvaluator:
     # -- exterior ----------------------------------------------------------
 
     def _pair_near(self, w, z):
+        """(f, f', g) of the layer terms at unit-radius points w, z = Psi_1(w)."""
         alpha, beta = self.material.alpha, self.material.beta
-        dpsi = eval_map_derivative(self.cmap, w)
+        dpsi = eval_map_derivative(self.unit, w)
         logw = np.log(w)
-        (sL, sLbar), (sC, sCy) = faber_series(self.cmap, z, self.faber_values, self.faber_derivs)
+        (sL, sLbar), (sC, sCy) = faber_series(self.unit, z, self.faber_values, self.faber_derivs)
         Lpsi = sL + _two_sided(self.wpos_L, self.wneg_L, w)
         Lpsi = Lpsi + self.x0_log * logw
         Lbar = sLbar + _two_sided(self.wpos_Lbar, self.wneg_Lbar, w)
@@ -275,8 +276,9 @@ class FieldEvaluator:
         return f, fp, g
 
     def _pair_far(self, w, z):
+        """The tail route for _pair_near's arguments, valid for |w| > 1."""
         alpha, beta = self.material.alpha, self.material.beta
-        dpsi = eval_map_derivative(self.cmap, w)
+        dpsi = eval_map_derivative(self.unit, w)
         logw = np.log(w)
         zero = np.zeros(1)
         Lpsi = _two_sided(zero, self.tail_f, w) + self.x0_log * logw
@@ -296,30 +298,30 @@ class FieldEvaluator:
         if np.any(np.abs(w) <= self.gamma):
             raise FieldError("exterior evaluation requires |w| > gamma")
         z = eval_map(self.cmap, w)
+        omega, zeta = w / self.gamma, z / self.gamma
         f = np.zeros_like(w)
         fp = np.zeros_like(w)
         g = np.zeros_like(w)
-        near = np.abs(w) < FAR_SWITCH_RATIO * self.gamma
+        near = np.abs(omega) < FAR_SWITCH_RATIO
         if np.any(near):
-            f[near], fp[near], g[near] = self._pair_near(w[near], z[near])
+            f[near], fp[near], g[near] = self._pair_near(omega[near], zeta[near])
         if np.any(~near):
-            f[~near], fp[~near], g[~near] = self._pair_far(w[~near], z[~near])
+            f[~near], fp[~near], g[~near] = self._pair_far(omega[~near], zeta[~near])
         kappa = self.material.kappa
-        H = (
-            kappa * poly_eval(self.fH, z)
-            - z * np.conj(poly_eval(self.dfH, z))
-            - np.conj(poly_eval(self.gH, z))
-        )
+        fH = poly_eval(self.fH, zeta)
+        dfH = poly_eval(self.dfH, zeta)
+        gH = poly_eval(self.gH, zeta)
+        H = kappa * fH - zeta * np.conj(dfH) - np.conj(gH)
         f_part = 0.5 * kappa * f
-        fp_part = -0.5 * z * np.conj(fp)
+        fp_part = -0.5 * zeta * np.conj(fp)
         g_part = -0.5 * np.conj(g)
         u = H + f_part + fp_part + g_part
         return {
             "z": z,
             "u": u,
-            "f": poly_eval(self.fH, z) + 0.5 * f,
-            "fprime": poly_eval(self.dfH, z) + 0.5 * fp,
-            "g": poly_eval(self.gH, z) + 0.5 * g,
+            "f": fH + 0.5 * f,
+            "fprime": (dfH + 0.5 * fp) / self.gamma,
+            "g": gH + 0.5 * g,
             "load_part": H,
             "f_part": f_part,
             "fprime_part": fp_part,
@@ -333,16 +335,17 @@ class FieldEvaluator:
         if self.solution.mode != "transmission":
             raise FieldError("cavity solutions have no interior field")
         z = np.asarray(z, dtype=complex)
+        zeta = z / self.gamma
         at, bt, kt = self.material.interior_constants()
         (sL, sLbar), (sC, sCy) = faber_series(
-            self.cmap, z, self.faber_values_i, self.faber_derivs_i
+            self.unit, zeta, self.faber_values_i, self.faber_derivs_i
         )
-        f = bt * (sL + self.const_Li)
+        f = bt * sL
         fp = bt * sC
-        g = -at * (sLbar + self.const_Libar) - bt * sCy
+        g = -at * sLbar - bt * sCy
         mean = bt * self.mean_i
         f_part = 0.5 * kt * f
-        fp_part = -0.5 * z * np.conj(fp)
+        fp_part = -0.5 * zeta * np.conj(fp)
         g_part = -0.5 * np.conj(g)
         load = np.full_like(z, -0.5 * mean)
         u = load + f_part + fp_part + g_part
@@ -350,7 +353,7 @@ class FieldEvaluator:
             "z": z,
             "u": u,
             "f": 0.5 * f,
-            "fprime": 0.5 * fp,
+            "fprime": 0.5 * fp / self.gamma,
             "g": 0.5 * g,
             "load_part": load,
             "f_part": f_part,
@@ -435,24 +438,14 @@ def transmission_residual(solution: DensitySolution, loading: LoadingSpec,
     gamma = cmap.gamma
     ring = np.exp(1j * theta)
 
-    ue = _richardson(
-        ev.exterior_arrays(gamma * (1.0 + step) * ring)["u"],
-        ev.exterior_arrays(gamma * (1.0 + 0.5 * step) * ring)["u"],
-    )
-    ui = _richardson(
-        ev.interior_arrays(gamma * (1.0 - step) * ring)["u"],
-        ev.interior_arrays(gamma * (1.0 - 0.5 * step) * ring)["u"],
-    )
+    outer = [ev.exterior_arrays(gamma * (1.0 + s) * ring) for s in (step, 0.5 * step)]
+    inner = [ev.interior_arrays(gamma * (1.0 - s) * ring) for s in (step, 0.5 * step)]
+    ue = _richardson(*(arrays["u"] for arrays in outer))
+    ui = _richardson(*(arrays["u"] for arrays in inner))
     r_disp = float(np.max(np.abs(ue - ui)))
 
-    te = _richardson(
-        _traction_arrays(ev.exterior_arrays(gamma * (1.0 + step) * ring), material.mu_ext),
-        _traction_arrays(ev.exterior_arrays(gamma * (1.0 + 0.5 * step) * ring), material.mu_ext),
-    )
-    ti = _richardson(
-        _traction_arrays(ev.interior_arrays(gamma * (1.0 - step) * ring), material.mu_int),
-        _traction_arrays(ev.interior_arrays(gamma * (1.0 - 0.5 * step) * ring), material.mu_int),
-    )
+    te = _richardson(*(_traction_arrays(arrays, material.mu_ext) for arrays in outer))
+    ti = _richardson(*(_traction_arrays(arrays, material.mu_int) for arrays in inner))
     diff = te - ti
     r_trac = float(np.max(np.abs(diff[:, None] - diff[None, :])))
     return r_disp, r_trac

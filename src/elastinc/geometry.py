@@ -338,11 +338,16 @@ def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np
 
     hankel[m, k] = a_{m+k};  toeplitz[m, k] = a_{m-k} (so the first
     superdiagonal is a_{-1} = 1);  corner holds a0 at (0,0) and 1 at (0,1)
-    and (1,0), zero elsewhere.
+    and (1,0), zero elsewhere. Both are gathered from one zero-padded copy
+    of (a_{-n-1}, ..., a_{2n}), with a_j stored at position j + n + 1.
     """
     idx = np.arange(n + 1)
-    hankel = np.array([[cmap.coeff(m + k) for k in idx] for m in idx], dtype=complex)
-    toeplitz = np.array([[cmap.coeff(m - k) for k in idx] for m in idx], dtype=complex)
+    padded = np.zeros(3 * n + 2, dtype=complex)
+    padded[n] = 1.0
+    top = min(cmap.a.size, 2 * n + 1)
+    padded[n + 1 : n + 1 + top] = cmap.a[:top]
+    hankel = padded[np.add.outer(idx, idx) + n + 1]
+    toeplitz = padded[np.subtract.outer(idx, idx) + n + 1]
     corner = np.zeros((n + 1, n + 1), dtype=complex)
     corner[0, 0] = cmap.coeff(0)
     if n >= 1:
@@ -353,13 +358,14 @@ def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """All map-derived matrices at one shared truncation order."""
+    """All map-derived matrices at one shared truncation order, built for
+    unit_radius(cmap), the unit-radius problem the block system is posed on."""
 
     cmap: ConformalMap
     n: int
     faber: np.ndarray            # Faber polynomial coefficients, rows ascending powers
     faber_deriv: np.ndarray      # F_m' in the Faber basis
-    faber_deriv_scaled: np.ndarray  # rows divided by m gamma^m, row 0 zero
+    faber_deriv_scaled: np.ndarray  # rows divided by m, row 0 zero
     grunsky: np.ndarray
     coeff_hankel: np.ndarray
     coeff_toeplitz: np.ndarray
@@ -369,17 +375,24 @@ class GeometryBundle:
     def gamma(self) -> float:
         return self.cmap.gamma
 
-    def gamma_pow(self, k: int) -> np.ndarray:
-        """gamma^(k m) for m = 0..n: a diagonal scaling, applied by broadcasting."""
-        return self.gamma ** (k * np.arange(self.n + 1, dtype=float))
+
+def unit_radius(cmap: ConformalMap) -> ConformalMap:
+    """The same boundary scaled by 1/gamma: Psi_1(w) = Psi(gamma w) / gamma.
+
+    Its coefficients are a_k gamma^(-k-1) on |w| = 1. Validation is
+    scale-invariant, so the rescaled map is not validated again.
+    """
+    k = np.arange(cmap.a.size)
+    return ConformalMap(1.0, cmap.a * cmap.gamma ** -(k + 1.0), validate=False)
 
 
 def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
-    """Construct every matrix of the bundle at truncation order n."""
-    P = faber_matrix(cmap, n)
-    Dt, D = faber_derivative_matrices(cmap, n)
-    C = grunsky_matrix(cmap, n)
-    hankel, toeplitz, corner = map_coefficient_matrices(cmap, n)
+    """Construct every matrix of the bundle at truncation order n, at unit radius."""
+    unit = unit_radius(cmap)
+    P = faber_matrix(unit, n)
+    Dt, D = faber_derivative_matrices(unit, n)
+    C = grunsky_matrix(unit, n)
+    hankel, toeplitz, corner = map_coefficient_matrices(unit, n)
     return GeometryBundle(
         cmap=cmap,
         n=n,

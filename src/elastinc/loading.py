@@ -61,6 +61,11 @@ class LoadingSpec:
         B[: min(self.B.size, n + 1)] = self.B[: n + 1]
         return A, B
 
+    def unit_radius(self, gamma: float) -> "LoadingSpec":
+        """The loading of the unit-radius problem: A_m gamma^m, B_m gamma^m."""
+        return LoadingSpec(self.A * gamma ** np.arange(self.A.size),
+                           self.B * gamma ** np.arange(self.B.size))
+
 
 @dataclass(frozen=True)
 class RhsVector:
@@ -76,38 +81,20 @@ class RhsVector:
     trac_pos: np.ndarray
     trac_neg: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.disp_pos.size - 1
-
-    def block_row(self) -> np.ndarray:
-        """The 1x8 block row (each block on the displacement/traction split)."""
-        parts = []
-        for h in (self.disp_pos, self.disp_neg, self.trac_pos, self.trac_neg):
-            parts.extend([h, np.conj(h)])
-        return np.concatenate(parts)
-
-    def block_row_cavity(self) -> np.ndarray:
-        """The 1x4 block row: traction blocks only."""
-        return np.concatenate(
-            [self.trac_pos, np.conj(self.trac_pos), self.trac_neg, np.conj(self.trac_neg)]
-        )
-
 
 def rhs_matrices(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec):
-    """Per-mode boundary coefficient matrices (rows: modes, columns: powers).
+    """Per-mode boundary coefficient matrices of the unit-radius problem.
 
     Returns (disp_pos_mat, disp_neg_mat, trac_pos_mat, trac_neg_mat) where row
-    m of disp_pos_mat holds the w^k coefficients of mode m's contribution to
-    the loading on the boundary, and similarly for the other three.
+    m of disp_pos_mat holds the w^k coefficients on |w| = 1 of mode m's
+    contribution to the rescaled loading spec.unit_radius(gamma), and
+    similarly for the other three.
     """
     n = bundle.n
-    A, B = spec.padded(n)
+    A, B = spec.unit_radius(bundle.gamma).padded(n)
     C = bundle.grunsky
     # mode-scaled conjugated derivative rows: row m holds conj of F_m' in the basis
     W = np.conj(bundle.faber_deriv)
-    g2 = bundle.gamma_pow(2)
-    gm2 = bundle.gamma_pow(-2)
     kill0 = np.ones(n + 1)
     kill0[0] = 0.0
     hank = bundle.coeff_hankel
@@ -117,12 +104,12 @@ def rhs_matrices(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSp
     mu = material.mu_ext
     Ac = np.conj(A)[:, None]
     Bc = np.conj(B)[:, None]
-    Cbg = np.conj(C) * gm2
+    Cb = np.conj(C)
 
-    X_pos = Ac * W @ (g2[:, None] * corner + Cbg @ toep) * kill0
-    X_neg = Ac * W @ (g2[:, None] * toep.T + Cbg @ hank)
-    Y_pos = Bc * Cbg
-    Y_neg = np.diag(np.conj(B) * g2)
+    X_pos = Ac * W @ (corner + Cb @ toep) * kill0
+    X_neg = Ac * W @ (toep.T + Cb @ hank)
+    Y_pos = Bc * Cb
+    Y_neg = np.diag(np.conj(B))
 
     disp_pos = kappa * np.diag(A) - X_pos + Y_pos
     disp_neg = kappa * A[:, None] * C - X_neg + Y_neg
@@ -131,11 +118,18 @@ def rhs_matrices(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSp
     return disp_pos, disp_neg, trac_pos, trac_neg
 
 
+def unit_rhs_vectors(material: MaterialPair, bundle: GeometryBundle,
+                     spec: LoadingSpec) -> RhsVector:
+    """Column sums of the per-mode matrices over modes m >= 1, at unit radius."""
+    return RhsVector(*[m[1:].sum(axis=0) for m in rhs_matrices(material, bundle, spec)])
+
+
 def rhs_vectors(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec) -> RhsVector:
-    """Column sums of the per-mode matrices over modes m >= 1."""
-    mats = rhs_matrices(material, bundle, spec)
-    sums = [m[1:].sum(axis=0) for m in mats]
-    return RhsVector(*sums)
+    """The boundary series in powers of w on |w| = gamma: the unit-radius
+    coefficients of w^k and w^-k divided and multiplied by gamma^k."""
+    rv = unit_rhs_vectors(material, bundle, spec)
+    g = bundle.gamma ** np.arange(bundle.n + 1)
+    return RhsVector(rv.disp_pos / g, rv.disp_neg * g, rv.trac_pos / g, rv.trac_neg * g)
 
 
 def eval_loading(spec: LoadingSpec, cmap: ConformalMap, material: MaterialPair, z):

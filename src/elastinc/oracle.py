@@ -46,6 +46,7 @@ from .geometry import (
 )
 from .loading import LoadingSpec, eval_loading, loading_pair
 from .materials import MaterialPair
+from .system import one_norm_condition
 
 MIN_NODES = 8
 MAX_DESK_NODES = 512
@@ -378,6 +379,8 @@ class NystromSystem:
     make psi orthogonal to the rigid motions; constraints is the view
     K[N:, :N]. The three trailing unknowns are Lagrange multipliers, zero
     up to discretization error when the discrete equations are consistent.
+    frames are the chord frames of the assembly, kept for a cavity only:
+    its boundary displacement needs the single layer, which K lacks.
     """
 
     matrix: np.ndarray
@@ -387,6 +390,7 @@ class NystromSystem:
     mesh: BoundaryMesh
     material: MaterialPair
     loading: LoadingSpec
+    frames: _ChordFrames | None = None
 
 
 @dataclass(frozen=True)
@@ -463,29 +467,8 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         row[n - q :] = wq * r.imag
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T
-    return NystromSystem(matrix, rhs, constraints, mode, mesh, material, loading)
-
-
-def _condition_estimate(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray) -> float:
-    """Hager-Higham estimate of the 1-norm condition number ||K||_1 ||K^-1||_1.
-
-    ||K^-1||_1 is the maximum of the convex function f(x) = ||K^-1 x||_1
-    on the unit 1-norm ball, attained at a unit vector e_j. probe is
-    K^-1 start for the uniform start vector, already solved with the
-    system. One solve with K^T gives the subgradient z = K^-T sign(probe)
-    of f there; if some |z_j| exceeds z . start, f rises towards e_j and
-    one more solve takes that column of K^-1. Every value taken is
-    ||K^-1 x||_1 for some unit x, so the estimate never exceeds the true
-    condition number.
-    """
-    estimate = float(np.sum(np.abs(probe)))
-    z = np.linalg.solve(matrix.T, np.where(probe >= 0.0, 1.0, -1.0))
-    j = int(np.argmax(np.abs(z)))
-    if abs(z[j]) > z @ start:
-        unit = np.zeros_like(start)
-        unit[j] = 1.0
-        estimate = max(estimate, float(np.sum(np.abs(np.linalg.solve(matrix, unit)))))
-    return float(np.max(np.sum(np.abs(matrix), axis=0))) * estimate
+    return NystromSystem(matrix, rhs, constraints, mode, mesh, material, loading,
+                         None if material.has_interior else frames)
 
 
 def solve_nystrom(system: NystromSystem) -> OracleSolution:
@@ -505,7 +488,7 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     start = np.full(size, 1.0 / size)
     try:
         both = np.linalg.solve(matrix, np.column_stack([rhs, start]))
-        condition = _condition_estimate(matrix, both[:, 1], start)
+        condition = one_norm_condition(matrix, both[:, 1], start)
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular reference system ({size}x{size} bordered matrix)") from exc
     sol = both[:n, 0]
@@ -523,7 +506,7 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     else:
         phi_nodes = None
         alpha, beta = _kelvin_constants(system.material, "exterior")
-        disp_ext = _single_layer_blocks(mesh, _chord_frames(mesh), alpha, beta)
+        disp_ext = _single_layer_blocks(mesh, system.frames, alpha, beta)
         u_ext = h_nodes + _complexify(disp_ext @ psi)
         trace_gap = 0.0
 

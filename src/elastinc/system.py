@@ -9,8 +9,11 @@ system x E = -2h over the mode coefficient blocks
 
     x = [xe+, conj xe+, xe-, conj xe-, xi+, conj xi+, xi-, conj xi-].
 
-The conjugated blocks make half the unknowns and half the equations redundant;
-the solver works on the independent half after splitting into real parts.
+The system is posed on the unit-radius problem (geometry.unit_radius and
+LoadingSpec.unit_radius), whose density coefficients serve every radius.
+The conjugated blocks make half the unknowns and half the equations
+redundant; the independent half is assembled as one square real matrix,
+without its structurally zero rows and columns, and factored once by LU.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryBundle
-from .loading import LoadingSpec, RhsVector, rhs_vectors
+from .loading import LoadingSpec, unit_rhs_vectors
 from .materials import MaterialPair
 
 DEFAULT_RESIDUAL_THRESHOLD = 1e-8
@@ -40,20 +43,14 @@ def m_blocks(bundle: GeometryBundle):
     """
     D = np.conj(bundle.faber_deriv_scaled)
     C = np.conj(bundle.grunsky)
-    g1 = bundle.gamma_pow(1)
-    gm1 = bundle.gamma_pow(-1)
     toep = bundle.coeff_toeplitz
     hank = bundle.coeff_hankel
-    corner = bundle.coeff_corner
 
-    DC = (D @ C) * bundle.gamma_pow(-2)
-    Dg2 = D * bundle.gamma_pow(2)
-    g1_toepT_gm1 = g1[:, None] * toep.T * gm1
-    gm1_hank_gm1 = gm1[:, None] * hank * gm1
-    M21 = Dg2 @ corner + DC @ toep - g1_toepT_gm1 @ DC
-    M41 = -(gm1_hank_gm1 @ DC)
-    M22 = Dg2 @ toep.T + DC @ hank - g1_toepT_gm1 @ Dg2
-    M42 = -(gm1_hank_gm1 @ Dg2)
+    DC = D @ C
+    M21 = D @ bundle.coeff_corner + DC @ toep - toep.T @ DC
+    M41 = -(hank @ DC)
+    M22 = D @ toep.T + DC @ hank - toep.T @ D
+    M42 = -(hank @ D)
     return M21, M41, M22, M42
 
 
@@ -64,8 +61,8 @@ def exterior_blocks(material: MaterialPair, bundle: GeometryBundle):
     3: conj xe-) and j the equation family (0/1: displacement series in
     w^k / w^{-k}, 2/3: traction-potential series).
     """
-    alpha, beta, mu = material.alpha, material.beta, material.mu_ext
-    return _sided_blocks(bundle, alpha, beta, mu, interior=False)
+    return _sided_blocks(bundle, m_blocks(bundle), material.alpha, material.beta,
+                         material.mu_ext, interior=False)
 
 
 def interior_blocks(material: MaterialPair, bundle: GeometryBundle):
@@ -73,11 +70,12 @@ def interior_blocks(material: MaterialPair, bundle: GeometryBundle):
     if material.cavity:
         raise AssemblyError("interior blocks are undefined for a cavity")
     alpha, beta, kappa = material.interior_constants()
-    return _sided_blocks(bundle, alpha, beta, material.mu_int, interior=True)
+    return _sided_blocks(bundle, m_blocks(bundle), alpha, beta, material.mu_int, interior=True)
 
 
-def _sided_blocks(bundle, alpha, beta, mu, interior):
-    M21, M41, M22, M42 = m_blocks(bundle)
+def _sided_blocks(bundle, M, alpha, beta, mu, interior):
+    """The sixteen blocks of one side, from the coupling matrices M = m_blocks(bundle)."""
+    M21, M41, M22, M42 = M
     n = bundle.n
     ninv0 = np.zeros(n + 1)
     ninv0[1:] = 1.0 / np.arange(1, n + 1)
@@ -85,104 +83,108 @@ def _sided_blocks(bundle, alpha, beta, mu, interior):
     kill0[0] = 0.0  # drops the index-0 row or column
     # the exterior side also drops row 0 of the negative-mode blocks
     rows41 = np.ones(n + 1) if interior else kill0
-    # gamma^{-m}/m and gamma^{m}/m, index-0 entry zero
-    ngm1 = ninv0 * bundle.gamma_pow(-1)
-    ng1 = ninv0 * bundle.gamma_pow(1)
-    gm2 = bundle.gamma_pow(-2)
     C = bundle.grunsky
     Cb = np.conj(C)
 
     S = [[None] * 4 for _ in range(4)]
-    S[0][0] = np.diag(-alpha * ngm1)
+    S[0][0] = np.diag(-alpha * ninv0)
     S[1][0] = beta * kill0[:, None] * M21 * kill0
-    S[2][0] = -alpha * ngm1[:, None] * Cb * gm2
-    S[0][1] = -alpha * ngm1[:, None] * C
+    S[2][0] = -alpha * ninv0[:, None] * Cb
+    S[0][1] = -alpha * ninv0[:, None] * C
     S[1][1] = beta * kill0[:, None] * M22
-    S[2][1] = np.diag(-alpha * ng1)
+    S[2][1] = np.diag(-alpha * ninv0)
     if interior:
         # the mode-0 interior density produces a genuine constant displacement
-        S[2][1][0, 0] += 2.0 * alpha * np.log(bundle.gamma) - beta
+        S[2][1][0, 0] -= beta
     S[3][0] = beta * rows41[:, None] * M41 * kill0
     S[3][1] = beta * rows41[:, None] * M42
-    S[0][2] = np.diag((-mu * beta if interior else mu * alpha) * ngm1)
+    S[0][2] = np.diag((-mu * beta if interior else mu * alpha) * ninv0)
     S[3][2] = -mu * beta * rows41[:, None] * M41 * kill0
     S[3][3] = -mu * beta * rows41[:, None] * M42 * kill0
     S[1][2] = -mu * beta * kill0[:, None] * M21 * kill0
-    S[2][2] = mu * alpha * ngm1[:, None] * Cb * gm2
-    S[0][3] = -mu * beta * ngm1[:, None] * C
+    S[2][2] = mu * alpha * ninv0[:, None] * Cb
+    S[0][3] = -mu * beta * ninv0[:, None] * C
     S[1][3] = -mu * beta * kill0[:, None] * M22 * kill0
-    S[2][3] = np.diag((mu * alpha if interior else -mu * beta) * ng1)
+    S[2][3] = np.diag((mu * alpha if interior else -mu * beta) * ninv0)
     return S
 
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Assembled block matrix, right-hand side and context."""
+    """The square real system matrix @ x = rhs of the unit-radius problem.
 
-    blocks: np.ndarray        # (R, Q, n+1, n+1): block rows x block columns
-    rhs: RhsVector
-    rhs_row: np.ndarray       # length Q(n+1), the 1xQ block row h
+    Rows: real parts of the equation families (disp_pos, disp_neg, trac_pos,
+    trac_neg; the trac pair alone for a cavity), then imaginary parts.
+    Columns: real parts of the unknown blocks (xe+, xe-, xi+, xi-; xe+, xe-
+    for a cavity), then imaginary parts. Entry 0 of every family but
+    disp_neg and of every block but xi- is structurally zero and left out.
+    """
+
+    matrix: np.ndarray
+    rhs: np.ndarray
     n: int
     mode: str                 # "transmission" | "cavity"
     material: MaterialPair
     bundle: GeometryBundle
 
-    @property
-    def block_dim(self) -> int:
-        return self.n + 1
-
-    def full_matrix(self) -> np.ndarray:
-        R, Q, d, _ = self.blocks.shape
-        return self.blocks.transpose(0, 2, 1, 3).reshape(R * d, Q * d)
-
-    def residual_row(self, x_row: np.ndarray) -> np.ndarray:
-        """x E + 2h over every block column."""
-        return x_row @ self.full_matrix() + 2.0 * self.rhs_row
-
 
 def assemble_system(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec,
                     mode: str | None = None) -> BlockSystem:
-    """Assemble the full block system (8x8 blocks, or 4x4 for a cavity)."""
+    """Assemble the square real system (8 unknown blocks, or 4 for a cavity).
+
+    Unknown block (Fa, Fb) enters equation family c as x Fa[c] + conj(x) Fb[c];
+    with x = r + i s its transpose is (Fa + Fb)^T r + i (Fa - Fb)^T s, whose
+    real and imaginary parts are written as they stand.
+    """
     if mode is None:
         mode = "cavity" if material.cavity else "transmission"
     if (mode == "cavity") != material.cavity:
         raise AssemblyError(f"mode {mode!r} conflicts with the material pair")
     d = bundle.n + 1
-    rhs = rhs_vectors(material, bundle, spec)
-    S = exterior_blocks(material, bundle)
-
+    M = m_blocks(bundle)  # shared by both sides
+    sides = [(_sided_blocks(bundle, M, material.alpha, material.beta, material.mu_ext,
+                            interior=False), 1.0)]
+    families = [2, 3]
     if mode == "transmission":
-        St = interior_blocks(material, bundle)
-        pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0), (St[0], St[1], -1.0), (St[2], St[3], -1.0)]
-        cols = range(4)
-        rhs_row = rhs.block_row()
-    else:
-        pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0)]
-        cols = range(2, 4)
-        rhs_row = rhs.block_row_cavity()
+        alpha, beta, _ = material.interior_constants()
+        sides.append((_sided_blocks(bundle, M, alpha, beta, material.mu_int, interior=True), -1.0))
+        families = [0, 1, 2, 3]
+    pairs = [(S[i], S[i + 1], sign) for S, sign in sides for i in (0, 2)]
+    # index 0 survives only in the w^0 displacement family and in xi-
+    row_lead = [int(c != 1) for c in families]
+    col_lead = [int(p != 3) for p in range(len(pairs))]
+    row_at = np.cumsum([0] + [d - lead for lead in row_lead])
+    col_at = np.cumsum([0] + [d - lead for lead in col_lead])
+    half = row_at[-1]
+    matrix = np.empty((2 * half, 2 * half))
+    for f, c in enumerate(families):
+        re, im = slice(row_at[f], row_at[f + 1]), slice(half + row_at[f], half + row_at[f + 1])
+        for p, (Fa, Fb, sign) in enumerate(pairs):
+            r, i = slice(col_at[p], col_at[p + 1]), slice(half + col_at[p], half + col_at[p + 1])
+            plus = (sign * (Fa[c] + Fb[c])).T[row_lead[f]:, col_lead[p]:]
+            minus = (sign * (Fa[c] - Fb[c])).T[row_lead[f]:, col_lead[p]:]
+            matrix[re, r], matrix[re, i] = plus.real, -minus.imag
+            matrix[im, r], matrix[im, i] = plus.imag, minus.real
 
-    R = 2 * len(pairs)
-    Q = 2 * len(list(cols))
-    blocks = np.zeros((R, Q, d, d), dtype=complex)
-    for p, (Fa, Fb, sign) in enumerate(pairs):
-        for q, c in enumerate(cols):
-            blocks[2 * p, 2 * q] = sign * Fa[c]
-            blocks[2 * p, 2 * q + 1] = sign * np.conj(Fb[c])
-            blocks[2 * p + 1, 2 * q] = sign * Fb[c]
-            blocks[2 * p + 1, 2 * q + 1] = sign * np.conj(Fa[c])
-    return BlockSystem(blocks=blocks, rhs=rhs, rhs_row=rhs_row, n=bundle.n, mode=mode,
-                       material=material, bundle=bundle)
+    rv = unit_rhs_vectors(material, bundle, spec)
+    h = np.concatenate([(rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)[c][lead:]
+                        for c, lead in zip(families, row_lead)])
+    return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]), n=bundle.n,
+                       mode=mode, material=material, bundle=bundle)
 
 
 @dataclass(frozen=True)
 class DensitySolution:
     """Solved density mode coefficients with solve diagnostics.
 
-    xe_plus[m] multiplies the exterior mode-m density, xe_minus[m] the
-    exterior mode-(-m) density; xi_plus/xi_minus likewise for the interior
-    (None in cavity mode, where there is no interior density). Entry 0 of
-    xe_plus, xe_minus and xi_plus is structurally zero; xi_minus[0] is the
-    interior mode-0 coefficient.
+    The coefficients are those of the unit-radius problem, which describe
+    the field at the map's own radius as well. xe_plus[m] multiplies the
+    exterior mode-m density, xe_minus[m] the exterior mode-(-m) density;
+    xi_plus/xi_minus likewise for the interior (None in cavity mode, where
+    there is no interior density). Entry 0 of xe_plus, xe_minus and
+    xi_plus is structurally zero; xi_minus[0] is the interior mode-0
+    coefficient. rank is the order of the square system solved and
+    condition_estimate its 1-norm condition estimate.
     """
 
     xe_plus: np.ndarray
@@ -191,70 +193,64 @@ class DensitySolution:
     xi_minus: np.ndarray | None
     residual: float
     rank: int
-    null_dim: int
-    sv_smallest_kept: float
-    sv_largest_dropped: float
+    condition_estimate: float
     rotation_projection: float
     converged: bool
     n: int
     mode: str
 
-    def block_row(self) -> np.ndarray:
-        """The solution in the 1xR block layout matching the assembled system."""
-        parts = [self.xe_plus, self.xe_minus]
-        if self.mode == "transmission":
-            parts += [self.xi_plus, self.xi_minus]
-        out = []
-        for u in parts:
-            out.extend([u, np.conj(u)])
-        return np.concatenate(out)
+
+def one_norm_condition(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray) -> float:
+    """Hager-Higham estimate of the 1-norm condition number ||K||_1 ||K^-1||_1.
+
+    ||K^-1||_1 is the maximum of the convex function f(x) = ||K^-1 x||_1
+    on the unit 1-norm ball, attained at a unit vector e_j. probe is
+    K^-1 start for the uniform start vector, already solved with the
+    system. One solve with K^T gives the subgradient z = K^-T sign(probe)
+    of f there; if some |z_j| exceeds z . start, f rises towards e_j and
+    one more solve takes that column of K^-1. Every value taken is
+    ||K^-1 x||_1 for some unit x, so the estimate never exceeds the true
+    condition number.
+    """
+    estimate = float(np.sum(np.abs(probe)))
+    z = np.linalg.solve(matrix.T, np.where(probe >= 0.0, 1.0, -1.0))
+    j = int(np.argmax(np.abs(z)))
+    if abs(z[j]) > z @ start:
+        unit = np.zeros_like(start)
+        unit[j] = 1.0
+        estimate = max(estimate, float(np.sum(np.abs(np.linalg.solve(matrix, unit)))))
+    return float(np.max(np.sum(np.abs(matrix), axis=0))) * estimate
 
 
 def solve(system: BlockSystem,
           residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD) -> DensitySolution:
-    """Least-squares solve of the truncated block system.
+    """LU solve of the square real system, with a 1-norm condition estimate.
 
-    Conjugated unknown blocks are eliminated by splitting the independent
-    blocks into real and imaginary parts, so the conjugate pairing holds
-    exactly; the minimum-norm solution zeroes the structural kernel.
+    One factorization solves for the densities and for the first probe of
+    the condition estimator together; the estimator adds one solve with the
+    transpose and at most one more with the matrix. An exactly singular
+    matrix raises np.linalg.LinAlgError. Conjugate pairing holds exactly,
+    because only the independent real and imaginary parts are unknowns.
     """
-    blocks = system.blocks
-    R, Q, d, _ = blocks.shape
-    P = R // 2
-    eq_cols = [2 * q for q in range(Q // 2)]
+    matrix, rhs = system.matrix, system.rhs
+    size = rhs.size
+    start = np.full(size, 1.0 / size)
+    both = np.linalg.solve(matrix, np.column_stack([rhs, start]))
+    condition = one_norm_condition(matrix, both[:, 1], start)
+    sol = both[:, 0]
+    scale = np.linalg.norm(rhs)
+    residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale > 0 else 0.0
 
-    G = np.zeros((2 * len(eq_cols) * d, 2 * P * d))
-    b = np.zeros(2 * len(eq_cols) * d)
-    for ci, c in enumerate(eq_cols):
-        r0 = 2 * ci * d
-        for p in range(P):
-            At = blocks[2 * p, c].T
-            Bt = blocks[2 * p + 1, c].T
-            G[r0 : r0 + d, p * d : (p + 1) * d] = At.real + Bt.real
-            G[r0 : r0 + d, (P + p) * d : (P + p + 1) * d] = Bt.imag - At.imag
-            G[r0 + d : r0 + 2 * d, p * d : (p + 1) * d] = At.imag + Bt.imag
-            G[r0 + d : r0 + 2 * d, (P + p) * d : (P + p + 1) * d] = At.real - Bt.real
-        rhs_c = -2.0 * system.rhs_row[c * d : (c + 1) * d]
-        b[r0 : r0 + d] = rhs_c.real
-        b[r0 + d : r0 + 2 * d] = rhs_c.imag
-
-    sol, _, rank, sv = np.linalg.lstsq(G, b, rcond=None)
-    u = (sol[: P * d] + 1j * sol[P * d :]).reshape(P, d)
-
+    # put back the structurally zero index-0 entries of xe+, xe- (and xi+)
+    n, d = system.n, system.n + 1
+    blocks, dropped = (4, 3) if system.mode == "transmission" else (2, 2)
+    x = sol.reshape(2, -1)
+    u = np.insert(x[0] + 1j * x[1], n * np.arange(dropped), 0.0).reshape(blocks, d)
     if system.mode == "transmission":
         xe_plus, xe_minus, xi_plus, xi_minus = u
     else:
         xe_plus, xe_minus = u
         xi_plus = xi_minus = None
-
-    null_dim = G.shape[1] - rank
-    sv_kept = float(sv[rank - 1]) if rank > 0 else 0.0
-    sv_dropped = float(sv[rank]) if rank < sv.size else 0.0
-
-    x_row = np.concatenate([np.stack([ui, np.conj(ui)]).reshape(-1) for ui in u])
-    res_vec = system.residual_row(x_row.reshape(-1))
-    scale = np.linalg.norm(2.0 * system.rhs_row)
-    residual = float(np.linalg.norm(res_vec) / scale) if scale > 0 else 0.0
 
     cmap = system.bundle.cmap
     gamma = cmap.gamma
@@ -270,10 +266,8 @@ def solve(system: BlockSystem,
         xi_plus=xi_plus,
         xi_minus=xi_minus,
         residual=residual,
-        rank=int(rank),
-        null_dim=int(null_dim),
-        sv_smallest_kept=sv_kept,
-        sv_largest_dropped=sv_dropped,
+        rank=size,
+        condition_estimate=condition,
         rotation_projection=rotation_projection,
         converged=residual <= residual_threshold,
         n=system.n,
@@ -287,7 +281,9 @@ def cavity_mode_matrix(material: MaterialPair, bundle: GeometryBundle, m: int) -
     Rows are the four scalar equations of boundary power m (traction series,
     plain and conjugated, positive and negative side), columns the unknowns
     (xe_plus[m], conj xe_plus[m], xe_minus[m], conj xe_minus[m]); the whole
-    matrix is scaled by -1/mu so entries are material ratios.
+    matrix is scaled by -1/mu so entries are material ratios. The equations
+    are for powers of w on |w| = gamma: the unit-radius rows of w^m and w^-m
+    are divided and multiplied by gamma^m.
     """
     if not 1 <= m <= bundle.n:
         raise AssemblyError(f"mode {m} outside 1..{bundle.n}")
@@ -301,4 +297,5 @@ def cavity_mode_matrix(material: MaterialPair, bundle: GeometryBundle, m: int) -
             E0[2 * p, 2 * q + 1] = np.conj(Fb[c][m, m])
             E0[2 * p + 1, 2 * q] = Fb[c][m, m]
             E0[2 * p + 1, 2 * q + 1] = np.conj(Fa[c][m, m])
-    return -(E0.T) / material.mu_ext
+    power = bundle.gamma ** np.array([-m, -m, m, m], dtype=float)
+    return -(E0.T) * power[:, None] / material.mu_ext

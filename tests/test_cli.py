@@ -266,5 +266,5 @@ def test_self_test_fixtures_pass():
     buf = io.StringIO()
     assert self_test(stream=buf) == 0
     text = buf.getvalue()
-    assert "4/4 passed" in text
+    assert "5/5 passed" in text
     assert "FAIL" not in text

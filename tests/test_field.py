@@ -28,7 +28,13 @@ from elastinc.field import (
     REGION_SAMPLES,
     _shifted_coefficients,
 )
-from elastinc.geometry import ConformalMap, build_geometry, eval_map, eval_map_derivative
+from elastinc.geometry import (
+    ConformalMap,
+    build_geometry,
+    eval_map,
+    eval_map_derivative,
+    unit_radius,
+)
 from elastinc.loading import LoadingSpec, boundary_series, rhs_vectors
 from elastinc.materials import MaterialPair
 from elastinc.system import DensitySolution, assemble_system, solve
@@ -58,9 +64,7 @@ def zero_solution(n, mode="cavity"):
         xi_minus=None if interior is None else interior.copy(),
         residual=0.0,
         rank=0,
-        null_dim=0,
-        sv_smallest_kept=0.0,
-        sv_largest_dropped=0.0,
+        condition_estimate=0.0,
         rotation_projection=0.0,
         converged=True,
         n=n,
@@ -86,9 +90,7 @@ def random_solution(rng, n, mode="transmission"):
         xi_minus=xi_m,
         residual=0.0,
         rank=0,
-        null_dim=0,
-        sv_smallest_kept=0.0,
-        sv_largest_dropped=0.0,
+        condition_estimate=0.0,
         rotation_projection=0.0,
         converged=True,
         n=n,
@@ -121,14 +123,17 @@ def test_evaluator_matches_per_mode_sums():
     sol = random_solution(rng, n)
     loading = LoadingSpec(np.zeros(2), np.zeros(2))
     ev = FieldEvaluator(sol, loading, cmap, mat)
-    w = cmap.gamma * np.array([1.3, 1.8]) * np.exp(1j * np.array([0.4, 2.9]))
-    z = eval_map(cmap, w)
+    # the coefficients belong to the unit-radius map: compare per-mode sums
+    # there, at unit-radius preimages
+    unit = unit_radius(cmap)
+    w = np.array([1.3, 1.8]) * np.exp(1j * np.array([0.4, 2.9]))
+    z = eval_map(unit, w)
 
     f, fp, g = ev._pair_near(w, z)
     beta, alpha = mat.beta, mat.alpha
-    want_f = beta * log_layer_exterior(cmap, sol.xe_plus, sol.xe_minus, w)
+    want_f = beta * log_layer_exterior(unit, sol.xe_plus, sol.xe_minus, w)
     assert np.allclose(f, want_f, atol=EXACT_TOL)
-    want_fp = beta * deriv_layer_exterior(cmap, sol.xe_plus, sol.xe_minus, w)
+    want_fp = beta * deriv_layer_exterior(unit, sol.xe_plus, sol.xe_minus, w)
     assert np.allclose(fp, want_fp, atol=EXACT_TOL)
 
     bar_plus = np.conj(sol.xe_minus).copy()
@@ -138,7 +143,7 @@ def test_evaluator_matches_per_mode_sums():
     full = {m: sol.xe_plus[m] for m in range(1, n + 1)}
     full.update({-k: sol.xe_minus[k] for k in range(1, n + 1)})
     full[0] = sol.xe_minus[0]
-    y = _shifted_coefficients(cmap, full)
+    y = _shifted_coefficients(unit, full)
     top = n + depth
     y_plus = np.zeros(top + 1, dtype=complex)
     y_minus = np.zeros(n + 2, dtype=complex)
@@ -147,19 +152,19 @@ def test_evaluator_matches_per_mode_sums():
             y_plus[j] = yj
         else:
             y_minus[-j] = yj
-    want_g = -alpha * log_layer_exterior(cmap, bar_plus, bar_minus, w) - beta * (
-        deriv_layer_exterior(cmap, y_plus, y_minus, w)
+    want_g = -alpha * log_layer_exterior(unit, bar_plus, bar_minus, w) - beta * (
+        deriv_layer_exterior(unit, y_plus, y_minus, w)
     )
     assert np.allclose(g, want_g, atol=EXACT_TOL)
 
     # interior side
-    zi = eval_map(cmap, cmap.gamma * 0.97 * np.exp(1j * np.array([0.9, 4.0])))
-    arrays = ev.interior_arrays_z(zi)
+    zi = eval_map(unit, 0.97 * np.exp(1j * np.array([0.9, 4.0])))
+    arrays = ev.interior_arrays_z(cmap.gamma * zi)
     at, bt, kt = mat.interior_constants()
-    fi = bt * log_layer_interior(cmap, sol.xi_plus, sol.xi_minus, zi)
+    fi = bt * log_layer_interior(unit, sol.xi_plus, sol.xi_minus, zi)
     assert np.allclose(2 * arrays["f"], fi, atol=EXACT_TOL)
-    fpi = bt * deriv_layer_interior(cmap, sol.xi_plus, sol.xi_minus, zi)
-    assert np.allclose(2 * arrays["fprime"], fpi, atol=EXACT_TOL)
+    fpi = bt * deriv_layer_interior(unit, sol.xi_plus, sol.xi_minus, zi)
+    assert np.allclose(2 * cmap.gamma * arrays["fprime"], fpi, atol=EXACT_TOL)
     bar_plus_i = np.conj(sol.xi_minus).copy()
     bar_plus_i[0] = 0.0
     bar_minus_i = np.conj(sol.xi_plus).copy()
@@ -167,13 +172,13 @@ def test_evaluator_matches_per_mode_sums():
     full_i = {m: sol.xi_plus[m] for m in range(1, n + 1)}
     full_i.update({-k: sol.xi_minus[k] for k in range(1, n + 1)})
     full_i[0] = sol.xi_minus[0]
-    yi = _shifted_coefficients(cmap, full_i)
+    yi = _shifted_coefficients(unit, full_i)
     yi_plus = np.zeros(top + 1, dtype=complex)
     for j, yj in yi.items():
         if j >= 1:
             yi_plus[j] = yj
-    gi = -at * log_layer_interior(cmap, bar_plus_i, bar_minus_i, zi) - bt * (
-        deriv_layer_interior(cmap, yi_plus, np.zeros(1), zi)
+    gi = -at * log_layer_interior(unit, bar_plus_i, bar_minus_i, zi) - bt * (
+        deriv_layer_interior(unit, yi_plus, np.zeros(1), zi)
     )
     assert np.allclose(2 * arrays["g"], gi, atol=EXACT_TOL)
 
@@ -183,8 +188,9 @@ def test_near_and_far_routes_agree():
     cmap = ConformalMap(1.1, [0.2, 0.15 - 0.1j])
     sol = random_solution(rng, 8, mode="cavity")
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, CAV)
-    w = cmap.gamma * np.array([2.5, 3.0, 6.0]) * np.exp(1j * np.array([0.3, 1.7, 5.1]))
-    z = eval_map(cmap, w)
+    # both routes take unit-radius preimages
+    w = np.array([2.5, 3.0, 6.0]) * np.exp(1j * np.array([0.3, 1.7, 5.1]))
+    z = eval_map(unit_radius(cmap), w)
     near = ev._pair_near(w, z)
     far = ev._pair_far(w, z)
     for a, b in zip(near, far):
@@ -298,8 +304,10 @@ def test_elongated_ellipse_transmission_is_full_rank():
     n = 64
     loading = single_mode(1, 1.0, 1)
     sol = solve(assemble_system(TRANS, build_geometry(cmap, n), loading))
-    # only the six structurally zero real unknowns (index 0 of xe+, xe-, xi+) are null
-    assert sol.null_dim == 6 and sol.rank == 8 * (n + 1) - 6
+    # the six structurally zero real unknowns (index 0 of xe+, xe-, xi+) are
+    # left out of the square system, which is well conditioned
+    assert sol.rank == 8 * (n + 1) - 6
+    assert 1.0 < sol.condition_estimate < 1e6
     assert sol.residual <= 1e-12
     r_disp, r_trac = transmission_residual(sol, loading, cmap, TRANS, 64, step=1e-4)
     assert r_disp <= 1e-6

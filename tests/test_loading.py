@@ -12,8 +12,10 @@ from elastinc.loading import (
     loading_pair,
     rhs_matrices,
     rhs_vectors,
+    unit_rhs_vectors,
 )
 from elastinc.materials import MaterialPair
+from elastinc.system import assemble_system
 
 SERIES_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -158,14 +160,23 @@ def test_loading_spec_validation():
 
 
 def test_block_row_layout():
-    bundle = build_geometry(DISK, 4)
+    # the assembled right-hand side is -2 [Re h; Im h] over the equation
+    # families, without the structurally zero index-0 entries
+    bundle = build_geometry(ConformalMap(1.5, [0.5]), 4)
     spec = LoadingSpec([0.0, 1.0 + 1.0j], [0.0, 2.0])
-    rhs = rhs_vectors(MAT, bundle, spec)
-    row = rhs.block_row()
-    assert row.size == 8 * 5
-    assert np.allclose(row[0:5], rhs.disp_pos)
-    assert np.allclose(row[5:10], np.conj(rhs.disp_pos))
-    assert np.allclose(row[30:35], np.conj(rhs.trac_neg))
-    cav = rhs.block_row_cavity()
-    assert cav.size == 4 * 5
-    assert np.allclose(cav[0:5], rhs.trac_pos)
+    rv = unit_rhs_vectors(MAT, bundle, spec)
+    trans = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
+    rt = unit_rhs_vectors(trans, bundle, spec)
+    for material, h in (
+        (MAT, [rv.trac_pos[1:], rv.trac_neg[1:]]),
+        (trans, [rt.disp_pos[1:], rt.disp_neg, rt.trac_pos[1:], rt.trac_neg[1:]]),
+    ):
+        h = np.concatenate(h)
+        b = assemble_system(material, bundle, spec).rhs
+        assert b.size == 2 * h.size
+        np.testing.assert_array_equal(b, -2.0 * np.concatenate([h.real, h.imag]))
+    # the unit-radius series are the series in w on |w| = gamma, in powers of w / gamma
+    g = 1.5 ** np.arange(5)
+    pub = rhs_vectors(MAT, bundle, spec)
+    assert np.allclose(pub.trac_pos * g, rv.trac_pos, rtol=1e-15, atol=0.0)
+    assert np.allclose(pub.trac_neg / g, rv.trac_neg, rtol=1e-15, atol=0.0)

@@ -18,7 +18,7 @@ from elastinc.geometry import (
     monomial_derivative_matrix,
     poly_eval,
 )
-from elastinc.loading import LoadingSpec
+from elastinc.loading import LoadingSpec, unit_rhs_vectors
 from elastinc.materials import MaterialPair
 from elastinc.system import (
     AssemblyError,
@@ -71,7 +71,9 @@ def coupling_row_by_fft(cmap, j, n, n_theta=512):
     """Row j of the coupling combination via boundary sampling.
 
     j > 0 selects the positive mode-j density, j <= 0 the mode-j density.
-    Returns (pos, neg): coefficients of w^k (k=0..n) and w^{-k} (k=0..n).
+    Returns (pos, neg): coefficients of (w/gamma)^k (k=0..n) and
+    (w/gamma)^{-k} (k=0..n), the powers of the unit-radius problem the
+    system is assembled for.
     """
     gamma = cmap.gamma
     depth = cmap.a.size - 1
@@ -92,9 +94,8 @@ def coupling_row_by_fft(cmap, j, n, n_theta=512):
         shifted += np.conj(al) * gamma ** (-l) * c1(j + l)
     G = -eval_map(cmap, w) * np.conj(c1(j)) + np.conj(shifted)
     coef = np.fft.fft(G) / n_theta
-    pos = np.array([coef[k] / gamma**k for k in range(n + 1)])
-    neg = np.array([coef[-k % n_theta] * gamma**k for k in range(n + 1)])
-    neg[0] = coef[0]
+    pos = coef[: n + 1]
+    neg = coef[-np.arange(n + 1) % n_theta]
     return pos, neg
 
 
@@ -158,6 +159,84 @@ def test_jump_part_cancellation_decays_linearly():
 
 
 # ---------------------------------------------------------------------------
+# reference: the complex block assembly and the real repacking it replaced
+
+
+def reference_blocks(material, bundle, spec):
+    """The (R, Q, n+1, n+1) complex blocks of x E = -2h and the block row h."""
+    d = bundle.n + 1
+    rv = unit_rhs_vectors(material, bundle, spec)
+    S = exterior_blocks(material, bundle)
+    if material.cavity:
+        pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0)]
+        cols = [2, 3]
+    else:
+        St = interior_blocks(material, bundle)
+        pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0), (St[0], St[1], -1.0), (St[2], St[3], -1.0)]
+        cols = [0, 1, 2, 3]
+    h = [(rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)[c] for c in cols]
+    rhs_row = np.concatenate([v for hc in h for v in (hc, np.conj(hc))])
+    blocks = np.zeros((2 * len(pairs), 2 * len(cols), d, d), dtype=complex)
+    for p, (Fa, Fb, sign) in enumerate(pairs):
+        for q, c in enumerate(cols):
+            blocks[2 * p, 2 * q] = sign * Fa[c]
+            blocks[2 * p, 2 * q + 1] = sign * np.conj(Fb[c])
+            blocks[2 * p + 1, 2 * q] = sign * Fb[c]
+            blocks[2 * p + 1, 2 * q + 1] = sign * np.conj(Fa[c])
+    return blocks, rhs_row
+
+
+def reference_real(blocks, rhs_row):
+    """Real form of the independent half: rows family by family (real part,
+    then imaginary part), columns the real parts of every unknown block,
+    then the imaginary parts."""
+    R, Q, d, _ = blocks.shape
+    P = R // 2
+    eq_cols = [2 * q for q in range(Q // 2)]
+    G = np.zeros((2 * len(eq_cols) * d, 2 * P * d))
+    b = np.zeros(2 * len(eq_cols) * d)
+    for ci, c in enumerate(eq_cols):
+        r0 = 2 * ci * d
+        for p in range(P):
+            At = blocks[2 * p, c].T
+            Bt = blocks[2 * p + 1, c].T
+            G[r0 : r0 + d, p * d : (p + 1) * d] = At.real + Bt.real
+            G[r0 : r0 + d, (P + p) * d : (P + p + 1) * d] = Bt.imag - At.imag
+            G[r0 + d : r0 + 2 * d, p * d : (p + 1) * d] = At.imag + Bt.imag
+            G[r0 + d : r0 + 2 * d, (P + p) * d : (P + p + 1) * d] = At.real - Bt.real
+        rhs_c = -2.0 * rhs_row[c * d : (c + 1) * d]
+        b[r0 : r0 + d] = rhs_c.real
+        b[r0 + d : r0 + 2 * d] = rhs_c.imag
+    return G, b
+
+
+FOURTERM = [0.1, 0.25, 0.08 + 0.05j, 0.03]
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("gamma", [1.0, 2.5])
+@pytest.mark.parametrize("shape", [[0.0], [0.0, 0.3], FOURTERM])
+def test_real_matrix_is_reference_without_zero_rows_and_columns(shape, gamma, n):
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    bundle = build_geometry(cmap, n)
+    spec = LoadingSpec([0.0, 0.3 + 0.1j, 0.2], [0.0, 1.0, 0.5j])
+    d = n + 1
+    for material, zeros in ((TRANS, 6), (CAV, 4)):
+        system = assemble_system(material, bundle, spec)
+        G, b = reference_real(*reference_blocks(material, bundle, spec))
+        # the reference interleaves the real and imaginary rows family by family
+        families = G.shape[0] // (2 * d)
+        order = [(2 * f + part) * d + k for part in (0, 1) for f in range(families) for k in range(d)]
+        G, b = G[order], b[order]
+        rows = np.flatnonzero(np.any(G != 0.0, axis=1))
+        cols = np.flatnonzero(np.any(G != 0.0, axis=0))
+        assert G.shape[0] - rows.size == zeros and G.shape[1] - cols.size == zeros
+        assert np.all(np.delete(b, rows) == 0.0)
+        np.testing.assert_array_equal(system.matrix, G[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(system.rhs, b[rows])
+
+
+# ---------------------------------------------------------------------------
 # assembled system structure
 
 
@@ -190,10 +269,10 @@ def test_assemble_modes_and_conflicts():
     spec = single_mode(1, 1.0, 4)
     sys_cav = assemble_system(CAV, bundle, spec)
     assert sys_cav.mode == "cavity"
-    assert sys_cav.blocks.shape == (4, 4, 5, 5)
+    assert sys_cav.matrix.shape == (4 * 5 - 4, 4 * 5 - 4)
     sys_tr = assemble_system(TRANS, bundle, spec)
     assert sys_tr.mode == "transmission"
-    assert sys_tr.blocks.shape == (8, 8, 5, 5)
+    assert sys_tr.matrix.shape == (8 * 5 - 6, 8 * 5 - 6)
     with pytest.raises(AssemblyError):
         assemble_system(CAV, bundle, spec, mode="transmission")
 
@@ -229,19 +308,23 @@ def test_zero_loading_zero_solution():
 
 
 def test_realification_round_trip():
+    # the solved coefficients against the complex block equations x E = -2h,
+    # conjugated unknowns and conjugated equations included
     n = 10
     bundle = build_geometry(ELLIPSE, n)
     spec = single_mode(1, 1.0 + 0.5j, n)
     for material in (CAV, TRANS):
-        system = assemble_system(material, bundle, spec)
-        sol = solve(system)
-        x = sol.block_row()
-        res = system.residual_row(x)
-        rel = np.linalg.norm(res) / np.linalg.norm(2 * system.rhs_row)
+        blocks, rhs_row = reference_blocks(material, bundle, spec)
+        sol = solve(assemble_system(material, bundle, spec))
+        parts = [sol.xe_plus, sol.xe_minus]
+        if material.has_interior:
+            parts += [sol.xi_plus, sol.xi_minus]
+        x = np.concatenate([v for u in parts for v in (u, np.conj(u))])
+        R, Q, d, _ = blocks.shape
+        res = x @ blocks.transpose(0, 2, 1, 3).reshape(R * d, Q * d) + 2.0 * rhs_row
+        rel = np.linalg.norm(res) / np.linalg.norm(2 * rhs_row)
         assert abs(rel - sol.residual) <= 1e-12
         # conjugate equation columns are exactly the conjugated equations
-        d = n + 1
-        Q = system.blocks.shape[1]
         for c in range(0, Q, 2):
             a = res[c * d : (c + 1) * d]
             b = res[(c + 1) * d : (c + 2) * d]
