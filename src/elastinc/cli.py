@@ -313,6 +313,8 @@ class SolveFailure(RuntimeError):
 
 def orchestrate(config: RunConfig, command: str) -> RunResults:
     """Assemble, solve, and evaluate whatever the subcommand asks for."""
+    if command == "field" and config.grid is None:
+        raise ConfigError("a field run needs a grid (config key or --grid)")
     bundle = build_geometry(config.cmap, config.truncation)
     system = assemble_system(config.material, bundle, config.loading)
     solution = solve(system)
@@ -323,8 +325,6 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
 
     samples = None
     if command == "field":
-        if config.grid is None:
-            raise ConfigError("a field run needs a grid (config key or --grid)")
         samples = grid_field(solution, config.loading, config.cmap, config.material, config.grid)
 
     report = None
@@ -535,8 +535,6 @@ def run(
             out_dir=out_dir,
             tolerance=tolerance,
         )
-        if command == "field" and config.grid is None:
-            raise ConfigError("a field run needs a grid (config key or --grid)")
     except ConfigError as exc:
         print(f"config error: {exc}", file=stream)
         return EXIT_CONFIG

@@ -6,12 +6,16 @@ driven by a pair of holomorphic functions (f, g):
 
     u = loading_part + (kappa f - z conj(f') - conj(g) - mean_term) / 2.
 
-Exterior evaluation carries two interchangeable routes: a polynomial route,
-exact near the boundary, that evaluates the map-adapted polynomials in z by
-their recurrence and corrects them by explicit powers of w, and a tail route for far points that
-sums the reflected coefficient series in 1/w. The switch radius keeps both
-routes well inside their accurate regimes. Interior evaluation uses the
-polynomial closed forms, valid throughout the inclusion.
+Every sum over the map-adapted (Faber) polynomials, the loading's and the
+layer terms', runs the Faber recurrence on the point values
+(geometry.faber_series), so no monomial coefficients are formed. The layer
+terms shift their densities to the conjugate coordinate by one convolution
+with the map coefficients. Exterior layer terms carry two interchangeable
+routes: a polynomial route, exact near the boundary, that adds explicit
+two-sided powers of w to the Faber sums, and a tail route for far points
+that sums the reflected coefficient series in 1/w. The switch radius keeps
+both routes well inside their accurate regimes. Interior evaluation uses the
+Faber sums alone, valid throughout the inclusion.
 """
 
 from __future__ import annotations
@@ -26,15 +30,12 @@ from .geometry import (
     GeometryError,
     eval_map,
     eval_map_derivative,
-    faber_matrix,
     faber_series,
     grunsky_rows,
-    monomial_derivative_matrix,
-    poly_eval,
     sweep_pairs,
     unit_radius,
 )
-from .loading import LoadingSpec, loading_pair
+from .loading import LoadingSpec, boundary_series
 from .materials import MaterialPair
 from .system import DensitySolution
 
@@ -104,40 +105,6 @@ def _as_map(geometry) -> ConformalMap:
     return geometry
 
 
-def _two_sided(pos: np.ndarray, neg: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k pos[k] w^k (k >= 0) + sum_k neg[k] w^{-k} (k >= 1)."""
-    out = np.zeros_like(w)
-    for k in range(pos.size - 1, -1, -1):
-        out = out * w + pos[k]
-    winv = 1.0 / w
-    acc = np.zeros_like(w)
-    for k in range(neg.size - 1, 0, -1):
-        acc = (acc + neg[k]) * winv
-    return out + acc
-
-
-def _shifted_coefficients(cmap: ConformalMap, full: dict) -> dict:
-    """Mode coefficients of the conjugate-coordinate multiple of a density.
-
-    full maps mode index k to its coefficient; the returned dict maps j to
-    sum_l conj(a_l) gamma^{-l} full[j - l] over the map coefficients
-    (a_{-1} = 1).
-    """
-    gamma = cmap.gamma
-    depth = cmap.a.size - 1
-    out: dict[int, complex] = {}
-    for k, xk in full.items():
-        if xk == 0.0:
-            continue
-        for l in range(-1, depth + 1):
-            al = cmap.coeff(l)
-            if al == 0.0:
-                continue
-            j = k + l
-            out[j] = out.get(j, 0.0) + np.conj(al) * gamma ** (-l) * xk
-    return out
-
-
 class FieldEvaluator:
     """Precomputed series data for evaluating one solved configuration.
 
@@ -158,102 +125,64 @@ class FieldEvaluator:
         unit = unit_radius(cmap)
         self.unit = unit
         n = solution.n
-        depth = cmap.a.size - 1
+        order = max(n + unit.depth, 1)
+        scale = 1.0 / np.arange(1, order + 1)
+        kernel = np.conj(np.concatenate([[1.0], unit.a]))  # conj(a_l), l = -1..K
 
-        order = max(n + max(depth, 0), loading.order, 1)
+        def density(plus, minus):
+            """Coefficients of the powers -n..n of a density."""
+            return np.concatenate([minus[:0:-1], minus[:1], plus[1:]])
 
-        xp = solution.xe_plus
-        xm = solution.xe_minus
-        full = {m: xp[m] for m in range(1, n + 1)}
-        full.update({-k: xm[k] for k in range(1, n + 1)})
-        full[0] = xm[0]
-        y = _shifted_coefficients(unit, full)
-
-        scale = np.zeros(order + 1)
-        scale[1:] = 1.0 / np.arange(1, order + 1)
-
-        def layer(x):
-            """Faber-basis coefficients -x_m / m of a layer transform."""
+        def layer(c):
+            """Faber-basis coefficients -c_m / m of a layer transform, from c_1, c_2, ..."""
             out = np.zeros(order + 1, dtype=complex)
-            out[1 : n + 1] = -x[1:] * scale[1 : n + 1]
+            out[1 : c.size + 1] = -c * scale[: c.size]
             return out
 
-        # polynomial route: Faber series in z plus explicit powers of w
-        self.wpos_L = np.concatenate([[0.0], xp[1:] * scale[1 : n + 1]])
-        self.wneg_L = np.concatenate([[0.0], -xm[1:] * scale[1 : n + 1]])
-
-        self.wpos_Lbar = np.concatenate([[0.0], np.conj(xm[1:]) * scale[1 : n + 1]])
-        self.wneg_Lbar = np.concatenate([[0.0], -np.conj(xp[1:]) * scale[1 : n + 1]])
-
-        # numerator of the 1/Psi' part: sum_m xp[m] w^{m-1}
-        #                             + xm[0]/w + sum_k xm[k] w^{-k-1}
-        vpos = np.zeros(order + 1, dtype=complex)
-        vpos[: n] = xp[1 : n + 1]
-        vneg = np.zeros(n + 2, dtype=complex)
-        vneg[1] = xm[0]
-        vneg[2 : n + 2] = xm[1:]
-        self.vpos_C, self.vneg_C = vpos, vneg
-
-        ypos = np.zeros(order + 1, dtype=complex)
-        faber_Cy = np.zeros(order + 1, dtype=complex)
-        yneg = np.zeros(n + 3, dtype=complex)
-        for j, yj in sorted(y.items()):
-            if j >= 1:
-                faber_Cy[j] = -yj * scale[j]
-                ypos[j - 1] += yj
-            elif j == 0:
-                yneg[1] += yj
-            else:
-                yneg[-j + 1] += yj
+        xp, xm = solution.xe_plus, solution.xe_minus
+        x = density(xp, xm)
+        # the conjugate-coordinate multiple of the density, powers -n-1..n+K
+        y = np.convolve(x, kernel)
         # rows: (L, Lbar) as sums of F_m(z), (C, Cy) as sums of F_m'(z)
-        self.faber_values = np.stack([layer(xp), layer(np.conj(xm))])
-        self.faber_derivs = np.stack([layer(xp), faber_Cy])
-        self.ypos_C, self.yneg_C = ypos, yneg
+        self.faber_values = np.stack([layer(xp[1:]), layer(np.conj(xm[1:]))])
+        self.faber_derivs = np.stack([layer(xp[1:]), layer(y[n + 2 :])])
+
+        # polynomial route: Faber series in z plus explicit powers of w
+        self.wpos_L = np.concatenate([[0.0], xp[1:] * scale[:n]])
+        self.wneg_L = np.concatenate([[0.0], -xm[1:] * scale[:n]])
+        self.wpos_Lbar, self.wneg_Lbar = -np.conj(self.wneg_L), -np.conj(self.wpos_L)
+        # numerators of the 1/Psi' parts, sum_j x_j w^(j-1) and sum_j y_j w^(j-1);
+        # boundary_series reads their w^0 term, index 0 of both slices, from neg
+        self.vpos_C, self.vneg_C = x[n + 1 :], x[n + 1 :: -1]
+        self.ypos_C, self.yneg_C = y[n + 2 :], y[n + 2 :: -1]
         self.x0_log = xm[0]
         self.x0bar_log = np.conj(xm[0])
 
-        # tail route: reflected coefficient series in 1/w
+        # tail route: reflected coefficient series in 1/w, the w^0 slot of
+        # the derivative tails holding the w^-1 coefficient
         kfar = max(FAR_TAIL_TERMS, n)
-        Cg = grunsky_rows(unit, order, kfar)
-        ks = np.arange(1, kfar + 1)
-        tail_f = -np.einsum("m,mk->k", xp[1 : n + 1] * scale[1 : n + 1], Cg[1 : n + 1, 1:])
-        tail_f[: n] -= xm[1:] * scale[1 : n + 1]
-        self.tail_f = np.concatenate([[0.0], tail_f])
-        tail_fbar = -np.einsum(
-            "m,mk->k", np.conj(xm[1 : n + 1]) * scale[1 : n + 1], Cg[1 : n + 1, 1:]
-        )
-        tail_fbar[: n] -= np.conj(xp[1:]) * scale[1 : n + 1]
-        self.tail_fbar = np.concatenate([[0.0], tail_fbar])
-        # numerator coefficients of w^{-k-1} in the shifted-density transform
-        qco = np.zeros(kfar + 1, dtype=complex)
-        for j, yj in sorted(y.items()):
-            if j >= 1:
-                qco[1:] += yj * (ks / j) * Cg[j, 1:]
-            elif j <= -1 and -j <= kfar:
-                qco[-j] += yj
-        self.tail_q = qco
-        self.y0 = y.get(0, 0.0)
+        ks = np.arange(kfar + 1)
+        rows = np.concatenate([self.faber_values, self.faber_derivs[1:]])
+        self.tail_f, self.tail_fbar, tail_y = rows @ grunsky_rows(unit, order, kfar)
+        self.tail_f[1 : n + 1] += self.wneg_L[1:]
+        self.tail_fbar[1 : n + 1] += self.wneg_Lbar[1:]
+        self.tail_C = -ks * self.tail_f
+        self.tail_C[0] = xm[0]
+        ynegs = y[n + 1 :: -1][: kfar + 1]  # y_0, y_-1, ..., cut off at kfar
+        self.tail_q = -ks * tail_y
+        self.tail_q[: ynegs.size] += ynegs
 
-        # loading polynomials of the unit-radius problem
-        fH, gH = loading_pair(loading.unit_radius(self.gamma), unit)
-        dfH = fH[1:] * np.arange(1, fH.size)
-        self.fH, self.dfH, self.gH = fH, dfH, gH
+        # loading of the unit-radius problem: rows (f, g) as sums of F_m(z), f' of F_m'(z)
+        A, B = loading.unit_radius(self.gamma).padded(loading.order)
+        self.load_values, self.load_derivs = np.stack([A, -B]), A[None]
 
         # interior polynomials (transmission mode)
         if solution.mode == "transmission":
-            xpi = solution.xi_plus
-            xmi = solution.xi_minus
-            full_i = {m: xpi[m] for m in range(1, n + 1)}
-            full_i.update({-k: xmi[k] for k in range(1, n + 1)})
-            full_i[0] = xmi[0]
-            yi = _shifted_coefficients(unit, full_i)
-            faber_Cyi = np.zeros(order + 1, dtype=complex)
-            for j, yj in sorted(yi.items()):
-                if j >= 1:
-                    faber_Cyi[j] = -yj * scale[j]
+            xpi, xmi = solution.xi_plus, solution.xi_minus
+            yi = np.convolve(density(xpi, xmi), kernel)
             # rows: (Li, Libar) as sums of F_m(z), (Ci, Cyi) as sums of F_m'(z)
-            self.faber_values_i = np.stack([layer(xpi), layer(np.conj(xmi))])
-            self.faber_derivs_i = np.stack([layer(xpi), faber_Cyi])
+            self.faber_values_i = np.stack([layer(xpi[1:]), layer(np.conj(xmi[1:]))])
+            self.faber_derivs_i = np.stack([layer(xpi[1:]), layer(yi[n + 2 :])])
             self.mean_i = xmi[0]
 
     # -- exterior ----------------------------------------------------------
@@ -264,12 +193,10 @@ class FieldEvaluator:
         dpsi = eval_map_derivative(self.unit, w)
         logw = np.log(w)
         (sL, sLbar), (sC, sCy) = faber_series(self.unit, z, self.faber_values, self.faber_derivs)
-        Lpsi = sL + _two_sided(self.wpos_L, self.wneg_L, w)
-        Lpsi = Lpsi + self.x0_log * logw
-        Lbar = sLbar + _two_sided(self.wpos_Lbar, self.wneg_Lbar, w)
-        Lbar = Lbar + self.x0bar_log * logw
-        Cpsi = sC + _two_sided(self.vpos_C, self.vneg_C, w) / dpsi
-        Cy = sCy + _two_sided(self.ypos_C, self.yneg_C, w) / dpsi
+        Lpsi = sL + boundary_series(self.wpos_L, self.wneg_L, w) + self.x0_log * logw
+        Lbar = sLbar + boundary_series(self.wpos_Lbar, self.wneg_Lbar, w) + self.x0bar_log * logw
+        Cpsi = sC + boundary_series(self.vpos_C, self.vneg_C, w) / dpsi
+        Cy = sCy + boundary_series(self.ypos_C, self.yneg_C, w) / dpsi
         f = beta * Lpsi
         fp = beta * Cpsi
         g = -alpha * Lbar - beta * Cy
@@ -278,15 +205,13 @@ class FieldEvaluator:
     def _pair_far(self, w, z):
         """The tail route for _pair_near's arguments, valid for |w| > 1."""
         alpha, beta = self.material.alpha, self.material.beta
-        dpsi = eval_map_derivative(self.unit, w)
+        wdpsi = w * eval_map_derivative(self.unit, w)
         logw = np.log(w)
         zero = np.zeros(1)
-        Lpsi = _two_sided(zero, self.tail_f, w) + self.x0_log * logw
-        Lbar = _two_sided(zero, self.tail_fbar, w) + self.x0bar_log * logw
-        ks = np.arange(self.tail_f.size)
-        dtail = self.tail_f * (-ks)
-        Cpsi = (_two_sided(zero, dtail, w) / w + self.x0_log / w) / dpsi
-        Cy = (_two_sided(zero, self.tail_q, w) / w + self.y0 / w) / dpsi
+        Lpsi = boundary_series(zero, self.tail_f, w) + self.x0_log * logw
+        Lbar = boundary_series(zero, self.tail_fbar, w) + self.x0bar_log * logw
+        Cpsi = boundary_series(zero, self.tail_C, w) / wdpsi
+        Cy = boundary_series(zero, self.tail_q, w) / wdpsi
         f = beta * Lpsi
         fp = beta * Cpsi
         g = -alpha * Lbar - beta * Cy
@@ -308,9 +233,7 @@ class FieldEvaluator:
         if np.any(~near):
             f[~near], fp[~near], g[~near] = self._pair_far(omega[~near], zeta[~near])
         kappa = self.material.kappa
-        fH = poly_eval(self.fH, zeta)
-        dfH = poly_eval(self.dfH, zeta)
-        gH = poly_eval(self.gH, zeta)
+        (fH, gH), (dfH,) = faber_series(self.unit, zeta, self.load_values, self.load_derivs)
         H = kappa * fH - zeta * np.conj(dfH) - np.conj(gH)
         f_part = 0.5 * kappa * f
         fp_part = -0.5 * zeta * np.conj(fp)
@@ -584,74 +507,3 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, geometry,
         ]
     return samples.tolist()
 
-
-# -- basis-level transforms (used for cross-checks) --------------------------
-
-
-def log_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, w):
-    """The log-kernel layer transform of a density, evaluated outside.
-
-    plus[m] multiplies the mode-m basis density (m >= 1), minus[k] the
-    mode-(-k) one, minus[0] the mode-0 one. Straightforward per-mode sum;
-    the evaluator reproduces this with precomputed combined series.
-    """
-    w = np.asarray(w, dtype=complex)
-    gamma = cmap.gamma
-    z = eval_map(cmap, w)
-    P = faber_matrix(cmap, max(plus.size - 1, 1))
-    out = minus[0] * np.log(w)
-    for m in range(1, plus.size):
-        if plus[m] != 0.0:
-            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * (poly_eval(P[m], z) - w**m)
-    for k in range(1, minus.size):
-        if minus[k] != 0.0:
-            out = out + minus[k] * (-1.0 / k) * gamma**k * w ** (-k)
-    return out
-
-
-def log_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, z):
-    """Interior branch of the log-kernel layer transform at physical points."""
-    z = np.asarray(z, dtype=complex)
-    gamma = cmap.gamma
-    P = faber_matrix(cmap, max(plus.size - 1, 1))
-    out = minus[0] * np.log(gamma) * np.ones_like(z)
-    for m in range(1, plus.size):
-        if plus[m] != 0.0:
-            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * poly_eval(P[m], z)
-    return out
-
-
-def deriv_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, w):
-    """z-derivative of the log-kernel layer transform, exterior branch."""
-    w = np.asarray(w, dtype=complex)
-    gamma = cmap.gamma
-    z = eval_map(cmap, w)
-    dpsi = eval_map_derivative(cmap, w)
-    order = max(plus.size - 1, 1)
-    P = faber_matrix(cmap, order)
-    dP = P @ monomial_derivative_matrix(order)
-    out = minus[0] / (w * dpsi)
-    for m in range(1, plus.size):
-        if plus[m] != 0.0:
-            out = out + plus[m] * (
-                (-1.0 / m) * gamma ** (-m) * poly_eval(dP[m], z)
-                + gamma ** (-m) * w ** (m - 1) / dpsi
-            )
-    for k in range(1, minus.size):
-        if minus[k] != 0.0:
-            out = out + minus[k] * gamma**k * w ** (-k - 1) / dpsi
-    return out
-
-
-def deriv_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, z):
-    """z-derivative of the log-kernel layer transform, interior branch."""
-    z = np.asarray(z, dtype=complex)
-    gamma = cmap.gamma
-    order = max(plus.size - 1, 1)
-    P = faber_matrix(cmap, order)
-    dP = P @ monomial_derivative_matrix(order)
-    out = np.zeros_like(z)
-    for m in range(1, plus.size):
-        if plus[m] != 0.0:
-            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * poly_eval(dP[m], z)
-    return out

@@ -363,7 +363,6 @@ class GeometryBundle:
 
     cmap: ConformalMap
     n: int
-    faber: np.ndarray            # Faber polynomial coefficients, rows ascending powers
     faber_deriv: np.ndarray      # F_m' in the Faber basis
     faber_deriv_scaled: np.ndarray  # rows divided by m, row 0 zero
     grunsky: np.ndarray
@@ -389,14 +388,12 @@ def unit_radius(cmap: ConformalMap) -> ConformalMap:
 def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     """Construct every matrix of the bundle at truncation order n, at unit radius."""
     unit = unit_radius(cmap)
-    P = faber_matrix(unit, n)
     Dt, D = faber_derivative_matrices(unit, n)
     C = grunsky_matrix(unit, n)
     hankel, toeplitz, corner = map_coefficient_matrices(unit, n)
     return GeometryBundle(
         cmap=cmap,
         n=n,
-        faber=P,
         faber_deriv=Dt,
         faber_deriv_scaled=D,
         grunsky=C,

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import FieldEvaluator
+from .field import FieldEvaluator, _as_map
 from .geometry import (
     ConformalMap,
     eval_map,
@@ -56,10 +56,6 @@ BOUNDARY_TRACE_OFFSET = 1e-8
 
 class OracleError(ValueError):
     """Invalid mesh data or an ill-posed reference solve."""
-
-
-def _as_map(geometry) -> ConformalMap:
-    return geometry.cmap if hasattr(geometry, "cmap") else geometry
 
 
 @dataclass(frozen=True)

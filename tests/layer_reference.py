@@ -1,0 +1,109 @@
+"""Per-mode reference implementations of the layer transforms.
+
+FieldEvaluator sums combined coefficient series by the Faber recurrence;
+these straightforward per-mode sums over the monomial Faber coefficients,
+and the per-entry dict form of the conjugate-coordinate shift, are the
+routes the tests compare it against.
+"""
+
+import numpy as np
+
+from elastinc.geometry import (
+    ConformalMap,
+    eval_map,
+    eval_map_derivative,
+    faber_matrix,
+    monomial_derivative_matrix,
+    poly_eval,
+)
+
+
+def _shifted_coefficients(cmap: ConformalMap, full: dict) -> dict:
+    """Mode coefficients of the conjugate-coordinate multiple of a density.
+
+    full maps mode index k to its coefficient; the returned dict maps j to
+    sum_l conj(a_l) gamma^{-l} full[j - l] over the map coefficients
+    (a_{-1} = 1).
+    """
+    gamma = cmap.gamma
+    depth = cmap.a.size - 1
+    out: dict[int, complex] = {}
+    for k, xk in full.items():
+        if xk == 0.0:
+            continue
+        for l in range(-1, depth + 1):
+            al = cmap.coeff(l)
+            if al == 0.0:
+                continue
+            j = k + l
+            out[j] = out.get(j, 0.0) + np.conj(al) * gamma ** (-l) * xk
+    return out
+
+
+def log_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, w):
+    """The log-kernel layer transform of a density, evaluated outside.
+
+    plus[m] multiplies the mode-m basis density (m >= 1), minus[k] the
+    mode-(-k) one, minus[0] the mode-0 one. Straightforward per-mode sum;
+    the evaluator reproduces this with precomputed combined series.
+    """
+    w = np.asarray(w, dtype=complex)
+    gamma = cmap.gamma
+    z = eval_map(cmap, w)
+    P = faber_matrix(cmap, max(plus.size - 1, 1))
+    out = minus[0] * np.log(w)
+    for m in range(1, plus.size):
+        if plus[m] != 0.0:
+            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * (poly_eval(P[m], z) - w**m)
+    for k in range(1, minus.size):
+        if minus[k] != 0.0:
+            out = out + minus[k] * (-1.0 / k) * gamma**k * w ** (-k)
+    return out
+
+
+def log_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, z):
+    """Interior branch of the log-kernel layer transform at physical points."""
+    z = np.asarray(z, dtype=complex)
+    gamma = cmap.gamma
+    P = faber_matrix(cmap, max(plus.size - 1, 1))
+    out = minus[0] * np.log(gamma) * np.ones_like(z)
+    for m in range(1, plus.size):
+        if plus[m] != 0.0:
+            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * poly_eval(P[m], z)
+    return out
+
+
+def deriv_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, w):
+    """z-derivative of the log-kernel layer transform, exterior branch."""
+    w = np.asarray(w, dtype=complex)
+    gamma = cmap.gamma
+    z = eval_map(cmap, w)
+    dpsi = eval_map_derivative(cmap, w)
+    order = max(plus.size - 1, 1)
+    P = faber_matrix(cmap, order)
+    dP = P @ monomial_derivative_matrix(order)
+    out = minus[0] / (w * dpsi)
+    for m in range(1, plus.size):
+        if plus[m] != 0.0:
+            out = out + plus[m] * (
+                (-1.0 / m) * gamma ** (-m) * poly_eval(dP[m], z)
+                + gamma ** (-m) * w ** (m - 1) / dpsi
+            )
+    for k in range(1, minus.size):
+        if minus[k] != 0.0:
+            out = out + minus[k] * gamma**k * w ** (-k - 1) / dpsi
+    return out
+
+
+def deriv_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, z):
+    """z-derivative of the log-kernel layer transform, interior branch."""
+    z = np.asarray(z, dtype=complex)
+    gamma = cmap.gamma
+    order = max(plus.size - 1, 1)
+    P = faber_matrix(cmap, order)
+    dP = P @ monomial_derivative_matrix(order)
+    out = np.zeros_like(z)
+    for m in range(1, plus.size):
+        if plus[m] != 0.0:
+            out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * poly_eval(dP[m], z)
+    return out

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from elastinc import cli
 from elastinc.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
@@ -14,6 +15,7 @@ from elastinc.cli import (
     ConfigError,
     load_config,
     main,
+    orchestrate,
     parse_grid_text,
     run,
     self_test,
@@ -196,6 +198,17 @@ def test_field_without_grid_is_config_error(tmp_path):
     code = run(path, command="field", out_dir=str(out), stream=io.StringIO())
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+def test_orchestrate_checks_grid_before_solving(tmp_path, monkeypatch):
+    config = load_config(write_config(tmp_path, base_config()))
+
+    def no_solve(system):
+        raise AssertionError("solved before the missing grid was noticed")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    with pytest.raises(ConfigError):
+        orchestrate(config, "field")
 
 
 def test_oracle_check_passes_and_reports(tmp_path):

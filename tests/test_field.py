@@ -15,29 +15,33 @@ from elastinc.field import (
     GridSpec,
     boundary_traction_spread,
     classify_points,
-    deriv_layer_exterior,
-    deriv_layer_interior,
     eval_exterior,
     eval_interior,
     eval_traction_potential,
     grid_field,
     invert_map,
-    log_layer_exterior,
-    log_layer_interior,
     transmission_residual,
+    FAR_TAIL_TERMS,
     REGION_SAMPLES,
-    _shifted_coefficients,
 )
 from elastinc.geometry import (
     ConformalMap,
     build_geometry,
     eval_map,
     eval_map_derivative,
+    grunsky_rows,
     unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series, rhs_vectors
 from elastinc.materials import MaterialPair
 from elastinc.system import DensitySolution, assemble_system, solve
+from layer_reference import (
+    _shifted_coefficients,
+    deriv_layer_exterior,
+    deriv_layer_interior,
+    log_layer_exterior,
+    log_layer_interior,
+)
 
 EXACT_TOL = 1e-12
 SERIES_TOL = 1e-8
@@ -213,6 +217,85 @@ def test_near_and_far_routes_agree_beyond_64_modes():
     inside = ev.exterior_arrays(w * (1.0 - 1e-12))["u"]
     outside = ev.exterior_arrays(w * (1.0 + 1e-12))["u"]
     assert np.allclose(inside, outside, rtol=0.0, atol=1e-8 * np.max(np.abs(outside)))
+
+
+@pytest.mark.parametrize("seed, gamma, depth, n", [
+    (1, 1.0, 0, 5),    # a = []
+    (2, 1.0, 1, 4),    # a = [a0]
+    (3, 1.0, 3, 1),
+    (4, 1.7, 4, 6),
+    (5, 0.6, 3, 80),   # above FAR_TAIL_TERMS: the tail cuts y_-k off at kfar
+])
+def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
+    rng = np.random.default_rng(seed)
+    k = np.arange(depth)
+    a = 0.08 * (rng.uniform(-1, 1, depth) + 1j * rng.uniform(-1, 1, depth)) * gamma ** (k + 1.0)
+    cmap = ConformalMap(gamma, a)
+    unit = unit_radius(cmap)
+    sol = random_solution(rng, n)
+    ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, TRANS)
+    w = 1.1 * np.exp(1j * np.array([0.2, 1.9, 4.4]))
+    sides = ((sol.xe_plus, sol.xe_minus, ev.faber_derivs[1]),
+             (sol.xi_plus, sol.xi_minus, ev.faber_derivs_i[1]))
+    shifted = []
+    for plus, minus, faber_row in sides:
+        full = {m: plus[m] for m in range(1, n + 1)}
+        full.update({-k: minus[k] for k in range(1, n + 1)})
+        full[0] = minus[0]
+        y = _shifted_coefficients(unit, full)
+        shifted.append(y)
+        want_row = np.zeros(faber_row.size, dtype=complex)
+        for j, yj in y.items():
+            if j >= 1:
+                want_row[j] = -yj / j
+        assert np.allclose(faber_row, want_row, rtol=0.0, atol=EXACT_TOL)
+
+    # exterior side: the 1/Psi' numerator sum_j y_j w^(j-1) and the far tail
+    y = shifted[0]
+    terms = [yj * w ** (j - 1) for j, yj in y.items()]
+    scale = np.sum(np.abs(terms), axis=0)
+    got = boundary_series(ev.ypos_C, ev.yneg_C, w)
+    assert np.all(np.abs(got - np.sum(terms, axis=0)) <= EXACT_TOL * scale)
+
+    kfar = max(FAR_TAIL_TERMS, n)
+    top = max([j for j in y if j >= 1] + [1])
+    Cg = grunsky_rows(unit, top, kfar)
+    want_q = np.zeros(kfar + 1, dtype=complex)
+    want_q[0] = y.get(0, 0.0)
+    ks = np.arange(1, kfar + 1)
+    for j, yj in y.items():
+        if j >= 1:
+            want_q[1:] += yj * (ks / j) * Cg[j, 1:]
+        elif -kfar <= j <= -1:
+            want_q[-j] += yj
+    assert ev.tail_q.shape == want_q.shape
+    assert np.allclose(ev.tail_q, want_q, rtol=0.0, atol=EXACT_TOL * np.max(np.abs(want_q)))
+
+
+@pytest.mark.parametrize("shape", [[0.5, 0.3], [0.0, 0.9]])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_high_order_loading_matches_grunsky_series(shape, gamma):
+    # mode 40: the monomial coefficients of F_40 grow geometrically, so
+    # summing them by Horner loses digits that the Faber recurrence keeps
+    M = 40
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    A = np.zeros(M + 1, dtype=complex)
+    B = np.zeros(M + 1, dtype=complex)
+    A[M], B[M] = 1.0, 0.5j
+    ev = FieldEvaluator(zero_solution(M), LoadingSpec(A, B), cmap, TRANS)
+    w = 1.5 * gamma * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+    got = ev.exterior_arrays(w)["load_part"]
+
+    # F_M(Psi(w)) = w^M + sum_k c_Mk w^-k, differentiated in w and divided by Psi'
+    c = grunsky_rows(cmap, M, 600)[M]
+    ks = np.arange(c.size)[:, None]
+    F = w**M + np.sum(c[:, None] * w ** -ks, axis=0)
+    dF = (M * w ** (M - 1) - np.sum(ks * c[:, None] * w ** (-ks - 1), axis=0)) / (
+        eval_map_derivative(cmap, w)
+    )
+    z = eval_map(cmap, w)
+    want = TRANS.kappa * A[M] * F - z * np.conj(A[M] * dF) + np.conj(B[M] * F)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,9 @@ def test_rejects_bad_radius():
 
 def test_bundle_shapes_and_consistency():
     bundle = build_geometry(ELLIPSE, 6)
-    assert bundle.faber.shape == (7, 7)
-    assert bundle.grunsky.shape == (7, 7)
+    for matrix in (bundle.faber_deriv, bundle.faber_deriv_scaled, bundle.grunsky,
+                   bundle.coeff_hankel, bundle.coeff_toeplitz, bundle.coeff_corner):
+        assert matrix.shape == (7, 7)
     assert bundle.gamma == pytest.approx(1.0)
 
 

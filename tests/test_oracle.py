@@ -13,11 +13,6 @@ import pytest
 from elastinc.field import (
     FieldEvaluator,
     invert_map,
-    log_layer_exterior,
-    log_layer_interior,
-    deriv_layer_exterior,
-    deriv_layer_interior,
-    _shifted_coefficients,
 )
 from elastinc.geometry import (
     ConformalMap,
@@ -50,6 +45,13 @@ from elastinc.oracle import (
     solve_oracle,
 )
 from elastinc.system import assemble_system, solve
+from layer_reference import (
+    _shifted_coefficients,
+    deriv_layer_exterior,
+    deriv_layer_interior,
+    log_layer_exterior,
+    log_layer_interior,
+)
 
 EXACT_TOL = 1e-12
 SERIES_TOL = 1e-10
