@@ -21,6 +21,7 @@ Faber sums alone, valid throughout the inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .loading import LoadingSpec, boundary_series
 from .materials import MaterialPair
 from .system import DensitySolution
 
-DEFAULT_APPROACH_STEP = 1e-3
 DEFAULT_BOUNDARY_BAND = 1e-3
 FAR_SWITCH_RATIO = 2.0
 FAR_TAIL_TERMS = 64
@@ -158,20 +158,6 @@ class FieldEvaluator:
         self.x0_log = xm[0]
         self.x0bar_log = np.conj(xm[0])
 
-        # tail route: reflected coefficient series in 1/w, the w^0 slot of
-        # the derivative tails holding the w^-1 coefficient
-        kfar = max(FAR_TAIL_TERMS, n)
-        ks = np.arange(kfar + 1)
-        rows = np.concatenate([self.faber_values, self.faber_derivs[1:]])
-        self.tail_f, self.tail_fbar, tail_y = rows @ grunsky_rows(unit, order, kfar)
-        self.tail_f[1 : n + 1] += self.wneg_L[1:]
-        self.tail_fbar[1 : n + 1] += self.wneg_Lbar[1:]
-        self.tail_C = -ks * self.tail_f
-        self.tail_C[0] = xm[0]
-        ynegs = y[n + 1 :: -1][: kfar + 1]  # y_0, y_-1, ..., cut off at kfar
-        self.tail_q = -ks * tail_y
-        self.tail_q[: ynegs.size] += ynegs
-
         # loading of the unit-radius problem: rows (f, g) as sums of F_m(z), f' of F_m'(z)
         A, B = loading.unit_radius(self.gamma).padded(loading.order)
         self.load_values, self.load_derivs = np.stack([A, -B]), A[None]
@@ -184,6 +170,29 @@ class FieldEvaluator:
             self.faber_values_i = np.stack([layer(xpi[1:]), layer(np.conj(xmi[1:]))])
             self.faber_derivs_i = np.stack([layer(xpi[1:]), layer(yi[n + 2 :])])
             self.mean_i = xmi[0]
+
+    @cached_property
+    def tail(self):
+        """Tail-route coefficients (f, fbar, C, q), reflected series in 1/w.
+
+        The w^0 slot of the derivative tails C and q holds the w^-1
+        coefficient. Built on the first far-route evaluation: points near
+        the boundary never need it.
+        """
+        n = self.solution.n
+        kfar = max(FAR_TAIL_TERMS, n)
+        ks = np.arange(kfar + 1)
+        rows = np.concatenate([self.faber_values, self.faber_derivs[1:]])
+        order = rows.shape[1] - 1
+        tail_f, tail_fbar, tail_y = rows @ grunsky_rows(self.unit, order, kfar)
+        tail_f[1 : n + 1] += self.wneg_L[1:]
+        tail_fbar[1 : n + 1] += self.wneg_Lbar[1:]
+        tail_C = -ks * tail_f
+        tail_C[0] = self.x0_log
+        ynegs = self.yneg_C[1:][: kfar + 1]  # y_0, y_-1, ..., cut off at kfar
+        tail_q = -ks * tail_y
+        tail_q[: ynegs.size] += ynegs
+        return tail_f, tail_fbar, tail_C, tail_q
 
     # -- exterior ----------------------------------------------------------
 
@@ -208,20 +217,25 @@ class FieldEvaluator:
         wdpsi = w * eval_map_derivative(self.unit, w)
         logw = np.log(w)
         zero = np.zeros(1)
-        Lpsi = boundary_series(zero, self.tail_f, w) + self.x0_log * logw
-        Lbar = boundary_series(zero, self.tail_fbar, w) + self.x0bar_log * logw
-        Cpsi = boundary_series(zero, self.tail_C, w) / wdpsi
-        Cy = boundary_series(zero, self.tail_q, w) / wdpsi
+        tail_f, tail_fbar, tail_C, tail_q = self.tail
+        Lpsi = boundary_series(zero, tail_f, w) + self.x0_log * logw
+        Lbar = boundary_series(zero, tail_fbar, w) + self.x0bar_log * logw
+        Cpsi = boundary_series(zero, tail_C, w) / wdpsi
+        Cy = boundary_series(zero, tail_q, w) / wdpsi
         f = beta * Lpsi
         fp = beta * Cpsi
         g = -alpha * Lbar - beta * Cy
         return f, fp, g
 
     def exterior_arrays(self, w: np.ndarray) -> dict:
-        """Vectorized exterior evaluation at preimage points w, |w| > gamma."""
+        """Vectorized exterior evaluation at preimage points w, |w| >= gamma.
+
+        The series extend analytically across the boundary circle, so
+        points on |w| = gamma are evaluated as they stand.
+        """
         w = np.asarray(w, dtype=complex)
-        if np.any(np.abs(w) <= self.gamma):
-            raise FieldError("exterior evaluation requires |w| > gamma")
+        if np.any(np.abs(w) < self.gamma * (1.0 - 1e-12)):
+            raise FieldError("exterior evaluation requires |w| >= gamma")
         z = eval_map(self.cmap, w)
         omega, zeta = w / self.gamma, z / self.gamma
         f = np.zeros_like(w)
@@ -312,7 +326,7 @@ def _samples(arrays: dict, w, region: str, near) -> list[FieldSample]:
 
 def eval_exterior(solution: DensitySolution, loading: LoadingSpec, geometry,
                   material: MaterialPair, w) -> FieldSample:
-    """Displacement sample at one exterior preimage point, |w| > gamma."""
+    """Displacement sample at one exterior preimage point, |w| >= gamma."""
     ev = FieldEvaluator(solution, loading, geometry, material)
     arrays = ev.exterior_arrays(np.array([w], dtype=complex))
     return _samples(arrays, [complex(w)], "exterior", [False])[0]
@@ -338,59 +352,40 @@ def _traction_arrays(arrays: dict, mu: float) -> np.ndarray:
     return mu * (arrays["f"] + arrays["z"] * np.conj(arrays["fprime"]) + np.conj(arrays["g"]))
 
 
-def _richardson(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Linear extrapolation to the boundary from values at eps and eps/2."""
-    return 2.0 * inner - outer
-
-
 def transmission_residual(solution: DensitySolution, loading: LoadingSpec,
-                          geometry, material: MaterialPair, angles,
-                          step: float = DEFAULT_APPROACH_STEP) -> tuple[float, float]:
+                          geometry, material: MaterialPair, angles) -> tuple[float, float]:
     """Interface mismatch of the solved transmission field.
 
     Returns (r_disp, r_trac): the largest displacement gap across the
     boundary and the largest pairwise spread of the traction-potential
-    difference, both Richardson-extrapolated to the interface from radii
-    gamma (1 +/- step) and gamma (1 +/- step/2).
+    difference, both evaluated on the boundary w = gamma e^(i theta) from
+    the exterior series and the interior polynomials.
     """
     if solution.mode != "transmission":
         raise FieldError("transmission residual needs a transmission solution")
     cmap = _as_map(geometry)
+    w = cmap.gamma * np.exp(1j * _as_angles(angles))
     ev = FieldEvaluator(solution, loading, cmap, material)
-    theta = _as_angles(angles)
-    gamma = cmap.gamma
-    ring = np.exp(1j * theta)
-
-    outer = [ev.exterior_arrays(gamma * (1.0 + s) * ring) for s in (step, 0.5 * step)]
-    inner = [ev.interior_arrays(gamma * (1.0 - s) * ring) for s in (step, 0.5 * step)]
-    ue = _richardson(*(arrays["u"] for arrays in outer))
-    ui = _richardson(*(arrays["u"] for arrays in inner))
-    r_disp = float(np.max(np.abs(ue - ui)))
-
-    te = _richardson(*(_traction_arrays(arrays, material.mu_ext) for arrays in outer))
-    ti = _richardson(*(_traction_arrays(arrays, material.mu_int) for arrays in inner))
-    diff = te - ti
+    outer = ev.exterior_arrays(w)
+    inner = ev.interior_arrays_z(outer["z"])
+    r_disp = float(np.max(np.abs(outer["u"] - inner["u"])))
+    diff = _traction_arrays(outer, material.mu_ext) - _traction_arrays(inner, material.mu_int)
     r_trac = float(np.max(np.abs(diff[:, None] - diff[None, :])))
     return r_disp, r_trac
 
 
 def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
-                             geometry, material: MaterialPair, angles,
-                             step: float = DEFAULT_APPROACH_STEP) -> float:
+                             geometry, material: MaterialPair, angles) -> float:
     """Largest pairwise spread of the exterior traction potential on the boundary.
 
-    For a traction-free cavity this measures how far the solved field is
-    from exactly cancelling the loading traction.
+    Evaluated on w = gamma e^(i theta). For a traction-free cavity this
+    measures how far the solved field is from exactly cancelling the
+    loading traction.
     """
     cmap = _as_map(geometry)
+    w = cmap.gamma * np.exp(1j * _as_angles(angles))
     ev = FieldEvaluator(solution, loading, cmap, material)
-    theta = _as_angles(angles)
-    ring = np.exp(1j * theta)
-    gamma = cmap.gamma
-    te = _richardson(
-        _traction_arrays(ev.exterior_arrays(gamma * (1.0 + step) * ring), material.mu_ext),
-        _traction_arrays(ev.exterior_arrays(gamma * (1.0 + 0.5 * step) * ring), material.mu_ext),
-    )
+    te = _traction_arrays(ev.exterior_arrays(w), material.mu_ext)
     return float(np.max(np.abs(te[:, None] - te[None, :])))
 
 

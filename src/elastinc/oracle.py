@@ -51,7 +51,6 @@ from .system import one_norm_condition
 MIN_NODES = 8
 MAX_DESK_NODES = 512
 OFFSET_RATIO = 1.5
-BOUNDARY_TRACE_OFFSET = 1e-8
 
 
 class OracleError(ValueError):
@@ -605,24 +604,23 @@ class ComparisonReport:
 
 
 def compare(oracle: OracleSolution, series, geometry, material: MaterialPair,
-            loading: LoadingSpec, n_points: int = 64,
-            offset_ratio: float = OFFSET_RATIO) -> ComparisonReport:
+            loading: LoadingSpec, n_points: int = 64) -> ComparisonReport:
     """Boundary and offset-circle discrepancies between the two routes.
 
-    Boundary displacement is compared at the mesh nodes (the series side
-    evaluated a relative 1e-8 outside the curve); the exterior field is
-    compared at n_points on |w| = offset_ratio * gamma.
+    Boundary displacement is compared at the mesh nodes, the series side
+    evaluated on the boundary |w| = gamma at the mesh angles; the exterior
+    field is compared at n_points on |w| = OFFSET_RATIO * gamma.
     """
     cmap = _as_map(geometry)
     evaluator = FieldEvaluator(series, loading, cmap, material)
     gamma = cmap.gamma
 
-    w_bdry = gamma * (1.0 + BOUNDARY_TRACE_OFFSET) * np.exp(1j * oracle.mesh.theta)
+    w_bdry = gamma * np.exp(1j * oracle.mesh.theta)
     u_series_bdry = evaluator.exterior_arrays(w_bdry)["u"]
     boundary_max, boundary_rms = discrepancy(u_series_bdry, oracle.u_boundary)
 
     phi = 2.0 * np.pi * np.arange(n_points) / n_points
-    w_out = offset_ratio * gamma * np.exp(1j * phi)
+    w_out = OFFSET_RATIO * gamma * np.exp(1j * phi)
     u_series_out = evaluator.exterior_arrays(w_out)["u"]
     z_out = eval_map(cmap, w_out)
     u_oracle_out = eval_oracle_exterior(oracle, material, loading, z_out)

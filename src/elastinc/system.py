@@ -128,18 +128,15 @@ class BlockSystem:
     bundle: GeometryBundle
 
 
-def assemble_system(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec,
-                    mode: str | None = None) -> BlockSystem:
+def assemble_system(material: MaterialPair, bundle: GeometryBundle,
+                    spec: LoadingSpec) -> BlockSystem:
     """Assemble the square real system (8 unknown blocks, or 4 for a cavity).
 
     Unknown block (Fa, Fb) enters equation family c as x Fa[c] + conj(x) Fb[c];
     with x = r + i s its transpose is (Fa + Fb)^T r + i (Fa - Fb)^T s, whose
     real and imaginary parts are written as they stand.
     """
-    if mode is None:
-        mode = "cavity" if material.cavity else "transmission"
-    if (mode == "cavity") != material.cavity:
-        raise AssemblyError(f"mode {mode!r} conflicts with the material pair")
+    mode = "cavity" if material.cavity else "transmission"
     d = bundle.n + 1
     M = m_blocks(bundle)  # shared by both sides
     sides = [(_sided_blocks(bundle, M, material.alpha, material.beta, material.mu_ext,
@@ -222,8 +219,7 @@ def one_norm_condition(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray)
     return float(np.max(np.sum(np.abs(matrix), axis=0))) * estimate
 
 
-def solve(system: BlockSystem,
-          residual_threshold: float = DEFAULT_RESIDUAL_THRESHOLD) -> DensitySolution:
+def solve(system: BlockSystem) -> DensitySolution:
     """LU solve of the square real system, with a 1-norm condition estimate.
 
     One factorization solves for the densities and for the first probe of
@@ -269,7 +265,7 @@ def solve(system: BlockSystem,
         rank=size,
         condition_estimate=condition,
         rotation_projection=rotation_projection,
-        converged=residual <= residual_threshold,
+        converged=residual <= DEFAULT_RESIDUAL_THRESHOLD,
         n=system.n,
         mode=system.mode,
     )

@@ -50,6 +50,8 @@ CAV = MaterialPair(2.0, 1.0, cavity=True)
 TRANS = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
 DISK = ConformalMap(1.0, [0.5])
 ELLIPSE = ConformalMap(1.0, [0.5, 0.3])
+FOURTERM = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+BOUNDARY_TOL = 1e-13
 
 
 def single_mode(m, value, n):
@@ -268,8 +270,9 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
             want_q[1:] += yj * (ks / j) * Cg[j, 1:]
         elif -kfar <= j <= -1:
             want_q[-j] += yj
-    assert ev.tail_q.shape == want_q.shape
-    assert np.allclose(ev.tail_q, want_q, rtol=0.0, atol=EXACT_TOL * np.max(np.abs(want_q)))
+    tail_q = ev.tail[3]
+    assert tail_q.shape == want_q.shape
+    assert np.allclose(tail_q, want_q, rtol=0.0, atol=EXACT_TOL * np.max(np.abs(want_q)))
 
 
 @pytest.mark.parametrize("shape", [[0.5, 0.3], [0.0, 0.9]])
@@ -334,10 +337,8 @@ def test_disk_cavity_closed_form_field():
 
 
 def test_disk_cavity_traction_free_boundary():
-    # the default approach step leaves an O(step^2) extrapolation floor,
-    # so resolving 1e-8 needs a finer step than the 1e-3 default
     sol, loading = solved_disk_cavity()
-    spread = boundary_traction_spread(sol, loading, DISK, CAV, 32, step=1e-5)
+    spread = boundary_traction_spread(sol, loading, DISK, CAV, 32)
     assert spread <= SERIES_TOL
 
 
@@ -367,7 +368,7 @@ def test_far_field_decay_exponent():
 
 def test_transmission_interface_residuals():
     sol, loading = solved_ellipse_transmission()
-    r_disp, r_trac = transmission_residual(sol, loading, ELLIPSE, TRANS, 64, step=1e-4)
+    r_disp, r_trac = transmission_residual(sol, loading, ELLIPSE, TRANS, 64)
     assert r_disp <= 1e-6
     assert r_trac <= 1e-6
 
@@ -376,7 +377,7 @@ def test_disk_transmission_interface_residuals():
     n = 12
     loading = single_mode(1, 0.4 + 1.1j, n)
     sol = solve(assemble_system(TRANS, build_geometry(DISK, n), loading))
-    r_disp, r_trac = transmission_residual(sol, loading, DISK, TRANS, 48, step=1e-5)
+    r_disp, r_trac = transmission_residual(sol, loading, DISK, TRANS, 48)
     assert r_disp <= 1e-8
     assert r_trac <= 1e-8
 
@@ -392,9 +393,49 @@ def test_elongated_ellipse_transmission_is_full_rank():
     assert sol.rank == 8 * (n + 1) - 6
     assert 1.0 < sol.condition_estimate < 1e6
     assert sol.residual <= 1e-12
-    r_disp, r_trac = transmission_residual(sol, loading, cmap, TRANS, 64, step=1e-4)
+    r_disp, r_trac = transmission_residual(sol, loading, cmap, TRANS, 64)
     assert r_disp <= 1e-6
     assert r_trac <= 1e-6
+
+
+@pytest.mark.parametrize("cmap", [DISK, ELLIPSE, FOURTERM], ids=["disk", "ellipse", "fourterm"])
+def test_boundary_diagnostics_are_exact_on_the_boundary(cmap):
+    # evaluated on |w| = gamma itself, a resolved solve leaves only roundoff
+    n = 32
+    loading = LoadingSpec([0.0, 0.3 - 0.1j], [0.0, 1.0, 0.25j])
+    bundle = build_geometry(cmap, n)
+    sol = solve(assemble_system(TRANS, bundle, loading))
+    r_disp, r_trac = transmission_residual(sol, loading, cmap, TRANS, 64)
+    assert r_disp <= BOUNDARY_TOL
+    assert r_trac <= BOUNDARY_TOL
+    sol = solve(assemble_system(CAV, bundle, loading))
+    assert boundary_traction_spread(sol, loading, cmap, CAV, 64) <= BOUNDARY_TOL
+
+
+def test_interface_residual_tracks_truncation():
+    # the residual measures the solve: it falls with the truncation error,
+    # not to a floor set by how the boundary is approached
+    loading = single_mode(1, 1.0, 1)
+    residual = {}
+    for n in (16, 32):
+        sol = solve(assemble_system(TRANS, build_geometry(FOURTERM, n), loading))
+        residual[n] = max(transmission_residual(sol, loading, FOURTERM, TRANS, 64))
+    assert residual[32] <= 1e-3 * residual[16]
+
+
+def test_near_evaluation_builds_no_far_tail(monkeypatch):
+    sol, loading = solved_ellipse_transmission()
+
+    def no_tail(*args):
+        raise RuntimeError("far-route tail built")
+
+    monkeypatch.setattr("elastinc.field.grunsky_rows", no_tail)
+    r_disp, r_trac = transmission_residual(sol, loading, ELLIPSE, TRANS, 64)
+    assert max(r_disp, r_trac) <= BOUNDARY_TOL
+    ev = FieldEvaluator(sol, loading, ELLIPSE, TRANS)
+    ev.exterior_arrays(np.array([1.5, 1.9j]))
+    with pytest.raises(RuntimeError, match="far-route tail"):
+        ev.exterior_arrays(np.array([3.0]))
 
 
 def test_transmission_residual_requires_transmission():

@@ -391,6 +391,16 @@ def test_ellipse_transmission_oracle_agrees_with_series():
     assert report.condition_estimate >= 1.0
 
 
+@pytest.mark.parametrize("cmap", [DISK, ELLIPSE], ids=["disk", "ellipse"])
+@pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+def test_boundary_comparison_is_on_the_boundary(cmap, material):
+    # the series side is evaluated on |w| = gamma, where the oracle's
+    # nodes lie, so the boundary gap is the two solves' agreement alone
+    series_sol = solve(assemble_system(material, build_geometry(cmap, 16), B1))
+    report = compare(solve_oracle(cmap, material, B1, 256), series_sol, cmap, material, B1)
+    assert report.boundary_max <= 1e-12
+
+
 def test_oracle_interior_field_matches_series():
     bundle = build_geometry(ELLIPSE, 16)
     series_sol = solve(assemble_system(TRANS, bundle, B1))

@@ -273,8 +273,6 @@ def test_assemble_modes_and_conflicts():
     sys_tr = assemble_system(TRANS, bundle, spec)
     assert sys_tr.mode == "transmission"
     assert sys_tr.matrix.shape == (8 * 5 - 6, 8 * 5 - 6)
-    with pytest.raises(AssemblyError):
-        assemble_system(CAV, bundle, spec, mode="transmission")
 
 
 def test_disk_cavity_closed_form_solution():
