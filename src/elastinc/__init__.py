@@ -14,6 +14,7 @@ from .loading import LoadingSpec, RhsVector, rhs_vectors, eval_loading
 from .system import BlockSystem, DensitySolution, assemble_system, solve
 from .field import (
     FieldEvaluator,
+    FieldGrid,
     FieldSample,
     GridSpec,
     eval_exterior,
@@ -53,6 +54,7 @@ __all__ = [
     "assemble_system",
     "solve",
     "FieldEvaluator",
+    "FieldGrid",
     "FieldSample",
     "GridSpec",
     "eval_exterior",

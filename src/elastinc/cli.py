@@ -16,6 +16,7 @@ disagreement beyond tolerance.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .field import (
     DEFAULT_BOUNDARY_BAND,
     FieldError,
     FieldEvaluator,
-    FieldSample,
+    FieldGrid,
     GridSpec,
     boundary_traction_spread,
     grid_field,
@@ -37,7 +38,7 @@ from .field import (
 from .geometry import ConformalMap, GeometryError, build_geometry, eval_map
 from .loading import LoadingError, LoadingSpec, boundary_series, eval_loading, rhs_vectors
 from .materials import MaterialError, MaterialPair
-from .oracle import OracleError, compare, solve_oracle
+from .oracle import OracleError, check_node_count, compare, solve_oracle
 from .system import AssemblyError, DensitySolution, assemble_system, solve
 
 SCHEMA_VERSION = 1
@@ -167,6 +168,8 @@ def parse_grid_text(text: str) -> GridSpec:
 
 
 def _make_grid(x0, x1, y0, y1, nx, ny, where: str) -> GridSpec:
+    if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
+        raise ConfigError(f"{where}: grid bounds must be finite")
     if nx < 0 or ny < 0:
         raise ConfigError(f"{where}: grid counts must be nonnegative")
     if x1 < x0 or y1 < y0:
@@ -198,7 +201,8 @@ def load_config(
 
     Every domain object is constructed here, so a config that would fail
     any module-level invariant (non-injective map, non-elliptic material,
-    constant loading term, loading above the truncation) is rejected
+    constant loading term, loading above the truncation, a non-finite
+    value, an oracle node count the reference solver refuses) is rejected
     before a run produces any output.
     """
     path = Path(path)
@@ -260,6 +264,10 @@ def load_config(
         raise ConfigError("oracle: expected an object")
     enabled = force_oracle or bool(oracle_block.get("enabled", False))
     q = _integer(oracle_block.get("q", DEFAULT_ORACLE_NODES), "oracle.q")
+    try:
+        check_node_count(q)
+    except OracleError as exc:
+        raise ConfigError(f"oracle.q: {exc}") from exc
     tol_block = raw.get("tolerances", {})
     if not isinstance(tol_block, dict):
         raise ConfigError("tolerances: expected an object")
@@ -267,8 +275,8 @@ def load_config(
         oracle_tol = float(tolerance)
     else:
         oracle_tol = _real(tol_block.get("oracle", DEFAULT_ORACLE_TOLERANCE), "tolerances.oracle")
-    if oracle_tol <= 0.0:
-        raise ConfigError("oracle tolerance must be positive")
+    if not 0.0 < oracle_tol < math.inf:
+        raise ConfigError(f"oracle tolerance must be positive and finite, got {oracle_tol}")
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -301,7 +309,7 @@ class RunResults:
     config: RunConfig
     command: str
     solution: DensitySolution
-    samples: list[FieldSample] | None
+    samples: FieldGrid | None
     oracle_report: object | None
     interface_residuals: tuple[float, float] | None
 
@@ -393,23 +401,17 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_field_csv(path: Path, samples: list[FieldSample]) -> None:
+def _write_field_csv(path: Path, grid: FieldGrid) -> None:
+    def text(values: np.ndarray):
+        return map(repr, values.tolist())
+
+    rows = zip(text(grid.w.real), text(grid.w.imag), text(grid.z.real), text(grid.z.imag),
+               grid.regions(), text(grid.u.real), text(grid.u.imag))
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for s in samples:
-                writer.writerow(
-                    [
-                        repr(float(np.real(s.w))),
-                        repr(float(np.imag(s.w))),
-                        repr(float(np.real(s.z))),
-                        repr(float(np.imag(s.z))),
-                        s.region,
-                        repr(float(np.real(s.u))),
-                        repr(float(np.imag(s.u))),
-                    ]
-                )
+            writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

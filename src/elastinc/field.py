@@ -46,6 +46,7 @@ FAR_TAIL_TERMS = 64
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-13
 REGION_SAMPLES = 2048
+_REGIONS = ("exterior", "interior")  # indexed by the interior flag
 
 
 class FieldError(ValueError):
@@ -97,6 +98,47 @@ class GridSpec:
         ys = np.linspace(self.ymin, self.ymax, self.ny)
         X, Y = np.meshgrid(xs, ys)
         return (X + 1j * Y).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class FieldGrid:
+    """A field evaluated on a grid: one array per quantity, in row-major order.
+
+    w, z, u, f, fprime, g are complex columns with FieldSample's meanings;
+    interior and near are boolean region and boundary-band flags. w is NaN
+    at interior points, and u, f, fprime, g are NaN too at the interior
+    points of a cavity. The grid also reads as a sequence of FieldSample
+    rows, with empty parts.
+    """
+
+    w: np.ndarray
+    z: np.ndarray
+    u: np.ndarray
+    f: np.ndarray
+    fprime: np.ndarray
+    g: np.ndarray
+    interior: np.ndarray
+    near: np.ndarray
+
+    def regions(self) -> list[str]:
+        """The region label of every point."""
+        return [_REGIONS[inside] for inside in self.interior.tolist()]
+
+    def __len__(self) -> int:
+        return self.w.size
+
+    def __getitem__(self, i: int) -> FieldSample:
+        w, z, u, f, fp, g = (col[i].item() for col in
+                             (self.w, self.z, self.u, self.f, self.fprime, self.g))
+        return FieldSample(w, z, u, _REGIONS[bool(self.interior[i])], f, fp, g, {},
+                           bool(self.near[i]))
+
+    def __iter__(self):
+        # one tolist() per column: per-element access costs far more per row
+        rows = zip(self.w.tolist(), self.z.tolist(), self.u.tolist(), self.regions(),
+                   self.f.tolist(), self.fprime.tolist(), self.g.tolist(), self.near.tolist())
+        for w, z, u, region, f, fp, g, nb in rows:
+            yield FieldSample(w, z, u, region, f, fp, g, {}, nb)
 
 
 def _as_map(geometry) -> ConformalMap:
@@ -307,29 +349,19 @@ class FieldEvaluator:
         return self.interior_arrays_z(z)
 
 
-def _samples(arrays: dict, w, region: str, near) -> list[FieldSample]:
-    """One FieldSample per evaluated point, converting each array column once.
-
-    Arguments go in by position, in FieldSample's field order: keywords
-    cost about a third of the construction time.
-    """
-    columns = [np.asarray(arrays[key], dtype=complex).tolist()
-               for key in ("z", "u", "f", "fprime", "g",
-                           "load_part", "f_part", "fprime_part", "g_part")]
-    return [
-        FieldSample(wi, z, u, region, f, fp, g,
-                    {"load_part": lp, "f_part": fpart, "fprime_part": fppart, "g_part": gpart},
-                    nb)
-        for wi, nb, z, u, f, fp, g, lp, fpart, fppart, gpart in zip(w, near, *columns)
-    ]
+def _sample(arrays: dict, w: complex, region: str) -> FieldSample:
+    """The FieldSample of a single evaluated point, with its parts."""
+    z, u, f, fp, g = (complex(arrays[key][0]) for key in ("z", "u", "f", "fprime", "g"))
+    parts = {key: complex(arrays[key][0])
+             for key in ("load_part", "f_part", "fprime_part", "g_part")}
+    return FieldSample(w, z, u, region, f, fp, g, parts)
 
 
 def eval_exterior(solution: DensitySolution, loading: LoadingSpec, geometry,
                   material: MaterialPair, w) -> FieldSample:
     """Displacement sample at one exterior preimage point, |w| >= gamma."""
     ev = FieldEvaluator(solution, loading, geometry, material)
-    arrays = ev.exterior_arrays(np.array([w], dtype=complex))
-    return _samples(arrays, [complex(w)], "exterior", [False])[0]
+    return _sample(ev.exterior_arrays(np.array([w], dtype=complex)), complex(w), "exterior")
 
 
 def eval_interior(solution: DensitySolution, geometry, material: MaterialPair,
@@ -338,8 +370,7 @@ def eval_interior(solution: DensitySolution, geometry, material: MaterialPair,
     cmap = _as_map(geometry)
     loading = LoadingSpec(np.zeros(1), np.zeros(1))
     ev = FieldEvaluator(solution, loading, cmap, material)
-    arrays = ev.interior_arrays(np.array([w], dtype=complex))
-    return _samples(arrays, [complex(w)], "interior", [False])[0]
+    return _sample(ev.interior_arrays(np.array([w], dtype=complex)), complex(w), "interior")
 
 
 def eval_traction_potential(sample: FieldSample, material: MaterialPair) -> complex:
@@ -467,7 +498,7 @@ def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
 
 
 def grid_field(solution: DensitySolution, loading: LoadingSpec, geometry,
-               material: MaterialPair, grid: GridSpec) -> list[FieldSample]:
+               material: MaterialPair, grid: GridSpec) -> FieldGrid:
     """Evaluate the solved field on a rectangular grid of physical points.
 
     Exterior points are inverted through the map; interior points use the
@@ -479,26 +510,26 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, geometry,
     ev = FieldEvaluator(solution, loading, cmap, material)
     pts = grid.points()
     regions, near = classify_points(cmap, pts, band=grid.band)
-    ext = np.flatnonzero(regions == "exterior")
-    inner = np.flatnonzero(regions == "interior")
-    samples = np.empty(pts.size, dtype=object)
+    interior = regions == "interior"
+    ext = np.flatnonzero(~interior)
+    inner = np.flatnonzero(interior)
+    nan = complex(np.nan, np.nan)
+    w = np.full(pts.size, nan)
+    z = pts.copy()
+    values = {key: np.full(pts.size, nan) for key in ("u", "f", "fprime", "g")}
     if ext.size:
         w_ext = invert_map(cmap, pts[ext])
         # points the inversion pushed to the boundary circle are band cases
         w_ext = np.where(
             np.abs(w_ext) <= cmap.gamma, cmap.gamma * (1.0 + 1e-9) * w_ext / np.abs(w_ext), w_ext
         )
-        samples[ext] = _samples(ev.exterior_arrays(w_ext), w_ext.tolist(), "exterior",
-                                near[ext].tolist())
-    nanval = complex(np.nan, np.nan)
+        arrays = ev.exterior_arrays(w_ext)
+        w[ext] = w_ext
+        z[ext] = arrays["z"]
+        for key, col in values.items():
+            col[ext] = arrays[key]
     if inner.size and solution.mode == "transmission":
-        samples[inner] = _samples(ev.interior_arrays_z(pts[inner]), [nanval] * inner.size,
-                                  "interior", near[inner].tolist())
-    elif inner.size:
-        samples[inner] = [
-            FieldSample(w=nanval, z=zi, u=nanval, region="interior", f=nanval, fprime=nanval,
-                        g=nanval, parts={}, near_boundary=nb)
-            for zi, nb in zip(pts[inner].tolist(), near[inner].tolist())
-        ]
-    return samples.tolist()
-
+        arrays = ev.interior_arrays_z(pts[inner])
+        for key, col in values.items():
+            col[inner] = arrays[key]
+    return FieldGrid(w=w, z=z, interior=interior, near=near, **values)

@@ -44,8 +44,10 @@ class ConformalMap:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=complex).reshape(-1)
         object.__setattr__(self, "a", a)
-        if not self.gamma > 0.0:
-            raise GeometryError(f"conformal radius must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < np.inf:
+            raise GeometryError(f"conformal radius must be positive and finite, got {self.gamma}")
+        if not np.all(np.isfinite(a)):
+            raise GeometryError("map coefficients must be finite")
         if self.validate:
             _validate_boundary(self)
 

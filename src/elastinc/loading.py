@@ -38,6 +38,8 @@ class LoadingSpec:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         for name, arr in (("A", A), ("B", B)):
+            if not np.all(np.isfinite(arr)):
+                raise LoadingError(f"{name} coefficients must be finite")
             if arr.size and arr[0] != 0.0:
                 raise LoadingError(f"{name}[0] must be zero: constant background is omitted")
 

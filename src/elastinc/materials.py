@@ -12,6 +12,7 @@ with kappa * beta == alpha as an exact algebraic identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -25,13 +26,16 @@ def derive_constants(lam: float, mu: float) -> tuple[float, float, float]:
     Parameters
     ----------
     lam, mu : float
-        Lame constants. Ellipticity requires mu > 0 and lam + mu > 0.
+        Lame constants. Ellipticity requires mu > 0 and lam + mu > 0, and
+        both must be finite.
 
     Raises
     ------
     MaterialError
-        If the ellipticity conditions fail.
+        If the constants are not finite or the ellipticity conditions fail.
     """
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise MaterialError(f"Lame constants must be finite, got lam={lam}, mu={mu}")
     if not (mu > 0.0 and lam + mu > 0.0):
         raise MaterialError(
             f"non-elliptic material: need mu > 0 and lam + mu > 0, got lam={lam}, mu={mu}"

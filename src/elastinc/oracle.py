@@ -57,6 +57,14 @@ class OracleError(ValueError):
     """Invalid mesh data or an ill-posed reference solve."""
 
 
+def check_node_count(q: int) -> None:
+    """Raise OracleError unless q is a node count the reference solver accepts."""
+    if q % 2 != 0 or q < MIN_NODES:
+        raise OracleError(f"node count must be even and >= {MIN_NODES}, got {q}")
+    if q > MAX_DESK_NODES:
+        raise OracleError(f"reference solver is desk scale only: q <= {MAX_DESK_NODES}, got {q}")
+
+
 @dataclass(frozen=True)
 class BoundaryMesh:
     """Equispaced-in-angle quadrature nodes on the boundary curve.
@@ -77,12 +85,7 @@ class BoundaryMesh:
     zsecond: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.q % 2 != 0 or self.q < MIN_NODES:
-            raise OracleError(f"node count must be even and >= {MIN_NODES}, got {self.q}")
-        if self.q > MAX_DESK_NODES:
-            raise OracleError(
-                f"reference solver is desk scale only: q <= {MAX_DESK_NODES}, got {self.q}"
-            )
+        check_node_count(self.q)
         if np.min(np.abs(np.roll(self.z, -1) - self.z)) <= 1e-12:
             raise OracleError("mesh nodes are not distinct")
         if np.max(np.abs(np.abs(self.normal) - 1.0)) > 1e-12:

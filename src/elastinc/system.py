@@ -235,7 +235,8 @@ def solve(system: BlockSystem) -> DensitySolution:
     condition = one_norm_condition(matrix, both[:, 1], start)
     sol = both[:, 0]
     scale = np.linalg.norm(rhs)
-    residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale > 0 else 0.0
+    # a non-finite rhs gives a NaN residual, which never counts as converged
+    residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale != 0 else 0.0
 
     # put back the structurally zero index-0 entries of xe+, xe- (and xi+)
     n, d = system.n, system.n + 1

@@ -3,11 +3,16 @@
 FieldEvaluator sums combined coefficient series by the Faber recurrence;
 these straightforward per-mode sums over the monomial Faber coefficients,
 and the per-entry dict form of the conjugate-coordinate shift, are the
-routes the tests compare it against.
+routes the tests compare it against. The row-wise grid evaluation and
+field.csv writer at the end are the references for grid_field's columns
+and the CLI's column-wise writer.
 """
+
+import csv
 
 import numpy as np
 
+from elastinc.field import FieldEvaluator, FieldSample, classify_points, invert_map
 from elastinc.geometry import (
     ConformalMap,
     eval_map,
@@ -107,3 +112,63 @@ def deriv_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray
         if plus[m] != 0.0:
             out = out + plus[m] * (-1.0 / m) * gamma ** (-m) * poly_eval(dP[m], z)
     return out
+
+
+def _samples(arrays: dict, w, region: str, near) -> list[FieldSample]:
+    """One FieldSample per evaluated point, converting each array column once."""
+    columns = [np.asarray(arrays[key], dtype=complex).tolist()
+               for key in ("z", "u", "f", "fprime", "g",
+                           "load_part", "f_part", "fprime_part", "g_part")]
+    return [
+        FieldSample(wi, z, u, region, f, fp, g,
+                    {"load_part": lp, "f_part": fpart, "fprime_part": fppart, "g_part": gpart},
+                    nb)
+        for wi, nb, z, u, f, fp, g, lp, fpart, fppart, gpart in zip(w, near, *columns)
+    ]
+
+
+def grid_rows(solution, loading, cmap: ConformalMap, material, grid) -> list[FieldSample]:
+    """grid_field built row by row: one FieldSample per grid point."""
+    ev = FieldEvaluator(solution, loading, cmap, material)
+    pts = grid.points()
+    regions, near = classify_points(cmap, pts, band=grid.band)
+    ext = np.flatnonzero(regions == "exterior")
+    inner = np.flatnonzero(regions == "interior")
+    samples = np.empty(pts.size, dtype=object)
+    if ext.size:
+        w_ext = invert_map(cmap, pts[ext])
+        w_ext = np.where(
+            np.abs(w_ext) <= cmap.gamma, cmap.gamma * (1.0 + 1e-9) * w_ext / np.abs(w_ext), w_ext
+        )
+        samples[ext] = _samples(ev.exterior_arrays(w_ext), w_ext.tolist(), "exterior",
+                                near[ext].tolist())
+    nanval = complex(np.nan, np.nan)
+    if inner.size and solution.mode == "transmission":
+        samples[inner] = _samples(ev.interior_arrays_z(pts[inner]), [nanval] * inner.size,
+                                  "interior", near[inner].tolist())
+    elif inner.size:
+        samples[inner] = [
+            FieldSample(w=nanval, z=zi, u=nanval, region="interior", f=nanval, fprime=nanval,
+                        g=nanval, parts={}, near_boundary=nb)
+            for zi, nb in zip(pts[inner].tolist(), near[inner].tolist())
+        ]
+    return samples.tolist()
+
+
+def write_field_rows(path, header, samples) -> None:
+    """field.csv written one FieldSample at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for s in samples:
+            writer.writerow(
+                [
+                    repr(float(np.real(s.w))),
+                    repr(float(np.imag(s.w))),
+                    repr(float(np.real(s.z))),
+                    repr(float(np.imag(s.z))),
+                    s.region,
+                    repr(float(np.real(s.u))),
+                    repr(float(np.imag(s.u))),
+                ]
+            )

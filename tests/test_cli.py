@@ -1,6 +1,7 @@
 """Config parsing, run orchestration, and report serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -12,6 +13,7 @@ from elastinc.cli import (
     EXIT_CONFIG,
     EXIT_MISMATCH,
     EXIT_OK,
+    EXIT_SOLVE,
     ConfigError,
     load_config,
     main,
@@ -22,6 +24,8 @@ from elastinc.cli import (
 )
 
 CONFIG_TOL = 1e-12
+NAN, INF = float("nan"), float("inf")
+GRID = {"x0": -3.0, "x1": 3.0, "y0": -3.0, "y1": 3.0, "nx": 3, "ny": 3}
 
 
 def base_config(**overrides) -> dict:
@@ -167,6 +171,73 @@ def test_field_grid_row_count(tmp_path):
     # the grid corner is far outside and must carry a finite displacement
     corner = rows[1]
     assert np.isfinite(float(corner[5])) and np.isfinite(float(corner[6]))
+
+
+@pytest.mark.parametrize("cavity", [False, True], ids=["transmission", "cavity"])
+def test_field_run_builds_no_field_sample(tmp_path, monkeypatch, cavity):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("the field run built a FieldSample")
+
+    monkeypatch.setattr("elastinc.field.FieldSample", no_sample)
+    cfg = base_config(grid=dict(GRID, nx=9, ny=9))
+    if cavity:
+        cfg["material"] = {"lambda": 2.0, "mu": 1.0, "cavity": True}
+    out = tmp_path / "out"
+    code = run(write_config(tmp_path, cfg), command="field", out_dir=str(out), stream=io.StringIO())
+    assert code == EXIT_OK
+    with open(out / "field.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 81
+    assert {row[4] for row in rows} == {"exterior", "interior"}
+    assert "field samples: 81\n" in (out / "summary.txt").read_text()
+
+
+def _set(block, **values):
+    return lambda cfg: cfg[block].update(values)
+
+
+@pytest.mark.parametrize("edit,command,flags", [
+    (_set("map", a=[[0.0, 0.0], [NAN, 0.0]]), "solve", []),
+    (_set("map", a=[[INF, 0.0], [0.3, 0.0]]), "solve", []),
+    (_set("loading", B=[[0.0, 0.0], [1.0, NAN]]), "solve", []),
+    (_set("loading", A=[[0.0, 0.0], [INF, 0.0]]), "solve", []),
+    (_set("material", mu_t=INF), "solve", []),
+    (lambda cfg: cfg.update(grid=dict(GRID, x0=NAN)), "field", []),
+    (lambda cfg: cfg.update(grid=dict(GRID, y1=INF)), "field", []),
+    (None, "field", ["--grid", "0,1,nan,1,3,3"]),
+    (None, "oracle-check", ["--tolerance", "nan"]),
+    (_set("tolerances", oracle=NAN), "oracle-check", []),
+    (_set("tolerances", oracle=INF), "oracle-check", []),
+    (_set("oracle", q=0), "oracle-check", []),
+    (_set("oracle", q=3), "oracle-check", []),
+    (_set("oracle", q=7), "oracle-check", []),
+    (_set("oracle", q=-4), "oracle-check", []),
+], ids=["map-nan", "map-inf", "loading-B-nan", "loading-A-inf", "mu_t-inf", "grid-x0-nan",
+        "grid-y1-inf", "grid-flag-nan", "tolerance-flag-nan", "tolerance-nan", "tolerance-inf",
+        "q-0", "q-3", "q-7", "q-minus-4"])
+def test_invalid_input_exits_config_before_output(tmp_path, edit, command, flags):
+    cfg = base_config()
+    if edit is not None:
+        edit(cfg)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out), *flags]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_non_finite_residual_is_a_solve_failure(tmp_path, monkeypatch):
+    assemble = cli.assemble_system
+
+    def nan_rhs(material, bundle, loading):
+        system = assemble(material, bundle, loading)
+        return dataclasses.replace(system, rhs=np.full_like(system.rhs, NAN))
+
+    monkeypatch.setattr(cli, "assemble_system", nan_rhs)
+    out = tmp_path / "out"
+    code = run(write_config(tmp_path, base_config()), command="solve", out_dir=str(out),
+               stream=io.StringIO())
+    assert code == EXIT_SOLVE
+    assert not out.exists()
 
 
 def test_field_on_elongated_ellipse_exits_ok(tmp_path):

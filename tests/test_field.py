@@ -35,12 +35,15 @@ from elastinc.geometry import (
 from elastinc.loading import LoadingSpec, boundary_series, rhs_vectors
 from elastinc.materials import MaterialPair
 from elastinc.system import DensitySolution, assemble_system, solve
+from elastinc.cli import CSV_HEADER, _write_field_csv
 from layer_reference import (
     _shifted_coefficients,
     deriv_layer_exterior,
     deriv_layer_interior,
+    grid_rows,
     log_layer_exterior,
     log_layer_interior,
+    write_field_rows,
 )
 
 EXACT_TOL = 1e-12
@@ -717,6 +720,69 @@ def test_all_exterior_grid_has_no_interior_samples():
     grid = GridSpec(3.0, 4.0, 3.0, 4.0, 3, 3)
     samples = grid_field(sol, loading, DISK, CAV, grid)
     assert all(s.region == "exterior" for s in samples)
+
+
+GRID_MAPS = {"disk": DISK, "ellipse": ELLIPSE, "fourterm": FOURTERM,
+             "elongated": ConformalMap(1.0, [0.0, 0.9])}
+STRADDLING = GridSpec(-2.2, 2.2, -1.3, 1.3, 23, 15)
+
+
+def solved_grid_case(name, material, n=16):
+    cmap = GRID_MAPS[name]
+    loading = LoadingSpec([0.0, 0.3 - 0.1j], [0.0, 1.0, 0.4j])
+    return solve(assemble_system(material, build_geometry(cmap, n), loading)), loading, cmap
+
+
+def row_key(s):
+    """Every FieldSample field but parts, exactly (repr keeps NaN and -0.0)."""
+    return (repr(s.w), repr(s.z), repr(s.u), s.region, repr(s.f), repr(s.fprime), repr(s.g),
+            s.near_boundary)
+
+
+@pytest.mark.parametrize("material", [CAV, TRANS], ids=["cavity", "transmission"])
+@pytest.mark.parametrize("name", sorted(GRID_MAPS))
+def test_grid_columns_rows_and_csv_match_row_reference(tmp_path, name, material):
+    sol, loading, cmap = solved_grid_case(name, material)
+    grid = grid_field(sol, loading, cmap, material, STRADDLING)
+    ref = grid_rows(sol, loading, cmap, material, STRADDLING)
+    assert len(grid) == len(ref) == STRADDLING.nx * STRADDLING.ny
+    assert {s.region for s in ref} == {"exterior", "interior"}
+    assert [row_key(s) for s in grid] == [row_key(s) for s in ref]
+    assert [row_key(grid[i]) for i in (0, 100, -1)] == [row_key(ref[i]) for i in (0, 100, -1)]
+    _write_field_csv(tmp_path / "columns.csv", grid)
+    write_field_rows(tmp_path / "rows.csv", CSV_HEADER, ref)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_empty_grid_csv_matches_row_reference(tmp_path):
+    sol, loading, cmap = solved_grid_case("disk", CAV)
+    empty = GridSpec(0.0, 1.0, 0.0, 1.0, 0, 0)
+    grid = grid_field(sol, loading, cmap, CAV, empty)
+    assert len(grid) == 0 and list(grid) == []
+    _write_field_csv(tmp_path / "columns.csv", grid)
+    write_field_rows(tmp_path / "rows.csv", CSV_HEADER, grid_rows(sol, loading, cmap, CAV, empty))
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("material", [CAV, TRANS], ids=["cavity", "transmission"])
+def test_grid_field_builds_no_field_sample(monkeypatch, material):
+    sol, loading, cmap = solved_grid_case("ellipse", material)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("grid_field built a FieldSample")
+
+    ref = grid_rows(sol, loading, cmap, material, STRADDLING)
+    monkeypatch.setattr("elastinc.field.FieldSample", no_sample)
+    grid = grid_field(sol, loading, cmap, material, STRADDLING)
+    monkeypatch.undo()
+    for name in ("w", "z", "u", "f", "fprime", "g"):
+        column = getattr(grid, name)
+        assert column.dtype == complex
+        assert column.tobytes() == np.array([getattr(s, name) for s in ref]).tobytes()
+    assert grid.interior.tolist() == [s.region == "interior" for s in ref]
+    assert grid.near.tolist() == [s.near_boundary for s in ref]
+    assert 0 < grid.interior.sum() < len(grid)
+    assert all(s.parts == {} for s in grid)
 
 
 def test_field_sample_rejects_unknown_region():

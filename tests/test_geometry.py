@@ -219,6 +219,16 @@ def test_rejects_bad_radius():
         ConformalMap(0.0, [0.1])
 
 
+@pytest.mark.parametrize("gamma,a", [(1.0, [0.0, np.nan]), (1.0, [np.inf, 0.3]),
+                                     (1.0, [0.0, complex(0.2, np.nan)]), (np.inf, [0.1]),
+                                     (np.nan, [0.1])])
+def test_rejects_non_finite_map(gamma, a):
+    with pytest.raises(GeometryError, match="finite"):
+        ConformalMap(gamma, a)
+    with pytest.raises(GeometryError, match="finite"):
+        ConformalMap(gamma, a, validate=False)
+
+
 def test_bundle_shapes_and_consistency():
     bundle = build_geometry(ELLIPSE, 6)
     for matrix in (bundle.faber_deriv, bundle.faber_deriv_scaled, bundle.grunsky,

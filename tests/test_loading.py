@@ -159,6 +159,14 @@ def test_loading_spec_validation():
     assert A.size == 6 and A[2] == 2.0 and np.all(B == 0)
 
 
+@pytest.mark.parametrize("A,B", [([0.0, np.nan], [0.0]), ([0.0, 1.0], [0.0, np.inf]),
+                                 ([0.0], [0.0, 1.0, complex(0.0, np.nan)]),
+                                 ([0.0, -np.inf], [0.0, 1.0])])
+def test_loading_spec_rejects_non_finite(A, B):
+    with pytest.raises(LoadingError, match="finite"):
+        LoadingSpec(A, B)
+
+
 def test_block_row_layout():
     # the assembled right-hand side is -2 [Re h; Im h] over the equation
     # families, without the structurally zero index-0 entries

@@ -45,6 +45,14 @@ def test_rejects_non_elliptic(lam, mu):
         derive_constants(lam, mu)
 
 
+@pytest.mark.parametrize("lam_ext,mu_ext,lam_int,mu_int", [
+    (2.0, 1.0, 4.0, np.inf), (2.0, 1.0, np.inf, 3.0), (np.inf, 1.0, 4.0, 3.0),
+    (2.0, np.inf, 4.0, 3.0), (2.0, 1.0, np.nan, 3.0)])
+def test_material_pair_rejects_non_finite(lam_ext, mu_ext, lam_int, mu_int):
+    with pytest.raises(MaterialError):
+        MaterialPair(lam_ext, mu_ext, lam_int=lam_int, mu_int=mu_int)
+
+
 def test_cavity_pair():
     pair = cavity_limit(1.0, 1.0)
     assert pair.cavity

@@ -6,6 +6,8 @@ transform directly on the circle, form the coupling combination pointwise,
 and read its two-sided power coefficients off an FFT.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,17 @@ def test_zero_loading_zero_solution():
     assert sol.converged
     assert np.allclose(sol.xe_plus, 0.0, atol=1e-14)
     assert np.allclose(sol.xe_minus, 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rhs_is_not_converged(bad):
+    # a zero rhs is the only case whose residual is defined as 0
+    system = assemble_system(CAV, build_geometry(ELLIPSE, 8), single_mode(1, 1.0, 8))
+    rhs = system.rhs.copy()
+    rhs[3] = bad
+    sol = solve(dataclasses.replace(system, rhs=rhs))
+    assert np.isnan(sol.residual)
+    assert not sol.converged
 
 
 def test_realification_round_trip():
