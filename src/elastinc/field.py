@@ -6,16 +6,17 @@ driven by a pair of holomorphic functions (f, g):
 
     u = loading_part + (kappa f - z conj(f') - conj(g) - mean_term) / 2.
 
-Every sum over the map-adapted (Faber) polynomials, the loading's and the
-layer terms', runs the Faber recurrence on the point values
+Sums over the map-adapted (Faber) polynomials in z, the loading's and the
+interior layer terms', run the Faber recurrence on the point values
 (geometry.faber_series), so no monomial coefficients are formed. The layer
 terms shift their densities to the conjugate coordinate by one convolution
-with the map coefficients. Exterior layer terms carry two interchangeable
-routes: a polynomial route, exact near the boundary, that adds explicit
-two-sided powers of w to the Faber sums, and a tail route for far points
-that sums the reflected coefficient series in 1/w. The switch radius keeps
-both routes well inside their accurate regimes. Interior evaluation uses the
-Faber sums alone, valid throughout the inclusion.
+with the map coefficients. Outside, the layer terms decay, and for a
+Laurent-polynomial map of depth K they are finite Laurent series in 1/w:
+F_m(Psi(w)) = w^m + sum_{k <= mK} c_mk w^-k, whose w^m cancels against the
+density's explicit powers. Their coefficients are built once, exactly, from
+the Grunsky rows and summed at every |w| >= gamma by one Horner pass.
+Interior evaluation uses the Faber sums alone, valid throughout the
+inclusion.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .materials import MaterialPair
 from .system import DensitySolution
 
 DEFAULT_BOUNDARY_BAND = 1e-3
-FAR_SWITCH_RATIO = 2.0
-FAR_TAIL_TERMS = 64
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-13
 REGION_SAMPLES = 2048
@@ -153,7 +152,10 @@ class FieldEvaluator:
     The solution's coefficients belong to the unit-radius problem, so the
     series are built for unit_radius(cmap) and the loading rescaled to it,
     and are evaluated at w / gamma and z / gamma; since z = gamma zeta, f and g
-    keep their values and f' is divided by gamma on output.
+    keep their values and f' is divided by gamma on output. The exterior
+    layer terms are one exact Laurent series in 1/w at every |w| >= gamma
+    (tail, built on the first exterior evaluation); the loading and the
+    interior layer terms are Faber sums in z.
     """
 
     def __init__(self, solution: DensitySolution, loading: LoadingSpec,
@@ -182,23 +184,15 @@ class FieldEvaluator:
             return out
 
         xp, xm = solution.xe_plus, solution.xe_minus
-        x = density(xp, xm)
         # the conjugate-coordinate multiple of the density, powers -n-1..n+K
-        y = np.convolve(x, kernel)
-        # rows: (L, Lbar) as sums of F_m(z), (C, Cy) as sums of F_m'(z)
-        self.faber_values = np.stack([layer(xp[1:]), layer(np.conj(xm[1:]))])
-        self.faber_derivs = np.stack([layer(xp[1:]), layer(y[n + 2 :])])
-
-        # polynomial route: Faber series in z plus explicit powers of w
-        self.wpos_L = np.concatenate([[0.0], xp[1:] * scale[:n]])
-        self.wneg_L = np.concatenate([[0.0], -xm[1:] * scale[:n]])
-        self.wpos_Lbar, self.wneg_Lbar = -np.conj(self.wneg_L), -np.conj(self.wpos_L)
-        # numerators of the 1/Psi' parts, sum_j x_j w^(j-1) and sum_j y_j w^(j-1);
-        # boundary_series reads their w^0 term, index 0 of both slices, from neg
-        self.vpos_C, self.vneg_C = x[n + 1 :], x[n + 1 :: -1]
-        self.ypos_C, self.yneg_C = y[n + 2 :], y[n + 2 :: -1]
+        y = np.convolve(density(xp, xm), kernel)
+        # rows (L, Lbar, Cy): L and Lbar as sums of F_m(z), Cy as a sum of F_m'(z)
+        self.faber_rows = np.stack([layer(xp[1:]), layer(np.conj(xm[1:])), layer(y[n + 2 :])])
+        # the w^-k terms of L and Lbar beside their Faber sums, y_0, y_-1, ...,
+        # y_-n-1 beside that of Cy, and the log w coefficient of L
+        self.wneg = np.stack([-xm[1:], -np.conj(xp[1:])]) * scale[:n]
+        self.yneg = y[n + 1 :: -1]
         self.x0_log = xm[0]
-        self.x0bar_log = np.conj(xm[0])
 
         # loading of the unit-radius problem: rows (f, g) as sums of F_m(z), f' of F_m'(z)
         A, B = loading.unit_radius(self.gamma).padded(loading.order)
@@ -214,60 +208,31 @@ class FieldEvaluator:
             self.mean_i = xmi[0]
 
     @cached_property
-    def tail(self):
-        """Tail-route coefficients (f, fbar, C, q), reflected series in 1/w.
+    def tail(self) -> np.ndarray:
+        """Rows (f, fbar, C, q) of the exterior layer terms, Laurent series in 1/w.
 
-        The w^0 slot of the derivative tails C and q holds the w^-1
-        coefficient. Built on the first far-route evaluation: points near
-        the boundary never need it.
+        Column k of f and fbar is the w^-k coefficient of L and Lbar without
+        their log terms; C and q are w Psi'(w) times Cpsi and Cy, so that
+        the log term contributes x0 to the w^0 slot of C. Every Faber row
+        stops at the order n + K, and c_mk = 0 for k > mK, so with
+        max(n + 2, (n + K) K) columns the series are exact, not truncated.
+        Built on the first exterior evaluation: interior evaluation never
+        needs it.
         """
         n = self.solution.n
-        kfar = max(FAR_TAIL_TERMS, n)
+        order = self.faber_rows.shape[1] - 1
+        kfar = max(n + 2, order * self.unit.depth)
         ks = np.arange(kfar + 1)
-        rows = np.concatenate([self.faber_values, self.faber_derivs[1:]])
-        order = rows.shape[1] - 1
-        tail_f, tail_fbar, tail_y = rows @ grunsky_rows(self.unit, order, kfar)
-        tail_f[1 : n + 1] += self.wneg_L[1:]
-        tail_fbar[1 : n + 1] += self.wneg_Lbar[1:]
-        tail_C = -ks * tail_f
-        tail_C[0] = self.x0_log
-        ynegs = self.yneg_C[1:][: kfar + 1]  # y_0, y_-1, ..., cut off at kfar
-        tail_q = -ks * tail_y
-        tail_q[: ynegs.size] += ynegs
-        return tail_f, tail_fbar, tail_C, tail_q
+        tail = np.zeros((4, kfar + 1), dtype=complex)
+        tail[[0, 1, 3]] = self.faber_rows @ grunsky_rows(self.unit, order, kfar)
+        tail[:2, 1 : n + 1] += self.wneg
+        tail[2] = -ks * tail[0]
+        tail[2, 0] = self.x0_log
+        tail[3] *= -ks
+        tail[3, : n + 2] += self.yneg
+        return tail
 
     # -- exterior ----------------------------------------------------------
-
-    def _pair_near(self, w, z):
-        """(f, f', g) of the layer terms at unit-radius points w, z = Psi_1(w)."""
-        alpha, beta = self.material.alpha, self.material.beta
-        dpsi = eval_map_derivative(self.unit, w)
-        logw = np.log(w)
-        (sL, sLbar), (sC, sCy) = faber_series(self.unit, z, self.faber_values, self.faber_derivs)
-        Lpsi = sL + boundary_series(self.wpos_L, self.wneg_L, w) + self.x0_log * logw
-        Lbar = sLbar + boundary_series(self.wpos_Lbar, self.wneg_Lbar, w) + self.x0bar_log * logw
-        Cpsi = sC + boundary_series(self.vpos_C, self.vneg_C, w) / dpsi
-        Cy = sCy + boundary_series(self.ypos_C, self.yneg_C, w) / dpsi
-        f = beta * Lpsi
-        fp = beta * Cpsi
-        g = -alpha * Lbar - beta * Cy
-        return f, fp, g
-
-    def _pair_far(self, w, z):
-        """The tail route for _pair_near's arguments, valid for |w| > 1."""
-        alpha, beta = self.material.alpha, self.material.beta
-        wdpsi = w * eval_map_derivative(self.unit, w)
-        logw = np.log(w)
-        zero = np.zeros(1)
-        tail_f, tail_fbar, tail_C, tail_q = self.tail
-        Lpsi = boundary_series(zero, tail_f, w) + self.x0_log * logw
-        Lbar = boundary_series(zero, tail_fbar, w) + self.x0bar_log * logw
-        Cpsi = boundary_series(zero, tail_C, w) / wdpsi
-        Cy = boundary_series(zero, tail_q, w) / wdpsi
-        f = beta * Lpsi
-        fp = beta * Cpsi
-        g = -alpha * Lbar - beta * Cy
-        return f, fp, g
 
     def exterior_arrays(self, w: np.ndarray) -> dict:
         """Vectorized exterior evaluation at preimage points w, |w| >= gamma.
@@ -280,14 +245,13 @@ class FieldEvaluator:
             raise FieldError("exterior evaluation requires |w| >= gamma")
         z = eval_map(self.cmap, w)
         omega, zeta = w / self.gamma, z / self.gamma
-        f = np.zeros_like(w)
-        fp = np.zeros_like(w)
-        g = np.zeros_like(w)
-        near = np.abs(omega) < FAR_SWITCH_RATIO
-        if np.any(near):
-            f[near], fp[near], g[near] = self._pair_near(omega[near], zeta[near])
-        if np.any(~near):
-            f[~near], fp[~near], g[~near] = self._pair_far(omega[~near], zeta[~near])
+        alpha, beta = self.material.alpha, self.material.beta
+        L, Lbar, C, q = boundary_series(np.zeros(1), self.tail, omega)
+        logw = np.log(omega)
+        wdpsi = omega * eval_map_derivative(self.unit, omega)
+        f = beta * (L + self.x0_log * logw)
+        fp = beta * (C / wdpsi)
+        g = -alpha * (Lbar + np.conj(self.x0_log) * logw) - beta * (q / wdpsi)
         kappa = self.material.kappa
         (fH, gH), (dfH,) = faber_series(self.unit, zeta, self.load_values, self.load_derivs)
         H = kappa * fH - zeta * np.conj(dfH) - np.conj(gH)

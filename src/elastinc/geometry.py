@@ -163,24 +163,22 @@ def _polyline_self_intersects(pts: np.ndarray) -> bool:
     appears at least once, ordered by x-min), and only those are tested.
     """
     m = pts.shape[0]
-    p1 = pts
-    p2 = np.roll(pts, -1, axis=0)
-    xlo = np.minimum(p1[:, 0], p2[:, 0])
-    xhi = np.maximum(p1[:, 0], p2[:, 0])
-    i, j = sweep_pairs(xlo, xlo, xhi)
-
-    def cross(o, d, q):
-        # z-component of (d) x (q - o)
-        return d[..., 0] * (q[..., 1] - o[..., 1]) - d[..., 1] * (q[..., 0] - o[..., 0])
-
-    d = p2 - p1
-    d1 = cross(p1[i], d[i], p1[j])
-    d2 = cross(p1[i], d[i], p2[j])
-    d3 = cross(p1[j], d[j], p1[i])
-    d4 = cross(p1[j], d[j], p2[i])
-    proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-    adjacent = (np.abs(i - j) % (m - 1)) <= 1
-    return bool(np.any(proper & ~adjacent))
+    x1, y1 = pts[:, 0], pts[:, 1]
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    xlo = np.minimum(x1, x2)
+    i, j = sweep_pairs(xlo, xlo, np.maximum(x1, x2))
+    keep = (np.abs(i - j) % (m - 1)) > 1  # adjacent segments share an endpoint
+    i, j = i[keep], j[keep]
+    dx, dy = x2 - x1, y2 - y1
+    # each endpoint coordinate gathered once; the orientation of q about
+    # segment s is the z-component of d_s x (q - p1_s)
+    xi, yi, x2i, y2i, dxi, dyi = (v[i] for v in (x1, y1, x2, y2, dx, dy))
+    xj, yj, x2j, y2j, dxj, dyj = (v[j] for v in (x1, y1, x2, y2, dx, dy))
+    d1 = dxi * (yj - yi) - dyi * (xj - xi)
+    d2 = dxi * (y2j - yi) - dyi * (x2j - xi)
+    d3 = dxj * (yi - yj) - dyj * (xi - xj)
+    d4 = dxj * (y2i - yj) - dyj * (x2i - xj)
+    return bool(np.any((d1 * d2 < 0.0) & (d3 * d4 < 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +309,17 @@ def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
     every power down to -kmax is exact.
     """
     b = cmap.a * cmap.gamma ** -(np.arange(cmap.a.size) + 1.0)
+    b = b if b.size else np.zeros(1)  # Psi(w) = w, written with a0 = 0
+    psi = np.append(b[::-1], 1.0)  # Psi's coefficients, powers -K..1
     zero = rows + kmax  # column of w^0
     G = np.zeros((rows + 1, zero + rows + 1), dtype=complex)
     G[0, zero] = 1.0
     for m in range(rows):
-        g = np.zeros(G.shape[1], dtype=complex)
-        g[1:] = G[m, :-1]  # w G_m
-        for j, bj in enumerate(b):
-            g[: g.size - j] += bj * G[m, j:]  # b_j w^{-j} G_m
+        g = np.convolve(G[m], psi)[b.size - 1 : b.size - 1 + G.shape[1]]  # Psi G_m
         if m < b.size:
             g[zero] -= m * b[m]
-        for k in range(max(0, m - b.size + 1), m + 1):
-            g -= b[m - k] * G[k]
+        lo = max(0, m - b.size + 1)
+        g -= b[m - lo :: -1] @ G[lo : m + 1]  # sum_k b_{m-k} G_k
         G[m + 1] = g
     C = G[:, zero - kmax : zero + 1][:, ::-1].copy()
     C[:, 0] = 0.0

@@ -162,13 +162,24 @@ def loading_pair(spec: LoadingSpec, cmap: ConformalMap) -> tuple[np.ndarray, np.
 
 
 def boundary_series(pos: np.ndarray, neg: np.ndarray, w):
-    """Evaluate sum_k pos[k] w^k + sum_k neg[k] w^{-k} (index 0 read from neg)."""
+    """Evaluate sum_k pos[..., k] w^k + sum_k neg[..., k] w^{-k} (index 0 read from neg).
+
+    Leading axes of pos and neg are coefficient rows, broadcast against each
+    other: every row is summed at every point by one Horner pass per sign,
+    and the result has shape rows + w.shape. The pass in 1/w runs in place
+    on the result.
+    """
     w = np.asarray(w, dtype=complex)
-    out = np.zeros_like(w)
-    for k in range(pos.size - 1, 0, -1):
-        out = (out + pos[k]) * w
+    pos, neg = (np.moveaxis(np.asarray(c), -1, 0) for c in (pos, neg))
+    pos, neg = (c.reshape(c.shape + (1,) * w.ndim) for c in (pos, neg))
+    out = np.zeros(np.broadcast_shapes(pos.shape[1:], neg.shape[1:], w.shape), dtype=complex)
     winv = 1.0 / w
-    acc = np.zeros_like(w)
-    for k in range(neg.size - 1, 0, -1):
-        acc = (acc + neg[k]) * winv
-    return out + acc + neg[0]
+    for k in range(len(neg) - 1, 0, -1):
+        out += neg[k]
+        out *= winv
+    acc = 0.0
+    for k in range(len(pos) - 1, 0, -1):
+        acc = (acc + pos[k]) * w
+    out += acc
+    out += neg[0]
+    return out

@@ -1,9 +1,10 @@
 """Per-mode reference implementations of the layer transforms.
 
-FieldEvaluator sums combined coefficient series by the Faber recurrence;
-these straightforward per-mode sums over the monomial Faber coefficients,
-and the per-entry dict form of the conjugate-coordinate shift, are the
-routes the tests compare it against. The row-wise grid evaluation and
+FieldEvaluator sums combined coefficient series by the Faber recurrence
+inside and by one Laurent series in 1/w outside; these straightforward
+per-mode sums over the monomial Faber coefficients, the per-mode Grunsky
+form of the exterior series, and the per-entry dict form of the
+conjugate-coordinate shift, are the routes the tests compare it against. The row-wise grid evaluation and
 field.csv writer at the end are the references for grid_field's columns
 and the CLI's column-wise writer.
 """
@@ -18,6 +19,7 @@ from elastinc.geometry import (
     eval_map,
     eval_map_derivative,
     faber_matrix,
+    grunsky_rows,
     monomial_derivative_matrix,
     poly_eval,
 )
@@ -43,6 +45,41 @@ def _shifted_coefficients(cmap: ConformalMap, full: dict) -> dict:
             j = k + l
             out[j] = out.get(j, 0.0) + np.conj(al) * gamma ** (-l) * xk
     return out
+
+
+def exterior_tail(cmap: ConformalMap, solution, kmax: int) -> np.ndarray:
+    """The exterior series rows (f, fbar, C, q) of FieldEvaluator.tail, mode by mode.
+
+    Column k multiplies w^-k on the unit-radius map cmap, up to k = kmax.
+    With the Grunsky coefficients c_mk of F_m(Psi(w)) = w^m + sum_k c_mk w^-k
+    and y the dict-shifted density:
+        f_k = sum_m (-x_m / m) c_mk - x_-k / k,  fbar likewise for the
+        conjugate density, C_k = -k f_k with C_0 = x_0, and
+        q_k = sum_{j >= 1} y_j (k / j) c_jk + y_-k.
+    """
+    n = solution.n
+    xp, xm = solution.xe_plus, solution.xe_minus
+    full = {m: xp[m] for m in range(1, n + 1)}
+    full.update({-k: xm[k] for k in range(1, n + 1)})
+    full[0] = xm[0]
+    y = _shifted_coefficients(cmap, full)
+    c = grunsky_rows(cmap, max([j for j in y if j >= 1] + [n, 1]), kmax)
+    ks = np.arange(kmax + 1)
+    rows = np.zeros((4, kmax + 1), dtype=complex)
+    for m in range(1, n + 1):
+        rows[0] += -xp[m] / m * c[m]
+        rows[1] += -np.conj(xm[m]) / m * c[m]
+        if m <= kmax:
+            rows[0, m] -= xm[m] / m
+            rows[1, m] -= np.conj(xp[m]) / m
+    rows[2] = -ks * rows[0]
+    rows[2, 0] = xm[0]
+    for j, yj in y.items():
+        if j >= 1:
+            rows[3] += yj * (ks / j) * c[j]
+        elif -j <= kmax:
+            rows[3, -j] += yj
+    return rows
 
 
 def log_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray, w):

@@ -21,7 +21,6 @@ from elastinc.field import (
     grid_field,
     invert_map,
     transmission_residual,
-    FAR_TAIL_TERMS,
     REGION_SAMPLES,
 )
 from elastinc.geometry import (
@@ -29,6 +28,7 @@ from elastinc.geometry import (
     build_geometry,
     eval_map,
     eval_map_derivative,
+    faber_series,
     grunsky_rows,
     unit_radius,
 )
@@ -40,6 +40,7 @@ from layer_reference import (
     _shifted_coefficients,
     deriv_layer_exterior,
     deriv_layer_interior,
+    exterior_tail,
     grid_rows,
     log_layer_exterior,
     log_layer_interior,
@@ -54,6 +55,7 @@ TRANS = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
 DISK = ConformalMap(1.0, [0.5])
 ELLIPSE = ConformalMap(1.0, [0.5, 0.3])
 FOURTERM = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+ELONGATED = ConformalMap(1.0, [0.0, 0.9])
 BOUNDARY_TOL = 1e-13
 
 
@@ -133,12 +135,12 @@ def test_evaluator_matches_per_mode_sums():
     loading = LoadingSpec(np.zeros(2), np.zeros(2))
     ev = FieldEvaluator(sol, loading, cmap, mat)
     # the coefficients belong to the unit-radius map: compare per-mode sums
-    # there, at unit-radius preimages
+    # there, at unit-radius preimages; with no loading, the evaluator's f,
+    # f' and g are half the layer terms, f' in physical units
     unit = unit_radius(cmap)
     w = np.array([1.3, 1.8]) * np.exp(1j * np.array([0.4, 2.9]))
-    z = eval_map(unit, w)
-
-    f, fp, g = ev._pair_near(w, z)
+    outer = ev.exterior_arrays(cmap.gamma * w)
+    f, fp, g = 2 * outer["f"], 2 * cmap.gamma * outer["fprime"], 2 * outer["g"]
     beta, alpha = mat.beta, mat.alpha
     want_f = beta * log_layer_exterior(unit, sol.xe_plus, sol.xe_minus, w)
     assert np.allclose(f, want_f, atol=EXACT_TOL)
@@ -192,35 +194,68 @@ def test_evaluator_matches_per_mode_sums():
     assert np.allclose(2 * arrays["g"], gi, atol=EXACT_TOL)
 
 
-def test_near_and_far_routes_agree():
-    rng = np.random.default_rng(11)
-    cmap = ConformalMap(1.1, [0.2, 0.15 - 0.1j])
-    sol = random_solution(rng, 8, mode="cavity")
+def scattered_part(rows, x0, material, cmap, w):
+    """The layer part of u at exterior points w from series rows (f, fbar, C, q).
+
+    Every column is summed term by term, with no Horner pass, at the
+    unit-radius points w / gamma.
+    """
+    omega = w / cmap.gamma
+    zeta = eval_map(cmap, w) / cmap.gamma
+    ks = np.arange(rows.shape[1])[:, None]
+    L, Lbar, C, q = rows @ omega ** -ks
+    logw = np.log(omega)
+    wdpsi = omega * eval_map_derivative(unit_radius(cmap), omega)
+    alpha, beta = material.alpha, material.beta
+    f = beta * (L + x0 * logw)
+    fp = beta * C / wdpsi
+    g = -alpha * (Lbar + np.conj(x0) * logw) - beta * q / wdpsi
+    return 0.5 * (material.kappa * f - zeta * np.conj(fp) - np.conj(g))
+
+
+def seeded_depth5_map():
+    rng = np.random.default_rng(5)
+    a = 0.06 * (rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
+    return ConformalMap(1.3, a * 1.3 ** (np.arange(6) + 1.0))
+
+
+@pytest.mark.parametrize("n", [6, 32])
+@pytest.mark.parametrize("cmap", [ELONGATED, FOURTERM, seeded_depth5_map()],
+                         ids=["elongated", "fourterm", "depth5"])
+def test_exterior_series_is_exact(cmap, n):
+    # c_mk = 0 for k > mK, so the series stops: a reference with 40 more
+    # columns has exact zeros there, and on |w| = gamma, where nothing
+    # decays (c_mm = 0.9^m on the elongated ellipse), the rows agree
+    sol = random_solution(np.random.default_rng(n), n, mode="cavity")
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, CAV)
-    # both routes take unit-radius preimages
-    w = np.array([2.5, 3.0, 6.0]) * np.exp(1j * np.array([0.3, 1.7, 5.1]))
-    z = eval_map(unit_radius(cmap), w)
-    near = ev._pair_near(w, z)
-    far = ev._pair_far(w, z)
-    for a, b in zip(near, far):
-        assert np.allclose(a, b, atol=1e-11)
+    kfar = ev.tail.shape[1] - 1
+    ref = exterior_tail(unit_radius(cmap), sol, kfar + 40)
+    assert np.all(ref[:, kfar + 1 :] == 0.0)
+    w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))  # |w| = gamma
+    got = boundary_series(np.zeros(1), ev.tail, w)
+    want = boundary_series(np.zeros(1), ref, w)
+    err = np.max(np.abs(got - want), axis=1)
+    assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=1))
 
 
-def test_near_and_far_routes_agree_beyond_64_modes():
-    # n = 80 exceeds the default far-field tail length. The near route
-    # multiplies the roundoff-level high modes of the density by up to
-    # m |w|^m = 80 * 2^80 here, which limits agreement to about 1e-9.
+def test_exterior_series_has_no_seam_beyond_64_modes():
+    # n = 80 on the elongated ellipse, a density of unit size in every mode:
+    # on both sides of |w| = 2 gamma, where an evaluation route could switch,
+    # the field matches a 600-column Grunsky sum. Faber sums in z plus
+    # explicit powers of w would cancel terms of size 2^80 there.
     n = 80
-    loading = single_mode(1, 1.0, 1)
-    sol = solve(assemble_system(TRANS, build_geometry(ELLIPSE, n), loading))
-    ev = FieldEvaluator(sol, loading, ELLIPSE, TRANS)
-    w = 2.0 * ELLIPSE.gamma * np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
-    z = eval_map(ELLIPSE, w)
-    for a, b in zip(ev._pair_near(w, z), ev._pair_far(w, z)):
-        assert np.allclose(a, b, rtol=0.0, atol=1e-8 * np.max(np.abs(b)))
-    # exterior_arrays switches routes at |w| = 2 gamma
-    inside = ev.exterior_arrays(w * (1.0 - 1e-12))["u"]
-    outside = ev.exterior_arrays(w * (1.0 + 1e-12))["u"]
+    sol = random_solution(np.random.default_rng(80), n)
+    ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), ELONGATED, TRANS)
+    ref = exterior_tail(unit_radius(ELONGATED), sol, 600)
+    w = 2.0 * ELONGATED.gamma * np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
+    sides = []
+    for side in (w * (1.0 - 1e-12), w * (1.0 + 1e-12)):
+        arrays = ev.exterior_arrays(side)
+        got = arrays["f_part"] + arrays["fprime_part"] + arrays["g_part"]
+        want = scattered_part(ref, sol.xe_minus[0], TRANS, ELONGATED, side)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        sides.append(arrays["u"])
+    inside, outside = sides
     assert np.allclose(inside, outside, rtol=0.0, atol=1e-8 * np.max(np.abs(outside)))
 
 
@@ -229,7 +264,7 @@ def test_near_and_far_routes_agree_beyond_64_modes():
     (2, 1.0, 1, 4),    # a = [a0]
     (3, 1.0, 3, 1),
     (4, 1.7, 4, 6),
-    (5, 0.6, 3, 80),   # above FAR_TAIL_TERMS: the tail cuts y_-k off at kfar
+    (5, 0.6, 3, 80),   # n = 80: the series holds every y_-k
 ])
 def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
     rng = np.random.default_rng(seed)
@@ -240,7 +275,7 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
     sol = random_solution(rng, n)
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, TRANS)
     w = 1.1 * np.exp(1j * np.array([0.2, 1.9, 4.4]))
-    sides = ((sol.xe_plus, sol.xe_minus, ev.faber_derivs[1]),
+    sides = ((sol.xe_plus, sol.xe_minus, ev.faber_rows[2]),
              (sol.xi_plus, sol.xi_minus, ev.faber_derivs_i[1]))
     shifted = []
     for plus, minus, faber_row in sides:
@@ -255,14 +290,19 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
                 want_row[j] = -yj / j
         assert np.allclose(faber_row, want_row, rtol=0.0, atol=EXACT_TOL)
 
-    # exterior side: the 1/Psi' numerator sum_j y_j w^(j-1) and the far tail
+    # exterior side: the series row q is w Psi'(w) times the Faber sum of Cy
+    # plus the 1/Psi' numerator sum_j y_j w^(j-1); check that numerator, then
+    # the coefficients of the series
     y = shifted[0]
     terms = [yj * w ** (j - 1) for j, yj in y.items()]
     scale = np.sum(np.abs(terms), axis=0)
-    got = boundary_series(ev.ypos_C, ev.yneg_C, w)
+    blank = np.zeros((1, ev.faber_rows.shape[1]))
+    _, (sCy,) = faber_series(unit, eval_map(unit, w), blank, ev.faber_rows[2:])
+    got = boundary_series(np.zeros(1), ev.tail[3], w) / w - eval_map_derivative(unit, w) * sCy
     assert np.all(np.abs(got - np.sum(terms, axis=0)) <= EXACT_TOL * scale)
 
-    kfar = max(FAR_TAIL_TERMS, n)
+    order = ev.faber_rows.shape[1] - 1
+    kfar = max(n + 2, order * unit.depth)
     top = max([j for j in y if j >= 1] + [1])
     Cg = grunsky_rows(unit, top, kfar)
     want_q = np.zeros(kfar + 1, dtype=complex)
@@ -426,19 +466,19 @@ def test_interface_residual_tracks_truncation():
     assert residual[32] <= 1e-3 * residual[16]
 
 
-def test_near_evaluation_builds_no_far_tail(monkeypatch):
+def test_interior_evaluation_builds_no_tail(monkeypatch):
     sol, loading = solved_ellipse_transmission()
 
     def no_tail(*args):
-        raise RuntimeError("far-route tail built")
+        raise RuntimeError("exterior series built")
 
     monkeypatch.setattr("elastinc.field.grunsky_rows", no_tail)
-    r_disp, r_trac = transmission_residual(sol, loading, ELLIPSE, TRANS, 64)
-    assert max(r_disp, r_trac) <= BOUNDARY_TOL
     ev = FieldEvaluator(sol, loading, ELLIPSE, TRANS)
-    ev.exterior_arrays(np.array([1.5, 1.9j]))
-    with pytest.raises(RuntimeError, match="far-route tail"):
-        ev.exterior_arrays(np.array([3.0]))
+    z = eval_map(ELLIPSE, 0.97 * ELLIPSE.gamma * np.exp(1j * np.array([0.3, 2.0])))
+    assert np.all(np.isfinite(ev.interior_arrays_z(z)["u"]))
+    assert np.isfinite(eval_interior(sol, ELLIPSE, TRANS, 0.95 * np.exp(0.4j)).u)
+    with pytest.raises(RuntimeError, match="exterior series"):
+        ev.exterior_arrays(np.array([1.5, 3.0]))
 
 
 def test_transmission_residual_requires_transmission():

@@ -327,6 +327,55 @@ def test_self_intersection_matches_brute_force_on_fixture_maps():
     assert verdicts == [False] * (len(FIXTURE_MAPS) - 1) + [True]
 
 
+def random_polygon(rng, kind):
+    """A closed polygon: random vertices, star-shaped, or star-shaped with two vertices swapped.
+
+    Vertices in sorted angular order about the origin make a simple star-shaped
+    polygon; swapping two non-adjacent vertices usually makes it cross itself.
+    """
+    m = int(rng.integers(4, 160))
+    if kind == "random":
+        return rng.standard_normal((m, 2))
+    theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    r = 0.5 + rng.random(m)
+    pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+    if kind == "swapped":
+        i = int(rng.integers(0, m - 2))
+        j = int(rng.integers(i + 2, m))
+        pts[[i, j]] = pts[[j, i]]
+    return pts
+
+
+def test_self_intersection_matches_brute_force_on_random_polygons():
+    rng = np.random.default_rng(400)
+    verdicts = {"random": [], "star": [], "swapped": []}
+    for _ in range(150):
+        for kind, seen in verdicts.items():
+            pts = random_polygon(rng, kind)
+            seen.append(brute_self_intersects(pts))
+            assert _polyline_self_intersects(pts) == seen[-1]
+    assert not any(verdicts["star"])
+    assert sum(verdicts["random"]) >= 140 and sum(verdicts["swapped"]) >= 100
+
+
+@pytest.mark.parametrize("m, step", [(5, 2), (7, 2), (7, 3), (8, 3), (7, 1)])
+def test_self_intersection_of_regular_star_polygons(m, step):
+    # the star polygon {m/step} joins every step-th vertex of a regular
+    # m-gon: it crosses itself unless step is 1
+    angles = 2.0 * np.pi * step * np.arange(m) / m
+    pts = np.column_stack([np.cos(angles), np.sin(angles)])
+    assert _polyline_self_intersects(pts) == brute_self_intersects(pts) == (step > 1)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", [[0.0], [0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]],
+                         ids=["disk", "ellipse", "fourterm", "elongated"])
+def test_self_intersection_matches_brute_force_on_benchmark_maps(shape, gamma):
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    pts = sampled_boundary(cmap)
+    assert _polyline_self_intersects(pts) is brute_self_intersects(pts) is False
+
+
 def test_map_validation_peak_memory():
     # the all-pairs scan peaked near 51 MB on this map; the sweep needs well under 1 MB
     tracemalloc.start()
