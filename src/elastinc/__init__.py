@@ -17,9 +17,6 @@ from .field import (
     FieldGrid,
     FieldSample,
     GridSpec,
-    eval_exterior,
-    eval_interior,
-    eval_traction_potential,
     transmission_residual,
     boundary_traction_spread,
     classify_points,
@@ -57,9 +54,6 @@ __all__ = [
     "FieldGrid",
     "FieldSample",
     "GridSpec",
-    "eval_exterior",
-    "eval_interior",
-    "eval_traction_potential",
     "transmission_residual",
     "boundary_traction_spread",
     "classify_points",

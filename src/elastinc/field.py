@@ -37,7 +37,7 @@ from .geometry import (
     sweep_pairs,
     unit_radius,
 )
-from .loading import LoadingSpec, boundary_series
+from .loading import LoadingSeries, LoadingSpec, boundary_series
 from .materials import MaterialPair
 from .system import DensitySolution
 
@@ -150,12 +150,12 @@ class FieldEvaluator:
     """Precomputed series data for evaluating one solved configuration.
 
     The solution's coefficients belong to the unit-radius problem, so the
-    series are built for unit_radius(cmap) and the loading rescaled to it,
-    and are evaluated at w / gamma and z / gamma; since z = gamma zeta, f and g
-    keep their values and f' is divided by gamma on output. The exterior
-    layer terms are one exact Laurent series in 1/w at every |w| >= gamma
-    (tail, built on the first exterior evaluation); the loading and the
-    interior layer terms are Faber sums in z.
+    series are built for unit_radius(cmap) and are evaluated at w / gamma
+    and z / gamma; since z = gamma zeta, f and g keep their values and f'
+    is divided by gamma on output. The exterior layer terms are one exact
+    Laurent series in 1/w at every |w| >= gamma (tail, built on the first
+    exterior evaluation); the interior layer terms are Faber sums in z, and
+    the loading is summed the same way by a loading.LoadingSeries.
     """
 
     def __init__(self, solution: DensitySolution, loading: LoadingSpec,
@@ -193,10 +193,7 @@ class FieldEvaluator:
         self.wneg = np.stack([-xm[1:], -np.conj(xp[1:])]) * scale[:n]
         self.yneg = y[n + 1 :: -1]
         self.x0_log = xm[0]
-
-        # loading of the unit-radius problem: rows (f, g) as sums of F_m(z), f' of F_m'(z)
-        A, B = loading.unit_radius(self.gamma).padded(loading.order)
-        self.load_values, self.load_derivs = np.stack([A, -B]), A[None]
+        self.load_series = LoadingSeries(loading, cmap)
 
         # interior polynomials (transmission mode)
         if solution.mode == "transmission":
@@ -253,8 +250,8 @@ class FieldEvaluator:
         fp = beta * (C / wdpsi)
         g = -alpha * (Lbar + np.conj(self.x0_log) * logw) - beta * (q / wdpsi)
         kappa = self.material.kappa
-        (fH, gH), (dfH,) = faber_series(self.unit, zeta, self.load_values, self.load_derivs)
-        H = kappa * fH - zeta * np.conj(dfH) - np.conj(gH)
+        fH, gH, dfH = self.load_series.potentials(z)
+        H = kappa * fH - z * np.conj(dfH) - np.conj(gH)
         f_part = 0.5 * kappa * f
         fp_part = -0.5 * zeta * np.conj(fp)
         g_part = -0.5 * np.conj(g)
@@ -263,7 +260,7 @@ class FieldEvaluator:
             "z": z,
             "u": u,
             "f": fH + 0.5 * f,
-            "fprime": (dfH + 0.5 * fp) / self.gamma,
+            "fprime": dfH + 0.5 * fp / self.gamma,
             "g": gH + 0.5 * g,
             "load_part": H,
             "f_part": f_part,
@@ -311,36 +308,6 @@ class FieldEvaluator:
             raise FieldError("interior evaluation requires |w| <= gamma")
         z = eval_map(self.cmap, w)
         return self.interior_arrays_z(z)
-
-
-def _sample(arrays: dict, w: complex, region: str) -> FieldSample:
-    """The FieldSample of a single evaluated point, with its parts."""
-    z, u, f, fp, g = (complex(arrays[key][0]) for key in ("z", "u", "f", "fprime", "g"))
-    parts = {key: complex(arrays[key][0])
-             for key in ("load_part", "f_part", "fprime_part", "g_part")}
-    return FieldSample(w, z, u, region, f, fp, g, parts)
-
-
-def eval_exterior(solution: DensitySolution, loading: LoadingSpec, geometry,
-                  material: MaterialPair, w) -> FieldSample:
-    """Displacement sample at one exterior preimage point, |w| >= gamma."""
-    ev = FieldEvaluator(solution, loading, geometry, material)
-    return _sample(ev.exterior_arrays(np.array([w], dtype=complex)), complex(w), "exterior")
-
-
-def eval_interior(solution: DensitySolution, geometry, material: MaterialPair,
-                  w) -> FieldSample:
-    """Displacement sample at one interior preimage point, |w| <= gamma."""
-    cmap = _as_map(geometry)
-    loading = LoadingSpec(np.zeros(1), np.zeros(1))
-    ev = FieldEvaluator(solution, loading, cmap, material)
-    return _sample(ev.interior_arrays(np.array([w], dtype=complex)), complex(w), "interior")
-
-
-def eval_traction_potential(sample: FieldSample, material: MaterialPair) -> complex:
-    """The traction potential at a sample, defined up to an additive constant."""
-    mu = material.mu_ext if sample.region == "exterior" else material.mu_int
-    return mu * (sample.f + sample.z * np.conj(sample.fprime) + np.conj(sample.g))
 
 
 def _traction_arrays(arrays: dict, mu: float) -> np.ndarray:

@@ -7,14 +7,15 @@ The inclusion boundary is the image of the circle |w| = gamma under
 a Laurent polynomial normalized to derivative 1 at infinity. From the map the
 module builds, at a shared truncation order n:
 
-* the Faber polynomial coefficient matrix (rows = polynomials, unit lower
-  triangular) and its exact inverse,
 * the derivative matrices expressing F_m' in the Faber basis,
 * the Grunsky coefficient matrix (negative-power coefficients of the
   composition F_m(Psi(w))), via the Faber recurrence in the w-plane,
 * Hankel/Toeplitz/corner matrices of the map coefficients,
 
-and evaluates Faber series at points by the same recurrence.
+and evaluates Faber series at points by the same recurrence, run on the
+point values. The Faber polynomials are never expanded into monomial
+coefficients: those grow geometrically with the order on elongated
+boundaries, and summing them cancels away digits.
 """
 
 from __future__ import annotations
@@ -185,40 +186,6 @@ def _polyline_self_intersects(pts: np.ndarray) -> bool:
 # coefficient matrices
 
 
-def faber_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
-    """Rows 0..n of Faber polynomial coefficients (row m: F_m, ascending powers).
-
-    Built from the recursion
-        F_{m+1}(z) = z F_m(z) - m a_m - sum_{k=0}^{m} a_{m-k} F_k(z),
-    which yields a unit-lower-triangular matrix.
-    """
-    if n < 0:
-        raise GeometryError("truncation order must be nonnegative")
-    P = np.zeros((n + 1, n + 1), dtype=complex)
-    P[0, 0] = 1.0
-    for m in range(n):
-        row = np.zeros(n + 1, dtype=complex)
-        row[1 : m + 2] = P[m, : m + 1]  # z * F_m
-        row[0] -= m * cmap.coeff(m)
-        for k in range(m + 1):
-            ak = cmap.coeff(m - k)
-            if ak != 0.0:
-                row[: k + 1] -= ak * P[k, : k + 1]
-        P[m + 1] = row
-    return P
-
-
-def faber_inverse(P: np.ndarray) -> np.ndarray:
-    """Exact inverse of the unit-lower-triangular Faber coefficient matrix.
-
-    Forward substitution on P X = I: row i of X is e_i - sum_{j<i} P[i,j] X[j].
-    """
-    X = np.eye(P.shape[0], dtype=complex)
-    for i in range(1, P.shape[0]):
-        X[i] -= P[i, :i] @ X[:i]
-    return X
-
-
 def faber_series(cmap: ConformalMap, z, coeffs, deriv_coeffs) -> tuple[np.ndarray, np.ndarray]:
     """Sums sum_m c_m F_m(z) and sum_m d_m F_m'(z), one per row of coeffs / deriv_coeffs.
 
@@ -286,14 +253,6 @@ def faber_derivative_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, n
     return Dt, D
 
 
-def monomial_derivative_matrix(n: int) -> np.ndarray:
-    """Subdiagonal (1, 2, ..., n): the d/dz action on monomial coefficients."""
-    T = np.zeros((n + 1, n + 1), dtype=complex)
-    for m in range(1, n + 1):
-        T[m, m - 1] = m
-    return T
-
-
 def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
     """Grunsky coefficients c_{mk} for m = 0..rows, k = 0..kmax (column 0 zero).
 
@@ -325,11 +284,6 @@ def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
     C[:, 0] = 0.0
     C *= cmap.gamma ** np.add.outer(np.arange(rows + 1), np.arange(kmax + 1))
     return C
-
-
-def grunsky_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
-    """Square Grunsky section c_{mk}, m,k = 0..n (row 0 and column 0 zero)."""
-    return grunsky_rows(cmap, n, n)
 
 
 def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,7 +342,7 @@ def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     """Construct every matrix of the bundle at truncation order n, at unit radius."""
     unit = unit_radius(cmap)
     Dt, D = faber_derivative_matrices(unit, n)
-    C = grunsky_matrix(unit, n)
+    C = grunsky_rows(unit, n, n)
     hankel, toeplitz, corner = map_coefficient_matrices(unit, n)
     return GeometryBundle(
         cmap=cmap,
@@ -400,12 +354,3 @@ def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
         coeff_toeplitz=toeplitz,
         coeff_corner=corner,
     )
-
-
-def poly_eval(coeffs_ascending: np.ndarray, z):
-    """Evaluate a polynomial given ascending coefficients (vectorized in z)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in np.asarray(coeffs_ascending)[::-1]:
-        out = out * z + c
-    return out

@@ -5,10 +5,13 @@ Faber polynomials of the inclusion: mode m contributes
 
     kappa * A_m F_m(z) - z * conj(A_m F_m'(z)) + conj(B_m F_m(z)).
 
-On the boundary circle |w| = gamma each mode becomes a two-sided power series
-in w. The module builds, per mode, the matrices of those coefficients for the
-loading itself and for its traction potential, and sums them into the four
-right-hand-side row vectors of the block system.
+At points, the potentials and their derivatives are summed by one helper,
+LoadingSeries, on the Faber recurrence of geometry.faber_series; the
+field, the interface diagnostics and the reference solver all read the
+loading through it. On the boundary circle |w| = gamma each mode becomes a
+two-sided power series in w. The module builds, per mode, the matrices of
+those coefficients for the loading itself and for its traction potential,
+and sums them into the four right-hand-side row vectors of the block system.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ConformalMap, GeometryBundle, faber_matrix, monomial_derivative_matrix, poly_eval
+from .geometry import (
+    ConformalMap,
+    GeometryBundle,
+    faber_derivative_matrices,
+    faber_series,
+    unit_radius,
+)
 from .materials import MaterialPair
 
 
@@ -134,31 +143,49 @@ def rhs_vectors(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpe
     return RhsVector(rv.disp_pos / g, rv.disp_neg * g, rv.trac_pos / g, rv.trac_neg * g)
 
 
+class LoadingSeries:
+    """The loading's potentials and their derivatives at points, for one map.
+
+    The loading is kappa f - z conj(f') - conj(g), with f = sum_m A_m F_m and
+    g = -sum_m B_m F_m. Every sum runs the Faber recurrence on the point
+    values (geometry.faber_series) of the unit-radius map at z / gamma, with
+    the coefficients A_m gamma^m and B_m gamma^m; each derivative returns to
+    z by a factor 1/gamma, applied to its coefficient row. The rows are
+    built once, so an evaluator that sums the loading at many point sets
+    pays for them once.
+    """
+
+    def __init__(self, spec: LoadingSpec, cmap: ConformalMap):
+        self.gamma = cmap.gamma
+        self.unit = unit_radius(cmap)
+        self.order = spec.order
+        A, B = spec.padded(self.order)
+        self.rows = np.stack([A, -B]) * self.gamma ** np.arange(A.size)  # (f, g) at unit radius
+
+    def potentials(self, z):
+        """(f, g, f') at points z, what the displacement needs."""
+        zeta = np.asarray(z, dtype=complex) / self.gamma
+        (f, g), (fp,) = faber_series(self.unit, zeta, self.rows, self.rows[:1] / self.gamma)
+        return f, g, fp
+
+    def derivatives(self, z):
+        """(f', g', f'') at points z, what the traction needs.
+
+        f'' needs no second recurrence: F_m' = sum_j Dt[m, j] F_j exactly, so
+        f'' is the derivative sum of the coefficient row A Dt.
+        """
+        Dt, _ = faber_derivative_matrices(self.unit, self.order)
+        derivs = np.vstack([self.rows, self.rows[0] @ Dt / self.gamma]) / self.gamma
+        zeta = np.asarray(z, dtype=complex) / self.gamma
+        _, (fp, gp, fpp) = faber_series(self.unit, zeta, self.rows[:0], derivs)
+        return fp, gp, fpp
+
+
 def eval_loading(spec: LoadingSpec, cmap: ConformalMap, material: MaterialPair, z):
     """The loading displacement at points z (complex, vectorized)."""
     z = np.asarray(z, dtype=complex)
-    M = spec.order
-    A, B = spec.padded(M)
-    P = faber_matrix(cmap, M)
-    dP = P @ monomial_derivative_matrix(M)
-    out = np.zeros_like(z)
-    for m in range(1, M + 1):
-        if A[m] == 0.0 and B[m] == 0.0:
-            continue
-        Fm = poly_eval(P[m], z)
-        dFm = poly_eval(dP[m], z)
-        out = out + material.kappa * A[m] * Fm - z * np.conj(A[m] * dFm) + np.conj(B[m] * Fm)
-    return out
-
-
-def loading_pair(spec: LoadingSpec, cmap: ConformalMap) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending-coefficient polynomials (f, g) with loading = kappa f - z conj(f') - conj(g)."""
-    M = spec.order
-    A, B = spec.padded(M)
-    P = faber_matrix(cmap, M)
-    f = A @ P
-    g = -(B @ P)
-    return f, g
+    f, g, fp = LoadingSeries(spec, cmap).potentials(z)
+    return material.kappa * f - z * np.conj(fp) - np.conj(g)
 
 
 def boundary_series(pos: np.ndarray, neg: np.ndarray, w):

@@ -42,9 +42,8 @@ from .geometry import (
     eval_map,
     eval_map_derivative,
     eval_map_second_derivative,
-    poly_eval,
 )
-from .loading import LoadingSpec, eval_loading, loading_pair
+from .loading import LoadingSeries, LoadingSpec, eval_loading
 from .materials import MaterialPair
 from .system import one_norm_condition
 
@@ -332,30 +331,20 @@ def rigid_moments(mesh: BoundaryMesh, density: np.ndarray) -> np.ndarray:
 # -- loading data on the mesh -------------------------------------------------
 
 
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.size <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, coeffs.size)
-
-
 def loading_conormal(loading: LoadingSpec, mesh: BoundaryMesh,
                      material: MaterialPair) -> np.ndarray:
     """Conormal derivative of the background loading at the mesh nodes.
 
-    Computed by analytic differentiation of the loading's polynomial
-    pair: with F = f + z conj(f') + conj(g) the traction on the curve is
+    With F = f + z conj(f') + conj(g) the traction on the curve is
     -(2 i mu / h) dF/dt, for the counterclockwise parametrization and the
     outward normal (checked against the componentwise definition
-    lambda (div u) n + mu (grad u + grad u^T) n on explicit fields).
+    lambda (div u) n + mu (grad u + grad u^T) n on explicit fields). f',
+    f'' and g' at the nodes come from loading.LoadingSeries, the Faber
+    recurrence the series side sums the loading with.
     """
-    f, g = loading_pair(loading, mesh.cmap)
-    df, dg = _polyder(f), _polyder(g)
-    d2f = _polyder(df)
+    df, dg, d2f = LoadingSeries(loading, mesh.cmap).derivatives(mesh.z)
     z, zp = mesh.z, mesh.zprime
-    tangential = 2.0 * zp * np.real(poly_eval(df, z)) + np.conj(zp) * (
-        z * np.conj(poly_eval(d2f, z)) + np.conj(poly_eval(dg, z))
-    )
+    tangential = 2.0 * zp * np.real(df) + np.conj(zp) * (z * np.conj(d2f) + np.conj(dg))
     return -(2.0j * material.mu_ext / mesh.h) * tangential
 
 
@@ -377,8 +366,10 @@ class NystromSystem:
     make psi orthogonal to the rigid motions; constraints is the view
     K[N:, :N]. The three trailing unknowns are Lagrange multipliers, zero
     up to discretization error when the discrete equations are consistent.
-    frames are the chord frames of the assembly, kept for a cavity only:
-    its boundary displacement needs the single layer, which K lacks.
+    loading_nodes is the loading displacement at the mesh nodes, which
+    the boundary displacement adds to the layer. frames are the chord
+    frames of the assembly, kept for a cavity only: its boundary
+    displacement needs the single layer, which K lacks.
     """
 
     matrix: np.ndarray
@@ -387,7 +378,7 @@ class NystromSystem:
     mode: str
     mesh: BoundaryMesh
     material: MaterialPair
-    loading: LoadingSpec
+    loading_nodes: np.ndarray
     frames: _ChordFrames | None = None
 
 
@@ -465,7 +456,7 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         row[n - q :] = wq * r.imag
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T
-    return NystromSystem(matrix, rhs, constraints, mode, mesh, material, loading,
+    return NystromSystem(matrix, rhs, constraints, mode, mesh, material, h_nodes,
                          None if material.has_interior else frames)
 
 
@@ -492,20 +483,19 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     sol = both[:n, 0]
     residual = float(np.linalg.norm(matrix[:, :n] @ sol - rhs))
 
-    h_nodes = eval_loading(system.loading, mesh.cmap, system.material, mesh.z)
     psi = sol[n - 2 * q :]
     if system.mode == "transmission":
         phi = sol[: 2 * q]
         phi_c = _complexify(phi)
         phi_nodes = np.column_stack([phi_c.real, phi_c.imag])
-        u_ext = h_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
+        u_ext = system.loading_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
         u_int = _complexify(matrix[: 2 * q, : 2 * q] @ phi)
         trace_gap = float(np.max(np.abs(u_int - u_ext)))
     else:
         phi_nodes = None
         alpha, beta = _kelvin_constants(system.material, "exterior")
         disp_ext = _single_layer_blocks(mesh, system.frames, alpha, beta)
-        u_ext = h_nodes + _complexify(disp_ext @ psi)
+        u_ext = system.loading_nodes + _complexify(disp_ext @ psi)
         trace_gap = 0.0
 
     psi_c = _complexify(psi)

@@ -1,12 +1,17 @@
-"""Per-mode reference implementations of the layer transforms.
+"""Reference implementations the tests compare the package against.
 
 FieldEvaluator sums combined coefficient series by the Faber recurrence
 inside and by one Laurent series in 1/w outside; these straightforward
 per-mode sums over the monomial Faber coefficients, the per-mode Grunsky
 form of the exterior series, and the per-entry dict form of the
-conjugate-coordinate shift, are the routes the tests compare it against. The row-wise grid evaluation and
-field.csv writer at the end are the references for grid_field's columns
-and the CLI's column-wise writer.
+conjugate-coordinate shift, are the routes the tests compare it against.
+The package sums every Faber series by the recurrence on point values
+(geometry.faber_series); the monomial Faber matrices, their inverse, the
+monomial derivative shift and the loading's monomial polynomial pair live
+here only, as references. loading_by_grunsky is the reference for the
+loading and its derivatives on and outside the boundary. The row-wise grid
+evaluation and field.csv writer at the end are the references for
+grid_field's columns and the CLI's column-wise writer.
 """
 
 import csv
@@ -16,13 +21,118 @@ import numpy as np
 from elastinc.field import FieldEvaluator, FieldSample, classify_points, invert_map
 from elastinc.geometry import (
     ConformalMap,
+    GeometryError,
     eval_map,
     eval_map_derivative,
-    faber_matrix,
+    eval_map_second_derivative,
     grunsky_rows,
-    monomial_derivative_matrix,
-    poly_eval,
 )
+from elastinc.loading import LoadingSpec, boundary_series
+
+
+# -- the monomial Faber substrate -----------------------------------------------
+
+
+def faber_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
+    """Rows 0..n of Faber polynomial coefficients (row m: F_m, ascending powers).
+
+    Built from the recursion
+        F_{m+1}(z) = z F_m(z) - m a_m - sum_{k=0}^{m} a_{m-k} F_k(z),
+    which yields a unit-lower-triangular matrix.
+    """
+    if n < 0:
+        raise GeometryError("truncation order must be nonnegative")
+    P = np.zeros((n + 1, n + 1), dtype=complex)
+    P[0, 0] = 1.0
+    for m in range(n):
+        row = np.zeros(n + 1, dtype=complex)
+        row[1 : m + 2] = P[m, : m + 1]  # z * F_m
+        row[0] -= m * cmap.coeff(m)
+        for k in range(m + 1):
+            ak = cmap.coeff(m - k)
+            if ak != 0.0:
+                row[: k + 1] -= ak * P[k, : k + 1]
+        P[m + 1] = row
+    return P
+
+
+def faber_inverse(P: np.ndarray) -> np.ndarray:
+    """Exact inverse of the unit-lower-triangular Faber coefficient matrix.
+
+    Forward substitution on P X = I: row i of X is e_i - sum_{j<i} P[i,j] X[j].
+    """
+    X = np.eye(P.shape[0], dtype=complex)
+    for i in range(1, P.shape[0]):
+        X[i] -= P[i, :i] @ X[:i]
+    return X
+
+
+def monomial_derivative_matrix(n: int) -> np.ndarray:
+    """Subdiagonal (1, 2, ..., n): the d/dz action on monomial coefficients."""
+    T = np.zeros((n + 1, n + 1), dtype=complex)
+    for m in range(1, n + 1):
+        T[m, m - 1] = m
+    return T
+
+
+def poly_eval(coeffs_ascending: np.ndarray, z):
+    """Evaluate a polynomial given ascending coefficients (vectorized in z)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for c in np.asarray(coeffs_ascending)[::-1]:
+        out = out * z + c
+    return out
+
+
+def polyder(coeffs: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the derivative of a polynomial."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.size <= 1:
+        return np.zeros(1, dtype=complex)
+    return coeffs[1:] * np.arange(1, coeffs.size)
+
+
+def loading_pair(spec: LoadingSpec, cmap: ConformalMap) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending-coefficient polynomials (f, g) with loading = kappa f - z conj(f') - conj(g)."""
+    M = spec.order
+    A, B = spec.padded(M)
+    P = faber_matrix(cmap, M)
+    f = A @ P
+    g = -(B @ P)
+    return f, g
+
+
+# -- the loading by its Grunsky series --------------------------------------------
+
+
+def loading_by_grunsky(spec: LoadingSpec, cmap: ConformalMap, w):
+    """(f, g, f', g', f'') of the loading at Psi(w), |w| >= gamma, from the Grunsky series.
+
+    F_m(Psi(w)) = w^m + sum_k c_mk w^-k is finite (k <= mK) for a
+    Laurent-polynomial map of depth K, so the potentials f = sum A_m F_m and
+    g = -sum B_m F_m are two-sided power series S(w), summed by
+    boundary_series. Their z-derivatives follow from the chain rule,
+    f' = dS/dw / Psi' and f'' = (d^2S/dw^2 - f' Psi'') / Psi'^2, with
+    w dS/dw and w^2 d^2S/dw^2 summed as series of their own.
+    """
+    w = np.asarray(w, dtype=complex)
+    M = spec.order
+    A, B = spec.padded(M)
+    kmax = max(M * cmap.depth, 1)
+    pos = np.stack([A, -B])
+    neg = pos @ grunsky_rows(cmap, M, kmax)
+    kp, kn = np.arange(M + 1), np.arange(kmax + 1)
+    S = boundary_series(pos, neg, w)
+    dS = boundary_series(kp * pos, -kn * neg, w) / w
+    d2S = boundary_series(kp * (kp - 1) * pos, kn * (kn + 1) * neg, w) / w**2
+    dpsi = eval_map_derivative(cmap, w)
+    d2psi = eval_map_second_derivative(cmap, w)
+    first = dS / dpsi
+    fpp = (d2S[0] - first[0] * d2psi) / dpsi**2
+    return S[0], S[1], first[0], first[1], fpp
+
+
+# -- the layer transforms ---------------------------------------------------------
 
 
 def _shifted_coefficients(cmap: ConformalMap, full: dict) -> dict:

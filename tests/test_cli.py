@@ -309,6 +309,24 @@ def test_oracle_mismatch_exit_code(tmp_path):
     assert report["within_tolerance"] is False
 
 
+def test_oracle_check_passes_at_loading_order_32(tmp_path):
+    # ellipse [0.5, 0.3], A_32 = 1, B_32 = 0.5i, n = 48, q = 256, under the
+    # default tolerance: the reference solver sums the loading on the Faber
+    # recurrence, as the series side does, so the check passes
+    cfg = base_config(truncation=48, oracle={"enabled": False, "q": 256})
+    cfg["loading"] = {"A": [[0.0, 0.0]] * 32 + [[1.0, 0.0]],
+                      "B": [[0.0, 0.0]] * 32 + [[0.0, 0.5]]}
+    del cfg["tolerances"]
+    out = tmp_path / "out"
+    code = run(write_config(tmp_path, cfg), command="oracle-check", out_dir=str(out),
+               stream=io.StringIO())
+    assert code == EXIT_OK
+    report = json.loads((out / "oracle_report.json").read_text())
+    assert report["within_tolerance"] is True
+    assert report["tolerance"] == 1e-3
+    assert report["exterior_max"] <= 1e-6
+
+
 def test_reruns_are_deterministic(tmp_path):
     path = write_config(tmp_path, base_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

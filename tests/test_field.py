@@ -15,13 +15,11 @@ from elastinc.field import (
     GridSpec,
     boundary_traction_spread,
     classify_points,
-    eval_exterior,
-    eval_interior,
-    eval_traction_potential,
     grid_field,
     invert_map,
     transmission_residual,
     REGION_SAMPLES,
+    _traction_arrays,
 )
 from elastinc.geometry import (
     ConformalMap,
@@ -348,6 +346,12 @@ def test_high_order_loading_matches_grunsky_series(shape, gamma):
 # exterior field values
 
 
+def exterior_at(sol, loading, cmap, material, w) -> dict:
+    """The exterior arrays at one preimage point, each read as a scalar."""
+    arrays = FieldEvaluator(sol, loading, cmap, material).exterior_arrays(np.array([w]))
+    return {key: complex(col[0]) for key, col in arrays.items()}
+
+
 def test_zero_density_gives_pure_loading():
     n = 8
     loading = single_mode(2, 0.5 + 0.2j, n)
@@ -355,12 +359,12 @@ def test_zero_density_gives_pure_loading():
     from elastinc.loading import eval_loading
 
     for w in (1.4 * np.exp(0.7j), 3.3 * np.exp(2.1j)):
-        s = eval_exterior(sol, loading, DISK, CAV, w)
+        s = exterior_at(sol, loading, DISK, CAV, w)
         z = eval_map(DISK, np.array([w]))[0]
-        assert s.z == pytest.approx(z)
-        assert s.u == pytest.approx(complex(eval_loading(loading, DISK, CAV, z)))
-        assert s.parts["f_part"] == 0.0
-        assert s.parts["g_part"] == 0.0
+        assert s["z"] == pytest.approx(z)
+        assert s["u"] == pytest.approx(complex(eval_loading(loading, DISK, CAV, z)))
+        assert s["f_part"] == 0.0
+        assert s["g_part"] == 0.0
 
 
 def test_disk_cavity_closed_form_field():
@@ -368,15 +372,16 @@ def test_disk_cavity_closed_form_field():
     sol, loading = solved_disk_cavity(B1=B1)
     kap = CAV.kappa
     for w in (1.7 * np.exp(0.3j), 2.6 * np.exp(2.0j), 11.0 * np.exp(1.2j)):
-        s = eval_exterior(sol, loading, DISK, CAV, w)
+        s = exterior_at(sol, loading, DISK, CAV, w)
         want = (
             np.conj(B1) * np.conj(w)
             + kap * np.conj(B1) / w
             + B1 * w / np.conj(w) ** 2
             - B1 / np.conj(w) ** 3
         )
-        assert abs(s.u - want) <= 1e-12 * abs(want)
-        assert abs(sum(s.parts.values()) - s.u) == 0.0
+        assert abs(s["u"] - want) <= 1e-12 * abs(want)
+        parts = [s[key] for key in ("load_part", "f_part", "fprime_part", "g_part")]
+        assert abs(sum(parts) - s["u"]) == 0.0
 
 
 def test_disk_cavity_traction_free_boundary():
@@ -388,7 +393,7 @@ def test_disk_cavity_traction_free_boundary():
 def test_exterior_rejects_points_inside():
     sol, loading = solved_disk_cavity()
     with pytest.raises(FieldError):
-        eval_exterior(sol, loading, DISK, CAV, 0.9 * np.exp(0.4j))
+        exterior_at(sol, loading, DISK, CAV, 0.9 * np.exp(0.4j))
 
 
 def test_far_field_decay_exponent():
@@ -476,7 +481,7 @@ def test_interior_evaluation_builds_no_tail(monkeypatch):
     ev = FieldEvaluator(sol, loading, ELLIPSE, TRANS)
     z = eval_map(ELLIPSE, 0.97 * ELLIPSE.gamma * np.exp(1j * np.array([0.3, 2.0])))
     assert np.all(np.isfinite(ev.interior_arrays_z(z)["u"]))
-    assert np.isfinite(eval_interior(sol, ELLIPSE, TRANS, 0.95 * np.exp(0.4j)).u)
+    assert np.isfinite(ev.interior_arrays(np.array([0.95 * np.exp(0.4j)]))["u"][0])
     with pytest.raises(RuntimeError, match="exterior series"):
         ev.exterior_arrays(np.array([1.5, 3.0]))
 
@@ -488,9 +493,9 @@ def test_transmission_residual_requires_transmission():
 
 
 def test_interior_requires_transmission():
-    sol, _ = solved_disk_cavity()
+    sol, loading = solved_disk_cavity()
     with pytest.raises(FieldError):
-        eval_interior(sol, DISK, CAV, 0.9)
+        FieldEvaluator(sol, loading, DISK, CAV).interior_arrays(np.array([0.9]))
 
 
 def test_interior_mode_zero_density_is_constant():
@@ -507,11 +512,10 @@ def test_interior_mode_zero_density_is_constant():
 
 
 def test_traction_potential_direct_substitution():
-    s = FieldSample(
-        w=2.0, z=1.0, u=0.0, region="exterior", f=1.0, fprime=1.0, g=0.0, parts={}
-    )
+    arrays = {"z": np.array([1.0]), "f": np.array([1.0]), "fprime": np.array([1.0]),
+              "g": np.array([0.0])}
     mat = MaterialPair(0.0, 1.0, cavity=True)
-    assert eval_traction_potential(s, mat) == pytest.approx(2.0)
+    assert _traction_arrays(arrays, mat.mu_ext)[0] == pytest.approx(2.0)
 
 
 def test_traction_of_loading_matches_rhs_series():

@@ -21,7 +21,7 @@ from elastinc.geometry import (
     eval_map_derivative,
     eval_map_second_derivative,
 )
-from elastinc.loading import LoadingSpec, eval_loading, loading_pair
+from elastinc.loading import LoadingSpec, eval_loading
 from elastinc.materials import MaterialError, MaterialPair
 from elastinc.oracle import (
     BoundaryMesh,
@@ -49,8 +49,12 @@ from layer_reference import (
     _shifted_coefficients,
     deriv_layer_exterior,
     deriv_layer_interior,
+    loading_by_grunsky,
+    loading_pair,
     log_layer_exterior,
     log_layer_interior,
+    poly_eval,
+    polyder,
 )
 
 EXACT_TOL = 1e-12
@@ -328,20 +332,10 @@ def test_loading_conormal_matches_componentwise_definition():
     mesh = build_mesh(ELLIPSE, 32)
     loading = LoadingSpec(A=[0.0, 0.4 + 0.1j, -0.2j], B=[0.0, 1.0, 0.0, 0.3])
     f, g = loading_pair(loading, ELLIPSE)
-
-    def pv(c, z):
-        out = np.zeros_like(z)
-        for ck in c[::-1]:
-            out = out * z + ck
-        return out
-
-    def pd(c):
-        return c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1, complex)
-
     lam, mu, kappa = TRANS.lam_ext, TRANS.mu_ext, TRANS.kappa
     z, n = mesh.z, mesh.normal
-    du_dz = kappa * pv(pd(f), z) - np.conj(pv(pd(f), z))
-    du_dzb = -z * np.conj(pv(pd(pd(f)), z)) - np.conj(pv(pd(g), z))
+    du_dz = kappa * poly_eval(polyder(f), z) - np.conj(poly_eval(polyder(f), z))
+    du_dzb = -z * np.conj(poly_eval(polyder(polyder(f)), z)) - np.conj(poly_eval(polyder(g), z))
     du_dx = du_dz + du_dzb
     du_dy = 1j * (du_dz - du_dzb)
     expected = np.zeros_like(z)
@@ -354,6 +348,39 @@ def test_loading_conormal_matches_componentwise_definition():
         expected[i] = tv[0] + 1j * tv[1]
     got = loading_conormal(loading, mesh, TRANS)
     assert np.max(np.abs(got - expected)) <= EXACT_TOL
+
+
+def high_order_loading(M: int) -> LoadingSpec:
+    """A_M = 1, B_M = 0.5i: one mode of order M."""
+    A = np.zeros(M + 1, dtype=complex)
+    B = np.zeros(M + 1, dtype=complex)
+    A[M], B[M] = 1.0, 0.5j
+    return LoadingSpec(A, B)
+
+
+@pytest.mark.parametrize("M", [16, 32])
+@pytest.mark.parametrize("cmap", [ELLIPSE, ELONGATED, FOURTERM],
+                         ids=["ellipse", "elongated", "fourterm"])
+def test_high_order_loading_matches_grunsky_series(cmap, M):
+    # the loading and its conormal on the boundary against the finite Grunsky
+    # series F_m(Psi(w)) = w^m + sum_k c_mk w^-k, differentiated by the chain
+    # rule in w: a route with no Faber recurrence in z and no monomials
+    mesh = build_mesh(cmap, 64)
+    w = cmap.gamma * np.exp(1j * mesh.theta)
+    rng = np.random.default_rng(M)
+    random = LoadingSpec(np.append(0.0, rng.standard_normal(M) + 1j * rng.standard_normal(M)),
+                         np.append(0.0, rng.standard_normal(M) + 1j * rng.standard_normal(M)))
+    for loading in (high_order_loading(M), random):
+        f, g, fp, gp, fpp = loading_by_grunsky(loading, cmap, w)
+        want = TRANS.kappa * f - mesh.z * np.conj(fp) - np.conj(g)
+        got = eval_loading(loading, cmap, TRANS, mesh.z)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        tangential = 2.0 * mesh.zprime * np.real(fp) + np.conj(mesh.zprime) * (
+            mesh.z * np.conj(fpp) + np.conj(gp)
+        )
+        want = -(2.0j * TRANS.mu_ext / mesh.h) * tangential
+        got = loading_conormal(loading, mesh, TRANS)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- full solves against the coefficient-space route --------------------------
@@ -399,6 +426,18 @@ def test_boundary_comparison_is_on_the_boundary(cmap, material):
     series_sol = solve(assemble_system(material, build_geometry(cmap, 16), B1))
     report = compare(solve_oracle(cmap, material, B1, 256), series_sol, cmap, material, B1)
     assert report.boundary_max <= 1e-12
+
+
+@pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+def test_order_32_loading_oracle_agrees_with_series(material):
+    # the oracle reads the loading through the same Faber recurrence as the
+    # series side, so at loading order 32 the two solves agree on the boundary
+    # to near roundoff of the field, as they do at low order
+    loading = high_order_loading(32)
+    series_sol = solve(assemble_system(material, build_geometry(ELLIPSE, 48), loading))
+    oracle_sol = solve_oracle(ELLIPSE, material, loading, 256)
+    report = compare(oracle_sol, series_sol, ELLIPSE, material, loading)
+    assert report.boundary_max <= 1e-11 * np.max(np.abs(oracle_sol.u_boundary))
 
 
 def test_oracle_interior_field_matches_series():
@@ -494,7 +533,7 @@ def test_singular_bordered_system_raises():
     mesh = build_mesh(DISK, 16)
     matrix = np.zeros((2 * mesh.q + 3, 2 * mesh.q + 3))
     system = NystromSystem(matrix, np.ones(2 * mesh.q), matrix[2 * mesh.q :, : 2 * mesh.q],
-                           "cavity", mesh, CAV, B1)
+                           "cavity", mesh, CAV, np.zeros(mesh.q, dtype=complex))
     with pytest.raises(OracleError, match="singular reference system"):
         solve_nystrom(system)
 

@@ -16,9 +16,6 @@ from elastinc.geometry import (
     build_geometry,
     eval_map,
     eval_map_derivative,
-    faber_matrix,
-    monomial_derivative_matrix,
-    poly_eval,
 )
 from elastinc.loading import LoadingSpec, unit_rhs_vectors
 from elastinc.materials import MaterialPair
@@ -31,6 +28,7 @@ from elastinc.system import (
     m_blocks,
     solve,
 )
+from layer_reference import faber_matrix, monomial_derivative_matrix, poly_eval
 
 EXACT_TOL = 1e-11
 SOLVE_TOL = 1e-10
