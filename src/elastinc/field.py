@@ -164,7 +164,6 @@ class FieldEvaluator:
         self.cmap = cmap
         self.material = material
         self.solution = solution
-        self.loading = loading
         self.gamma = cmap.gamma
         unit = unit_radius(cmap)
         self.unit = unit
@@ -360,7 +359,7 @@ def _as_angles(angles) -> np.ndarray:
 # -- physical-plane plumbing -------------------------------------------------
 
 
-def invert_map(cmap: ConformalMap, z, w0=None) -> np.ndarray:
+def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     """Newton inversion of the exterior map at physical points z.
 
     Convergence is tracked per point and only unconverged points iterate.
@@ -370,10 +369,10 @@ def invert_map(cmap: ConformalMap, z, w0=None) -> np.ndarray:
     that last step takes the iterate to full precision.
     """
     z = np.asarray(z, dtype=complex)
-    w = np.array(z - cmap.coeff(0), dtype=complex) if w0 is None else np.array(w0, dtype=complex)
+    w = z - cmap.coeff(0)
     w = np.where(np.abs(w) < cmap.gamma, 2.0 * cmap.gamma * np.exp(1j * np.angle(w)), w)
     shape = w.shape
-    w, zf = w.reshape(-1), np.broadcast_to(z, shape).reshape(-1)
+    w, zf = w.reshape(-1), z.reshape(-1)
     tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0)))
     floor = 0.6 * cmap.gamma
     active = np.arange(w.size)

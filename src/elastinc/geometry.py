@@ -7,10 +7,11 @@ The inclusion boundary is the image of the circle |w| = gamma under
 a Laurent polynomial normalized to derivative 1 at infinity. From the map the
 module builds, at a shared truncation order n:
 
-* the derivative matrices expressing F_m' in the Faber basis,
+* the derivative matrix expressing F_m' in the Faber basis,
 * the Grunsky coefficient matrix (negative-power coefficients of the
   composition F_m(Psi(w))), via the Faber recurrence in the w-plane,
-* Hankel/Toeplitz/corner matrices of the map coefficients,
+* the matrix of multiplication by Psi on the two-sided window of powers
+  -n..n, one Toeplitz matrix of the map coefficients,
 
 and evaluates Faber series at points by the same recurrence, run on the
 point values. The Faber polynomials are never expanded into monomial
@@ -231,8 +232,8 @@ def reciprocal_derivative_coefficients(cmap: ConformalMap, n: int) -> np.ndarray
     return r
 
 
-def faber_derivative_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (Dt, D) expressing Faber derivatives in the Faber basis.
+def faber_derivative_matrices(cmap: ConformalMap, n: int) -> np.ndarray:
+    """Matrix Dt expressing Faber derivatives in the Faber basis.
 
     Row m of Dt holds the coefficients of F_m' = sum_j Dt[m,j] F_j.
     Composing with the map, F_m'(Psi(w)) = m w^{m-1}/Psi'(w) plus strictly
@@ -240,17 +241,13 @@ def faber_derivative_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, n
     nonnegative power; matching nonnegative powers gives
     Dt[m, j] = m r_{m-1-j} with r the reciprocal-derivative coefficients.
     The same matrix equals P T P^{-1} (T the monomial-derivative shift);
-    the recurrence form avoids the triangular inverse's roundoff. D
-    rescales row m by 1/(m gamma^m), with row 0 zero.
+    the recurrence form avoids the triangular inverse's roundoff.
     """
     r = reciprocal_derivative_coefficients(cmap, n)
     Dt = np.zeros((n + 1, n + 1), dtype=complex)
     for m in range(1, n + 1):
         Dt[m, :m] = m * r[m - 1 :: -1]
-    scale = np.zeros(n + 1)
-    scale[1:] = 1.0 / (np.arange(1, n + 1) * cmap.gamma ** np.arange(1, n + 1))
-    D = Dt * scale[:, None]
-    return Dt, D
+    return Dt
 
 
 def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
@@ -286,42 +283,34 @@ def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
     return C
 
 
-def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hankel, Toeplitz and corner matrices of the map coefficients.
+def psi_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
+    """Multiplication by Psi on the two-sided window of powers -n..n.
 
-    hankel[m, k] = a_{m+k};  toeplitz[m, k] = a_{m-k} (so the first
-    superdiagonal is a_{-1} = 1);  corner holds a0 at (0,0) and 1 at (0,1)
-    and (1,0), zero elsewhere. Both are gathered from one zero-padded copy
-    of (a_{-n-1}, ..., a_{2n}), with a_j stored at position j + n + 1.
+    Index i stands for the power i - n. A row vector s of coefficients
+    maps to the coefficients s @ P of Psi(w) s(w), truncated to the window:
+    P[i, t] = a_{i-t}, with a_{-1} = 1 (the w of Psi) and a_j = 0 outside
+    -1..K. Gathered from one zero-padded copy of (a_{-2n-1}, ..., a_{2n}),
+    with a_j stored at position j + 2n + 1.
     """
-    idx = np.arange(n + 1)
-    padded = np.zeros(3 * n + 2, dtype=complex)
-    padded[n] = 1.0
-    top = min(cmap.a.size, 2 * n + 1)
-    padded[n + 1 : n + 1 + top] = cmap.a[:top]
-    hankel = padded[np.add.outer(idx, idx) + n + 1]
-    toeplitz = padded[np.subtract.outer(idx, idx) + n + 1]
-    corner = np.zeros((n + 1, n + 1), dtype=complex)
-    corner[0, 0] = cmap.coeff(0)
-    if n >= 1:
-        corner[0, 1] = 1.0
-        corner[1, 0] = 1.0
-    return hankel, toeplitz, corner
+    span = 2 * n + 1
+    padded = np.zeros(2 * span, dtype=complex)
+    padded[span - 1] = 1.0
+    top = min(cmap.a.size, span)
+    padded[span : span + top] = cmap.a[:top]
+    idx = np.arange(span)
+    return padded[np.subtract.outer(idx, idx) + span]
 
 
 @dataclass(frozen=True)
 class GeometryBundle:
-    """All map-derived matrices at one shared truncation order, built for
+    """The map-derived matrices at one shared truncation order, built for
     unit_radius(cmap), the unit-radius problem the block system is posed on."""
 
     cmap: ConformalMap
     n: int
-    faber_deriv: np.ndarray      # F_m' in the Faber basis
-    faber_deriv_scaled: np.ndarray  # rows divided by m, row 0 zero
-    grunsky: np.ndarray
-    coeff_hankel: np.ndarray
-    coeff_toeplitz: np.ndarray
-    coeff_corner: np.ndarray
+    faber_deriv: np.ndarray  # F_m' in the Faber basis, (n+1, n+1)
+    grunsky: np.ndarray      # c_mk, m, k = 0..n
+    psi: np.ndarray          # multiplication by Psi on powers -n..n, (2n+1, 2n+1)
 
     @property
     def gamma(self) -> float:
@@ -341,16 +330,10 @@ def unit_radius(cmap: ConformalMap) -> ConformalMap:
 def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     """Construct every matrix of the bundle at truncation order n, at unit radius."""
     unit = unit_radius(cmap)
-    Dt, D = faber_derivative_matrices(unit, n)
-    C = grunsky_rows(unit, n, n)
-    hankel, toeplitz, corner = map_coefficient_matrices(unit, n)
     return GeometryBundle(
         cmap=cmap,
         n=n,
-        faber_deriv=Dt,
-        faber_deriv_scaled=D,
-        grunsky=C,
-        coeff_hankel=hankel,
-        coeff_toeplitz=toeplitz,
-        coeff_corner=corner,
+        faber_deriv=faber_derivative_matrices(unit, n),
+        grunsky=grunsky_rows(unit, n, n),
+        psi=psi_matrix(unit, n),
     )

@@ -8,10 +8,11 @@ Faber polynomials of the inclusion: mode m contributes
 At points, the potentials and their derivatives are summed by one helper,
 LoadingSeries, on the Faber recurrence of geometry.faber_series; the
 field, the interface diagnostics and the reference solver all read the
-loading through it. On the boundary circle |w| = gamma each mode becomes a
-two-sided power series in w. The module builds, per mode, the matrices of
-those coefficients for the loading itself and for its traction potential,
-and sums them into the four right-hand-side row vectors of the block system.
+loading through it. On the boundary circle |w| = gamma the loading and its
+traction potential become two-sided power series in w; their coefficients,
+split by the sign of the power, are the four right-hand-side row vectors of
+the block system. The term z conj(f') is Psi(w) times the two-sided series
+of conj(f'), one product with GeometryBundle.psi.
 """
 
 from __future__ import annotations
@@ -93,46 +94,36 @@ class RhsVector:
     trac_neg: np.ndarray
 
 
-def rhs_matrices(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec):
-    """Per-mode boundary coefficient matrices of the unit-radius problem.
+def unit_rhs_vectors(material: MaterialPair, bundle: GeometryBundle,
+                     spec: LoadingSpec) -> RhsVector:
+    """The boundary series of the unit-radius problem on |w| = 1.
 
-    Returns (disp_pos_mat, disp_neg_mat, trac_pos_mat, trac_neg_mat) where row
-    m of disp_pos_mat holds the w^k coefficients on |w| = 1 of mode m's
-    contribution to the rescaled loading spec.unit_radius(gamma), and
-    similarly for the other three.
+    Mode m of f = sum_m A_m F_m is A_m (w^m + sum_k C[m, k] w^{-k}) on the
+    circle, where conj(w^k) = w^{-k}; so conj(f') = sum_m conj(A_m F_m') has
+    the series x = conj(A) conj(Dt) in the powers w^{-k} and x conj(C) in
+    the powers w^k, and z conj(f') is that two-sided series times Psi.
     """
     n = bundle.n
     A, B = spec.unit_radius(bundle.gamma).padded(n)
     C = bundle.grunsky
-    # mode-scaled conjugated derivative rows: row m holds conj of F_m' in the basis
-    W = np.conj(bundle.faber_deriv)
+    Cb = np.conj(C)
     kill0 = np.ones(n + 1)
     kill0[0] = 0.0
-    hank = bundle.coeff_hankel
-    toep = bundle.coeff_toeplitz
-    corner = bundle.coeff_corner
     kappa = material.kappa
     mu = material.mu_ext
-    Ac = np.conj(A)[:, None]
-    Bc = np.conj(B)[:, None]
-    Cb = np.conj(C)
 
-    X_pos = Ac * W @ (corner + Cb @ toep) * kill0
-    X_neg = Ac * W @ (toep.T + Cb @ hank)
-    Y_pos = Bc * Cb
-    Y_neg = np.diag(np.conj(B))
+    x = np.conj(A) @ np.conj(bundle.faber_deriv)
+    X = np.concatenate([x[::-1], (x @ Cb)[1:]]) @ bundle.psi  # z conj(f'), powers -n..n
+    X_pos = X[n:] * kill0
+    X_neg = X[n::-1]
+    Y_pos = np.conj(B) @ Cb
+    Y_neg = np.conj(B)
+    AC = A @ C
 
-    disp_pos = kappa * np.diag(A) - X_pos + Y_pos
-    disp_neg = kappa * A[:, None] * C - X_neg + Y_neg
-    trac_pos = mu * (np.diag(A) + X_pos - Y_pos)
-    trac_neg = mu * (A[:, None] * C + X_neg * kill0 - Y_neg)
-    return disp_pos, disp_neg, trac_pos, trac_neg
-
-
-def unit_rhs_vectors(material: MaterialPair, bundle: GeometryBundle,
-                     spec: LoadingSpec) -> RhsVector:
-    """Column sums of the per-mode matrices over modes m >= 1, at unit radius."""
-    return RhsVector(*[m[1:].sum(axis=0) for m in rhs_matrices(material, bundle, spec)])
+    return RhsVector(disp_pos=kappa * A - X_pos + Y_pos,
+                     disp_neg=kappa * AC - X_neg + Y_neg,
+                     trac_pos=mu * (A + X_pos - Y_pos),
+                     trac_neg=mu * (AC + X_neg * kill0 - Y_neg))
 
 
 def rhs_vectors(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec) -> RhsVector:
@@ -174,7 +165,7 @@ class LoadingSeries:
         f'' needs no second recurrence: F_m' = sum_j Dt[m, j] F_j exactly, so
         f'' is the derivative sum of the coefficient row A Dt.
         """
-        Dt, _ = faber_derivative_matrices(self.unit, self.order)
+        Dt = faber_derivative_matrices(self.unit, self.order)
         derivs = np.vstack([self.rows, self.rows[0] @ Dt / self.gamma]) / self.gamma
         zeta = np.asarray(z, dtype=complex) / self.gamma
         _, (fp, gp, fpp) = faber_series(self.unit, zeta, self.rows[:0], derivs)

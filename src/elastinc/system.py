@@ -40,18 +40,26 @@ def m_blocks(bundle: GeometryBundle):
     conjugated mode-j density (j >= 1) in the combination
     -Psi(w) conj(C1[dens]) + conj(C1[zeta-bar dens]); rows of M41/M42 do the
     same for the negative modes, with row 0 carrying the mode-0 density.
-    """
-    D = np.conj(bundle.faber_deriv_scaled)
-    C = np.conj(bundle.grunsky)
-    toep = bundle.coeff_toeplitz
-    hank = bundle.coeff_hankel
 
-    DC = D @ C
-    M21 = D @ bundle.coeff_corner + DC @ toep - toep.T @ DC
-    M41 = -(hank @ DC)
-    M22 = D @ toep.T + DC @ hank - toep.T @ D
-    M42 = -(hank @ D)
-    return M21, M41, M22, M42
+    Row m of T is mode m's series on the powers -n..n: conj(Dt[m]) / m in
+    the w^{-k} part and that row times conj(C) in the w^k part. T @ P
+    multiplies every series by Psi; P.T[:, n:] @ T is the shifted density,
+    whose mode l (-n..n) collects a_{m-l} times mode m's series. Their
+    difference has the modes -n..n as rows and the powers -n..n as
+    columns, and the four matrices are its quadrants. Column 0 of M21 and
+    M41 (the power w^0 on the positive side) is discarded downstream.
+    """
+    n = bundle.n
+    P = bundle.psi
+    ninv0 = np.zeros(n + 1)
+    ninv0[1:] = 1.0 / np.arange(1, n + 1)
+    D = np.conj(bundle.faber_deriv) * ninv0[:, None]
+    T = np.empty((n + 1, 2 * n + 1), dtype=complex)
+    T[:, n::-1] = D
+    T[:, n + 1 :] = (D @ np.conj(bundle.grunsky))[:, 1:]
+    full = -(P.T[:, n:] @ T)
+    full[n:] += T @ P
+    return full[n:, n:], full[n::-1, n:], full[n:, n::-1], full[n::-1, n::-1]
 
 
 def exterior_blocks(material: MaterialPair, bundle: GeometryBundle):

@@ -9,9 +9,13 @@ The package sums every Faber series by the recurrence on point values
 (geometry.faber_series); the monomial Faber matrices, their inverse, the
 monomial derivative shift and the loading's monomial polynomial pair live
 here only, as references. loading_by_grunsky is the reference for the
-loading and its derivatives on and outside the boundary. The row-wise grid
-evaluation and field.csv writer at the end are the references for
-grid_field's columns and the CLI's column-wise writer.
+loading and its derivatives on and outside the boundary. The Hankel,
+Toeplitz and corner matrices that fold multiplication by Psi across power
+0, and the coupling blocks and per-mode right-hand-side matrices built from
+them, are the references for the package's one two-sided Psi matrix
+(GeometryBundle.psi). The row-wise grid evaluation and field.csv writer at
+the end are the references for grid_field's columns and the CLI's
+column-wise writer.
 """
 
 import csv
@@ -26,6 +30,7 @@ from elastinc.geometry import (
     eval_map_derivative,
     eval_map_second_derivative,
     grunsky_rows,
+    unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series
 
@@ -130,6 +135,92 @@ def loading_by_grunsky(spec: LoadingSpec, cmap: ConformalMap, w):
     first = dS / dpsi
     fpp = (d2S[0] - first[0] * d2psi) / dpsi**2
     return S[0], S[1], first[0], first[1], fpp
+
+
+# -- the folded multiplication by Psi ----------------------------------------------
+
+
+def map_coefficient_matrices(cmap: ConformalMap, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hankel, Toeplitz and corner matrices of the map coefficients.
+
+    hankel[m, k] = a_{m+k};  toeplitz[m, k] = a_{m-k} (so the first
+    superdiagonal is a_{-1} = 1);  corner holds a0 at (0,0) and 1 at (0,1)
+    and (1,0), zero elsewhere. Both are gathered from one zero-padded copy
+    of (a_{-n-1}, ..., a_{2n}), with a_j stored at position j + n + 1.
+    """
+    idx = np.arange(n + 1)
+    padded = np.zeros(3 * n + 2, dtype=complex)
+    padded[n] = 1.0
+    top = min(cmap.a.size, 2 * n + 1)
+    padded[n + 1 : n + 1 + top] = cmap.a[:top]
+    hankel = padded[np.add.outer(idx, idx) + n + 1]
+    toeplitz = padded[np.subtract.outer(idx, idx) + n + 1]
+    corner = np.zeros((n + 1, n + 1), dtype=complex)
+    corner[0, 0] = cmap.coeff(0)
+    if n >= 1:
+        corner[0, 1] = 1.0
+        corner[1, 0] = 1.0
+    return hankel, toeplitz, corner
+
+
+def folded_matrices(bundle):
+    """(D, hankel, toeplitz, corner) of the unit-radius bundle; D is the
+    Faber derivative matrix with row m divided by m (row 0 zero)."""
+    n = bundle.n
+    scale = np.zeros(n + 1)
+    scale[1:] = 1.0 / np.arange(1, n + 1)
+    D = bundle.faber_deriv * scale[:, None]
+    return (D, *map_coefficient_matrices(unit_radius(bundle.cmap), n))
+
+
+def folded_m_blocks(bundle):
+    """Conjugate-coupling matrices (M21, M41, M22, M42), with multiplication
+    by Psi folded across power 0 into Hankel, Toeplitz and corner parts."""
+    D, hank, toep, corner = folded_matrices(bundle)
+    D = np.conj(D)
+    C = np.conj(bundle.grunsky)
+
+    DC = D @ C
+    M21 = D @ corner + DC @ toep - toep.T @ DC
+    M41 = -(hank @ DC)
+    M22 = D @ toep.T + DC @ hank - toep.T @ D
+    M42 = -(hank @ D)
+    return M21, M41, M22, M42
+
+
+def rhs_matrices(material, bundle, spec: LoadingSpec):
+    """Per-mode boundary coefficient matrices of the unit-radius problem.
+
+    Returns (disp_pos_mat, disp_neg_mat, trac_pos_mat, trac_neg_mat) where row
+    m of disp_pos_mat holds the w^k coefficients on |w| = 1 of mode m's
+    contribution to the rescaled loading spec.unit_radius(gamma), and
+    similarly for the other three. unit_rhs_vectors is the column sum of
+    rows m >= 1.
+    """
+    n = bundle.n
+    A, B = spec.unit_radius(bundle.gamma).padded(n)
+    C = bundle.grunsky
+    # mode-scaled conjugated derivative rows: row m holds conj of F_m' in the basis
+    W = np.conj(bundle.faber_deriv)
+    kill0 = np.ones(n + 1)
+    kill0[0] = 0.0
+    _, hank, toep, corner = folded_matrices(bundle)
+    kappa = material.kappa
+    mu = material.mu_ext
+    Ac = np.conj(A)[:, None]
+    Bc = np.conj(B)[:, None]
+    Cb = np.conj(C)
+
+    X_pos = Ac * W @ (corner + Cb @ toep) * kill0
+    X_neg = Ac * W @ (toep.T + Cb @ hank)
+    Y_pos = Bc * Cb
+    Y_neg = np.diag(np.conj(B))
+
+    disp_pos = kappa * np.diag(A) - X_pos + Y_pos
+    disp_neg = kappa * A[:, None] * C - X_neg + Y_neg
+    trac_pos = mu * (np.diag(A) + X_pos - Y_pos)
+    trac_neg = mu * (A[:, None] * C + X_neg * kill0 - Y_neg)
+    return disp_pos, disp_neg, trac_pos, trac_neg
 
 
 # -- the layer transforms ---------------------------------------------------------

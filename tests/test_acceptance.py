@@ -180,7 +180,7 @@ def test_criterion_4_derivative_matrix_conjugation_identity():
     worst = 0.0
     for cmap in injective_maps():
         P = faber_matrix(cmap, n)
-        Dt, _ = faber_derivative_matrices(cmap, n)
+        Dt = faber_derivative_matrices(cmap, n)
         want = P @ T @ faber_inverse(P)
         worst = max(worst, float(np.max(np.abs(Dt - want))))
     ok = worst <= ENTRYWISE_TOL

@@ -16,11 +16,17 @@ from elastinc.geometry import (
     faber_derivative_matrices,
     faber_series,
     grunsky_rows,
-    map_coefficient_matrices,
     sweep_pairs,
+    unit_radius,
     _polyline_self_intersects,
 )
-from layer_reference import faber_inverse, faber_matrix, monomial_derivative_matrix, poly_eval
+from layer_reference import (
+    faber_inverse,
+    faber_matrix,
+    map_coefficient_matrices,
+    monomial_derivative_matrix,
+    poly_eval,
+)
 
 EXACT_TOL = 1e-12
 SERIES_TOL = 1e-8
@@ -99,17 +105,13 @@ def test_derivative_matrix_identities():
     cmap = random_map(rng, depth=5)
     n = 24
     P = faber_matrix(cmap, n)
-    Dt, D = faber_derivative_matrices(cmap, n)
+    Dt = faber_derivative_matrices(cmap, n)
     T = monomial_derivative_matrix(n)
     assert np.allclose(Dt @ P, P @ T, atol=1e-10 * np.max(np.abs(P)))
     # strictly lower triangular with subdiagonal m
     assert np.allclose(np.triu(Dt), 0.0, atol=1e-10)
     sub = np.array([Dt[m, m - 1] for m in range(1, n + 1)])
     assert np.allclose(sub, np.arange(1, n + 1), atol=1e-9)
-    # scaled variant: row 0 zero, rows divided by m gamma^m
-    assert np.allclose(D[0], 0.0, atol=EXACT_TOL)
-    for m in (1, 5, 17):
-        assert np.allclose(D[m], Dt[m] / (m * cmap.gamma**m), atol=EXACT_TOL)
 
 
 def test_grunsky_of_ellipse_is_diagonal():
@@ -227,10 +229,31 @@ def test_rejects_non_finite_map(gamma, a):
 
 def test_bundle_shapes_and_consistency():
     bundle = build_geometry(ELLIPSE, 6)
-    for matrix in (bundle.faber_deriv, bundle.faber_deriv_scaled, bundle.grunsky,
-                   bundle.coeff_hankel, bundle.coeff_toeplitz, bundle.coeff_corner):
+    for matrix in (bundle.faber_deriv, bundle.grunsky):
         assert matrix.shape == (7, 7)
+    assert bundle.psi.shape == (13, 13)
     assert bundle.gamma == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3])
+@pytest.mark.parametrize("a", [[0.5], [0.5, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]])
+def test_psi_matrix_multiplies_by_psi(a, gamma):
+    # s @ psi is Psi(w) s(w) whenever the product stays inside the window of
+    # powers -n..n, i.e. s lives on |power| <= n - K - 1; the coefficients of
+    # the product on |w| = 1 come from sampling it and one FFT
+    rng = np.random.default_rng(41)
+    cmap = ConformalMap(gamma, np.asarray(a) * gamma ** (np.arange(len(a)) + 1.0))
+    depth = cmap.depth
+    for n in (depth + 1, 8, 24):
+        psi = build_geometry(cmap, n).psi
+        s = np.zeros(2 * n + 1, dtype=complex)
+        live = slice(depth + 1, 2 * n - depth)  # powers -(n - K - 1)..n - K - 1
+        s[live] = rng.standard_normal((2, 2 * (n - depth) - 1)).T @ [1.0, 1.0j]
+        samples = 4 * n + 4
+        w = np.exp(2j * np.pi * np.arange(samples) / samples)
+        values = eval_map(unit_radius(cmap), w) * (np.polyval(s[::-1], w) / w**n)
+        want = (np.fft.fft(values) / samples)[np.arange(-n, n + 1) % samples]
+        assert np.max(np.abs(s @ psi - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ from elastinc.loading import (
     LoadingSpec,
     boundary_series,
     eval_loading,
-    rhs_matrices,
     rhs_vectors,
     unit_rhs_vectors,
 )
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system
-from layer_reference import loading_pair, poly_eval, polyder
+from layer_reference import loading_pair, poly_eval, polyder, rhs_matrices
 
 SERIES_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -34,18 +33,19 @@ def test_zero_loading_gives_zero_vectors():
 
 
 def test_disk_single_conjugate_mode_matrices():
+    # with one loading mode, that mode's row of the per-mode matrices is the vector
     n = 8
     bundle = build_geometry(DISK, n)
     B = np.zeros(n + 1, dtype=complex)
     B[3] = 1.5 - 0.25j
     spec = LoadingSpec(np.zeros(n + 1), B)
-    dp, dn, tp, tn = rhs_matrices(MAT, bundle, spec)
-    assert np.allclose(dp, 0.0, atol=EXACT_TOL)
-    assert np.allclose(tp, 0.0, atol=EXACT_TOL)
-    expect = np.zeros((n + 1, n + 1), dtype=complex)
-    expect[3, 3] = np.conj(B[3])  # gamma = 1
-    assert np.allclose(dn, expect, atol=EXACT_TOL)
-    assert np.allclose(tn, -MAT.mu_ext * expect, atol=EXACT_TOL)
+    rv = unit_rhs_vectors(MAT, bundle, spec)
+    assert np.allclose(rv.disp_pos, 0.0, atol=EXACT_TOL)
+    assert np.allclose(rv.trac_pos, 0.0, atol=EXACT_TOL)
+    expect = np.zeros(n + 1, dtype=complex)
+    expect[3] = np.conj(B[3])  # gamma = 1
+    assert np.allclose(rv.disp_neg, expect, atol=EXACT_TOL)
+    assert np.allclose(rv.trac_neg, -MAT.mu_ext * expect, atol=EXACT_TOL)
 
 
 def test_ellipse_single_conjugate_mode_vectors():
@@ -120,6 +120,30 @@ def test_traction_series_matches_potentials_up_to_constant():
     diff = series - direct
     diff -= diff.mean()
     assert np.max(np.abs(diff)) <= SERIES_TOL * max(1.0, np.max(np.abs(direct)))
+
+
+# unit-radius shapes: disk, ellipse, four-term, a1 = 0.9 and a seeded depth-5 map
+RHS_MAPS = [[0.5], [0.5, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9],
+            np.array([1.0, 1.0j]) @ np.random.default_rng(5).standard_normal((2, 6)) * 0.02]
+
+
+@pytest.mark.parametrize("material", [MAT, MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)],
+                         ids=["cavity", "transmission"])
+@pytest.mark.parametrize("gamma", [1.0, 1.3])
+@pytest.mark.parametrize("a", RHS_MAPS, ids=["disk", "ellipse", "four-term", "a1-0.9", "depth-5"])
+def test_unit_rhs_vectors_match_per_mode_reference(a, gamma, material):
+    # one product with the two-sided Psi matrix against the column sums of the
+    # per-mode matrices, which fold the product across power 0
+    rng = np.random.default_rng(43)
+    cmap = ConformalMap(gamma, np.asarray(a) * gamma ** (np.arange(len(a)) + 1.0))
+    for n in (1, 4, 16, 48):
+        bundle = build_geometry(cmap, n)
+        spec = random_loading(rng, min(n, 6))
+        rv = unit_rhs_vectors(material, bundle, spec)
+        got = (rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)
+        for vector, matrix in zip(got, rhs_matrices(material, bundle, spec)):
+            want = matrix[1:].sum(axis=0)
+            assert np.max(np.abs(vector - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_index_zero_invariants():

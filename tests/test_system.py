@@ -28,7 +28,7 @@ from elastinc.system import (
     m_blocks,
     solve,
 )
-from layer_reference import faber_matrix, monomial_derivative_matrix, poly_eval
+from layer_reference import faber_matrix, folded_m_blocks, monomial_derivative_matrix, poly_eval
 
 EXACT_TOL = 1e-11
 SOLVE_TOL = 1e-10
@@ -130,6 +130,27 @@ def test_identity_map_coupling_blocks():
     assert live[1, 0] == pytest.approx(1.0)
     live[1, 0] = 0.0
     assert np.allclose(live, 0.0, atol=1e-14)
+
+
+# unit-radius shapes: disk, ellipse, four-term, a1 = 0.9 and a seeded depth-5 map
+COUPLING_MAPS = [[0.5], [0.5, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9],
+                 np.array([1.0, 1.0j]) @ np.random.default_rng(5).standard_normal((2, 6)) * 0.02]
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.3])
+@pytest.mark.parametrize("a", COUPLING_MAPS, ids=["disk", "ellipse", "four-term", "a1-0.9", "depth-5"])
+def test_coupling_blocks_match_folded_reference(a, gamma):
+    # the quadrants of one two-sided product against the Hankel/Toeplitz/corner
+    # folding; column 0 of M21 and M41 is discarded downstream, and there the
+    # two-sided form also carries the w^0 term of the density shift
+    cmap = ConformalMap(gamma, np.asarray(a) * gamma ** (np.arange(len(a)) + 1.0))
+    for n in (1, 4, 16, 48):
+        bundle = build_geometry(cmap, n)
+        for name, got, want in zip(("M21", "M41", "M22", "M42"), m_blocks(bundle),
+                                   folded_m_blocks(bundle)):
+            first = 1 if name in ("M21", "M41") else 0
+            err = np.max(np.abs(got[:, first:] - want[:, first:]))
+            assert err <= 1e-14 * np.max(np.abs(want)), (name, n, err)
 
 
 def test_jump_part_cancellation_decays_linearly():
