@@ -638,8 +638,8 @@ def _check_radius_scale_invariance() -> float:
 
 
 SELF_TESTS = (
-    ("disk cavity closed form", _check_disk_closed_form, 1e-10),
-    ("loading boundary series", _check_loading_series, 1e-8),
+    ("disk cavity closed form", _check_disk_closed_form, 1e-12),
+    ("loading boundary series", _check_loading_series, 1e-12),
     ("ellipse transmission residuals", _check_transmission_residual, 1e-12),
     ("reference-method agreement", _check_oracle_agreement, 1e-9),
     ("radius-scale invariance", _check_radius_scale_invariance, 1e-12),

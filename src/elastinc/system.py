@@ -3,17 +3,16 @@
 The exterior displacement is written as the loading plus a single-layer field
 with density psi, the interior as a single-layer field with density phi. On
 the boundary circle each density mode produces two-sided power series for the
-displacement and for the traction potential; collecting coefficients in the
-basis (w^k, w^{-k}) turns the two transmission conditions into a block linear
-system x E = -2h over the mode coefficient blocks
-
-    x = [xe+, conj xe+, xe-, conj xe-, xi+, conj xi+, xi-, conj xi-].
+displacement and for the traction potential. On the window of modes x powers
+-n..n a side's density enters them through the layer matrix Q / |l| and its
+conjugate through the coupling matrix M (layer_matrices), each scaled by one
+material factor per equation family; the two transmission conditions,
+exterior minus interior, equal -2h.
 
 The system is posed on the unit-radius problem (geometry.unit_radius and
 LoadingSpec.unit_radius), whose density coefficients serve every radius.
-The conjugated blocks make half the unknowns and half the equations
-redundant; the independent half is assembled as one square real matrix,
-without its structurally zero rows and columns, and factored once by LU.
+The real and imaginary parts of the kept coefficients (kept_indices) are the
+unknowns of one square real matrix, factored once by LU.
 """
 
 from __future__ import annotations
@@ -33,99 +32,90 @@ class AssemblyError(ValueError):
     """Inconsistent assembly inputs."""
 
 
-def m_blocks(bundle: GeometryBundle):
-    """Conjugate-coupling matrices (M21, M41, M22, M42).
+def kept_indices(n: int):
+    """Window indices (mode or power + n) of the unknowns and equations kept.
 
-    Row j of M21/M22 holds the w^k / w^{-k} coefficients produced by the
-    conjugated mode-j density (j >= 1) in the combination
-    -Psi(w) conj(C1[dens]) + conj(C1[zeta-bar dens]); rows of M41/M42 do the
-    same for the negative modes, with row 0 carrying the mode-0 density.
+    Returns (exterior modes, interior modes, displacement powers, traction
+    powers), each ordered positives first, then 0, -1, ..., -n. Mode 0 is
+    kept only in the interior, where its density is the constant
+    displacement; power 0 only in the displacement, where the constant
+    lands. The other index-0 rows and columns are structurally zero.
+    """
+    every = np.r_[n + 1 : 2 * n + 1, n : -1 : -1]
+    nonzero = np.delete(every, n)
+    return nonzero, every, every, nonzero
 
-    Row m of T is mode m's series on the powers -n..n: conj(Dt[m]) / m in
-    the w^{-k} part and that row times conj(C) in the w^k part. T @ P
-    multiplies every series by Psi; P.T[:, n:] @ T is the shifted density,
-    whose mode l (-n..n) collects a_{m-l} times mode m's series. Their
-    difference has the modes -n..n as rows and the powers -n..n as
-    columns, and the four matrices are its quadrants. Column 0 of M21 and
-    M41 (the power w^0 on the positive side) is discarded downstream.
+
+def layer_matrices(bundle: GeometryBundle):
+    """The layer matrix Q, the weights 1/|l| and the coupling matrix M.
+
+    Both matrices have the density modes l = -n..n as rows and the boundary
+    powers k = -n..n as columns, each stored at index +n; the weight of
+    mode 0 is 0. Row l >= 0 of Q is F_l(Psi(w)) = w^l + sum_k c_lk w^-k
+    (row 0 is w^0: c_0k = 0), row -l its conjugate w^-l + sum_k conj(c_lk) w^k.
+
+    Row l of M holds the coefficients produced by the conjugated mode-l
+    density in the combination -Psi(w) conj(C1[dens]) + conj(C1[zeta-bar
+    dens]). Row m of T is mode m's series on the powers -n..n:
+    conj(Dt[m]) / m in the w^{-k} part and that row times conj(C) in the
+    w^k part. T @ P multiplies every series by Psi; P.T[:, n:] @ T is the
+    shifted density, whose mode l (-n..n) collects a_{m-l} times mode m's
+    series; M is their difference.
     """
     n = bundle.n
+    weight = np.zeros(2 * n + 1)
+    weight[n + 1 :] = 1.0 / np.arange(1, n + 1)
+    weight[:n] = weight[: n : -1]
+    C = bundle.grunsky
+    # zeros stored as 0 - 0j stay +0 when scaled by a factor of either sign
+    Q = np.full((2 * n + 1, 2 * n + 1), complex(0.0, -0.0))
+    np.fill_diagonal(Q, 1.0)
+    Q[n + 1 :, : n + 1] = C[1:, ::-1]
+    Q[:n, n:] = np.conj(C[:0:-1])
     P = bundle.psi
-    ninv0 = np.zeros(n + 1)
-    ninv0[1:] = 1.0 / np.arange(1, n + 1)
-    D = np.conj(bundle.faber_deriv) * ninv0[:, None]
+    D = np.conj(bundle.faber_deriv) * weight[n:, None]
     T = np.empty((n + 1, 2 * n + 1), dtype=complex)
     T[:, n::-1] = D
-    T[:, n + 1 :] = (D @ np.conj(bundle.grunsky))[:, 1:]
-    full = -(P.T[:, n:] @ T)
-    full[n:] += T @ P
-    return full[n:, n:], full[n::-1, n:], full[n:, n::-1], full[n::-1, n::-1]
+    T[:, n + 1 :] = (D @ np.conj(C))[:, 1:]
+    M = -(P.T[:, n:] @ T)
+    M[n:] += T @ P
+    return Q, weight, M
 
 
-def exterior_blocks(material: MaterialPair, bundle: GeometryBundle):
-    """The sixteen exterior coefficient blocks S[i][j].
+def _layer_pair(window, modes, powers, alpha, beta, mu, interior, traction):
+    """(A, B): one side's density x enters one equation family as A x + B conj(x).
 
-    Index i selects the unknown block (0: xe+, 1: conj xe+, 2: xe-,
-    3: conj xe-) and j the equation family (0/1: displacement series in
-    w^k / w^{-k}, 2/3: traction-potential series).
+    Rows are the kept powers, columns the kept modes. Displacement: A is
+    -alpha Q / |l|, plus -beta at power 0 for the interior mode-0 density,
+    and B is beta M. Traction potential: A is Q / |l| scaled by mu alpha on
+    positive powers and -mu beta on the others, the two swapped on the
+    interior diagonal, so that there the factor follows the mode's sign;
+    B is -mu beta M.
     """
-    return _sided_blocks(bundle, m_blocks(bundle), material.alpha, material.beta,
-                         material.mu_ext, interior=False)
-
-
-def interior_blocks(material: MaterialPair, bundle: GeometryBundle):
-    """The sixteen interior coefficient blocks, transmission mode only."""
-    if material.cavity:
-        raise AssemblyError("interior blocks are undefined for a cavity")
-    alpha, beta, kappa = material.interior_constants()
-    return _sided_blocks(bundle, m_blocks(bundle), alpha, beta, material.mu_int, interior=True)
-
-
-def _sided_blocks(bundle, M, alpha, beta, mu, interior):
-    """The sixteen blocks of one side, from the coupling matrices M = m_blocks(bundle)."""
-    M21, M41, M22, M42 = M
-    n = bundle.n
-    ninv0 = np.zeros(n + 1)
-    ninv0[1:] = 1.0 / np.arange(1, n + 1)
-    kill0 = np.ones(n + 1)
-    kill0[0] = 0.0  # drops the index-0 row or column
-    # the exterior side also drops row 0 of the negative-mode blocks
-    rows41 = np.ones(n + 1) if interior else kill0
-    C = bundle.grunsky
-    Cb = np.conj(C)
-
-    S = [[None] * 4 for _ in range(4)]
-    S[0][0] = np.diag(-alpha * ninv0)
-    S[1][0] = beta * kill0[:, None] * M21 * kill0
-    S[2][0] = -alpha * ninv0[:, None] * Cb
-    S[0][1] = -alpha * ninv0[:, None] * C
-    S[1][1] = beta * kill0[:, None] * M22
-    S[2][1] = np.diag(-alpha * ninv0)
-    if interior:
-        # the mode-0 interior density produces a genuine constant displacement
-        S[2][1][0, 0] -= beta
-    S[3][0] = beta * rows41[:, None] * M41 * kill0
-    S[3][1] = beta * rows41[:, None] * M42
-    S[0][2] = np.diag((-mu * beta if interior else mu * alpha) * ninv0)
-    S[3][2] = -mu * beta * rows41[:, None] * M41 * kill0
-    S[3][3] = -mu * beta * rows41[:, None] * M42 * kill0
-    S[1][2] = -mu * beta * kill0[:, None] * M21 * kill0
-    S[2][2] = mu * alpha * ninv0[:, None] * Cb
-    S[0][3] = -mu * beta * ninv0[:, None] * C
-    S[1][3] = -mu * beta * kill0[:, None] * M22 * kill0
-    S[2][3] = np.diag((mu * alpha if interior else -mu * beta) * ninv0)
-    return S
+    Q, weight, M = window
+    n = weight.size // 2
+    A, B = Q[modes].T[powers], M[modes].T[powers]
+    if not traction:
+        A *= -alpha * weight[modes]
+        A[np.ix_(powers == n, modes == n)] -= beta
+        B *= beta
+        return A, B
+    a, b = mu * alpha, -mu * beta
+    A *= (np.where(modes > n, b, a) if interior else np.where(powers > n, a, b)[:, None]) * weight[modes]
+    B *= b
+    return A, B
 
 
 @dataclass(frozen=True)
 class BlockSystem:
     """The square real system matrix @ x = rhs of the unit-radius problem.
 
-    Rows: real parts of the equation families (disp_pos, disp_neg, trac_pos,
-    trac_neg; the trac pair alone for a cavity), then imaginary parts.
-    Columns: real parts of the unknown blocks (xe+, xe-, xi+, xi-; xe+, xe-
-    for a cavity), then imaginary parts. Entry 0 of every family but
-    disp_neg and of every block but xi- is structurally zero and left out.
+    Rows: real parts of the equation families (displacement, then traction
+    potential; the traction alone for a cavity), then imaginary parts.
+    Columns: real parts of the exterior, then the interior density
+    coefficients (the exterior alone for a cavity), then imaginary parts.
+    Each family and side runs over its kept powers or modes, in the order
+    of kept_indices.
     """
 
     matrix: np.ndarray
@@ -138,43 +128,43 @@ class BlockSystem:
 
 def assemble_system(material: MaterialPair, bundle: GeometryBundle,
                     spec: LoadingSpec) -> BlockSystem:
-    """Assemble the square real system (8 unknown blocks, or 4 for a cavity).
+    """Assemble the square real system of the kept modes and powers.
 
-    Unknown block (Fa, Fb) enters equation family c as x Fa[c] + conj(x) Fb[c];
-    with x = r + i s its transpose is (Fa + Fb)^T r + i (Fa - Fb)^T s, whose
-    real and imaginary parts are written as they stand.
+    The density x enters an equation family as A x + B conj(x); with
+    x = r + i s the family's columns are (A + B) r + i (A - B) s, whose
+    real and imaginary parts are written as they stand. The interior enters
+    with the opposite sign: each condition is exterior minus interior.
     """
     mode = "cavity" if material.cavity else "transmission"
-    d = bundle.n + 1
-    M = m_blocks(bundle)  # shared by both sides
-    sides = [(_sided_blocks(bundle, M, material.alpha, material.beta, material.mu_ext,
-                            interior=False), 1.0)]
-    families = [2, 3]
+    n = bundle.n
+    window = layer_matrices(bundle)  # shared by both sides
+    ext_modes, int_modes, disp_powers, trac_powers = kept_indices(n)
+    rv = unit_rhs_vectors(material, bundle, spec)
+    # (kept powers, right-hand side on the window, traction?)
+    families = [(trac_powers, np.r_[rv.trac_neg[::-1], rv.trac_pos[1:]], True)]
+    sides = [(ext_modes, material.alpha, material.beta, material.mu_ext, False)]
     if mode == "transmission":
         alpha, beta, _ = material.interior_constants()
-        sides.append((_sided_blocks(bundle, M, alpha, beta, material.mu_int, interior=True), -1.0))
-        families = [0, 1, 2, 3]
-    pairs = [(S[i], S[i + 1], sign) for S, sign in sides for i in (0, 2)]
-    # index 0 survives only in the w^0 displacement family and in xi-
-    row_lead = [int(c != 1) for c in families]
-    col_lead = [int(p != 3) for p in range(len(pairs))]
-    row_at = np.cumsum([0] + [d - lead for lead in row_lead])
-    col_at = np.cumsum([0] + [d - lead for lead in col_lead])
+        families.insert(0, (disp_powers, np.r_[rv.disp_neg[::-1], rv.disp_pos[1:]], False))
+        sides.append((int_modes, alpha, beta, material.mu_int, True))
+    row_at = np.cumsum([0] + [powers.size for powers, _, _ in families])
+    col_at = np.cumsum([0] + [side[0].size for side in sides])
     half = row_at[-1]
     matrix = np.empty((2 * half, 2 * half))
-    for f, c in enumerate(families):
-        re, im = slice(row_at[f], row_at[f + 1]), slice(half + row_at[f], half + row_at[f + 1])
-        for p, (Fa, Fb, sign) in enumerate(pairs):
-            r, i = slice(col_at[p], col_at[p + 1]), slice(half + col_at[p], half + col_at[p + 1])
-            plus = (sign * (Fa[c] + Fb[c])).T[row_lead[f]:, col_lead[p]:]
-            minus = (sign * (Fa[c] - Fb[c])).T[row_lead[f]:, col_lead[p]:]
+    for s, (modes, alpha, beta, mu, interior) in enumerate(sides):
+        r, i = slice(col_at[s], col_at[s + 1]), slice(half + col_at[s], half + col_at[s + 1])
+        for f, (powers, _, traction) in enumerate(families):
+            re, im = slice(row_at[f], row_at[f + 1]), slice(half + row_at[f], half + row_at[f + 1])
+            A, B = _layer_pair(window, modes, powers, alpha, beta, mu, interior, traction)
+            plus, minus = A + B, np.subtract(A, B, out=A)
+            if interior:  # after the sum: folded into alpha, beta it flips the sign of zeros
+                plus *= -1.0
+                minus *= -1.0
             matrix[re, r], matrix[re, i] = plus.real, -minus.imag
             matrix[im, r], matrix[im, i] = plus.imag, minus.real
 
-    rv = unit_rhs_vectors(material, bundle, spec)
-    h = np.concatenate([(rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)[c][lead:]
-                        for c, lead in zip(families, row_lead)])
-    return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]), n=bundle.n,
+    h = np.concatenate([rhs[powers] for powers, rhs, _ in families])
+    return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]), n=n,
                        mode=mode, material=material, bundle=bundle)
 
 
@@ -246,22 +236,23 @@ def solve(system: BlockSystem) -> DensitySolution:
     # a non-finite rhs gives a NaN residual, which never counts as converged
     residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale != 0 else 0.0
 
-    # put back the structurally zero index-0 entries of xe+, xe- (and xi+)
-    n, d = system.n, system.n + 1
-    blocks, dropped = (4, 3) if system.mode == "transmission" else (2, 2)
+    # the kept modes of both sides onto the window; mode 0 is a minus entry
+    n = system.n
+    ext_modes, int_modes, _, _ = kept_indices(n)
     x = sol.reshape(2, -1)
-    u = np.insert(x[0] + 1j * x[1], n * np.arange(dropped), 0.0).reshape(blocks, d)
-    if system.mode == "transmission":
-        xe_plus, xe_minus, xi_plus, xi_minus = u
-    else:
-        xe_plus, xe_minus = u
+    window = np.zeros((2, 2 * n + 1), dtype=complex)  # exterior, interior
+    window.flat[np.r_[ext_modes, int_modes + 2 * n + 1][: x.shape[1]]] = x[0] + 1j * x[1]
+    plus, minus = window[:, n:].copy(), window[:, n::-1]
+    plus[:, 0] = 0.0
+    xe_plus, xe_minus, xi_plus, xi_minus = plus[0], minus[0], plus[1], minus[1]
+    if system.mode == "cavity":
         xi_plus = xi_minus = None
 
     cmap = system.bundle.cmap
     gamma = cmap.gamma
-    proj = gamma * xe_plus[1] if d > 1 else 0.0
+    proj = gamma * xe_plus[1] if n > 0 else 0.0
     for l in range(cmap.a.size):
-        if l < d:
+        if l <= n:
             proj = proj + np.conj(cmap.coeff(l)) * gamma ** (-l) * xe_minus[l]
     rotation_projection = float(-2.0 * np.pi * np.imag(proj))
 
@@ -292,15 +283,15 @@ def cavity_mode_matrix(material: MaterialPair, bundle: GeometryBundle, m: int) -
     """
     if not 1 <= m <= bundle.n:
         raise AssemblyError(f"mode {m} outside 1..{bundle.n}")
-    S = exterior_blocks(material, bundle)
-    # unknown order: xe+[m], conj xe+[m], xe-[m], conj xe-[m]
-    unknown_blocks = [(S[0], S[1]), (S[2], S[3])]
-    E0 = np.zeros((4, 4), dtype=complex)
-    for p, (Fa, Fb) in enumerate(unknown_blocks):
-        for q, c in enumerate((2, 3)):
-            E0[2 * p, 2 * q] = Fa[c][m, m]
-            E0[2 * p, 2 * q + 1] = np.conj(Fb[c][m, m])
-            E0[2 * p + 1, 2 * q] = Fb[c][m, m]
-            E0[2 * p + 1, 2 * q + 1] = np.conj(Fa[c][m, m])
+    n = bundle.n
+    modes, _, _, powers = kept_indices(n)
+    pick = [m - 1, n + m - 1]  # mode (power) m and -m in the kept order
+    A, B = _layer_pair(layer_matrices(bundle), modes[pick], powers[pick], material.alpha,
+                       material.beta, material.mu_ext, interior=False, traction=True)
+    # E[2q + j, 2p + i]: power q (m, -m), conjugated equation if j; unknown p
+    # (xe+[m], xe-[m]), conjugated if i
+    E = np.empty((2, 2, 2, 2), dtype=complex)
+    E[:, 0, :, 0], E[:, 0, :, 1] = A, B
+    E[:, 1, :, 0], E[:, 1, :, 1] = np.conj(B), np.conj(A)
     power = bundle.gamma ** np.array([-m, -m, m, m], dtype=float)
-    return -(E0.T) * power[:, None] / material.mu_ext
+    return -E.reshape(4, 4) * power[:, None] / material.mu_ext

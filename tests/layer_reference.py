@@ -13,7 +13,11 @@ loading and its derivatives on and outside the boundary. The Hankel,
 Toeplitz and corner matrices that fold multiplication by Psi across power
 0, and the coupling blocks and per-mode right-hand-side matrices built from
 them, are the references for the package's one two-sided Psi matrix
-(GeometryBundle.psi). The row-wise grid evaluation and field.csv writer at
+(GeometryBundle.psi). The quadrant coupling matrices (m_blocks) and the
+sixteen coefficient blocks per side (exterior_blocks, interior_blocks) and
+the cavity mode matrix read off them are the references for the block
+system's layer and coupling matrices on the two-sided window
+(system.layer_matrices). The row-wise grid evaluation and field.csv writer at
 the end are the references for grid_field's columns and the CLI's
 column-wise writer.
 """
@@ -33,6 +37,7 @@ from elastinc.geometry import (
     unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series
+from elastinc.system import AssemblyError
 
 
 # -- the monomial Faber substrate -----------------------------------------------
@@ -221,6 +226,112 @@ def rhs_matrices(material, bundle, spec: LoadingSpec):
     trac_pos = mu * (np.diag(A) + X_pos - Y_pos)
     trac_neg = mu * (A[:, None] * C + X_neg * kill0 - Y_neg)
     return disp_pos, disp_neg, trac_pos, trac_neg
+
+
+# -- the sixteen-block system ------------------------------------------------------
+# system.assemble_system builds each side's coefficients from one layer matrix
+# and one coupling matrix on the two-sided window; these are the quadrant
+# coupling matrices and the sixteen hand-written blocks per side it replaced.
+
+
+def m_blocks(bundle):
+    """Conjugate-coupling matrices (M21, M41, M22, M42).
+
+    Row j of M21/M22 holds the w^k / w^{-k} coefficients produced by the
+    conjugated mode-j density (j >= 1) in the combination
+    -Psi(w) conj(C1[dens]) + conj(C1[zeta-bar dens]); rows of M41/M42 do the
+    same for the negative modes, with row 0 carrying the mode-0 density.
+
+    Row m of T is mode m's series on the powers -n..n: conj(Dt[m]) / m in
+    the w^{-k} part and that row times conj(C) in the w^k part. T @ P
+    multiplies every series by Psi; P.T[:, n:] @ T is the shifted density,
+    whose mode l (-n..n) collects a_{m-l} times mode m's series. Their
+    difference has the modes -n..n as rows and the powers -n..n as
+    columns, and the four matrices are its quadrants. Column 0 of M21 and
+    M41 (the power w^0 on the positive side) is discarded downstream.
+    """
+    n = bundle.n
+    P = bundle.psi
+    ninv0 = np.zeros(n + 1)
+    ninv0[1:] = 1.0 / np.arange(1, n + 1)
+    D = np.conj(bundle.faber_deriv) * ninv0[:, None]
+    T = np.empty((n + 1, 2 * n + 1), dtype=complex)
+    T[:, n::-1] = D
+    T[:, n + 1 :] = (D @ np.conj(bundle.grunsky))[:, 1:]
+    full = -(P.T[:, n:] @ T)
+    full[n:] += T @ P
+    return full[n:, n:], full[n::-1, n:], full[n:, n::-1], full[n::-1, n::-1]
+
+
+def exterior_blocks(material, bundle):
+    """The sixteen exterior coefficient blocks S[i][j].
+
+    Index i selects the unknown block (0: xe+, 1: conj xe+, 2: xe-,
+    3: conj xe-) and j the equation family (0/1: displacement series in
+    w^k / w^{-k}, 2/3: traction-potential series).
+    """
+    return _sided_blocks(bundle, m_blocks(bundle), material.alpha, material.beta,
+                         material.mu_ext, interior=False)
+
+
+def interior_blocks(material, bundle):
+    """The sixteen interior coefficient blocks, transmission mode only."""
+    if material.cavity:
+        raise AssemblyError("interior blocks are undefined for a cavity")
+    alpha, beta, kappa = material.interior_constants()
+    return _sided_blocks(bundle, m_blocks(bundle), alpha, beta, material.mu_int, interior=True)
+
+
+def _sided_blocks(bundle, M, alpha, beta, mu, interior):
+    """The sixteen blocks of one side, from the coupling matrices M = m_blocks(bundle)."""
+    M21, M41, M22, M42 = M
+    n = bundle.n
+    ninv0 = np.zeros(n + 1)
+    ninv0[1:] = 1.0 / np.arange(1, n + 1)
+    kill0 = np.ones(n + 1)
+    kill0[0] = 0.0  # drops the index-0 row or column
+    # the exterior side also drops row 0 of the negative-mode blocks
+    rows41 = np.ones(n + 1) if interior else kill0
+    C = bundle.grunsky
+    Cb = np.conj(C)
+
+    S = [[None] * 4 for _ in range(4)]
+    S[0][0] = np.diag(-alpha * ninv0)
+    S[1][0] = beta * kill0[:, None] * M21 * kill0
+    S[2][0] = -alpha * ninv0[:, None] * Cb
+    S[0][1] = -alpha * ninv0[:, None] * C
+    S[1][1] = beta * kill0[:, None] * M22
+    S[2][1] = np.diag(-alpha * ninv0)
+    if interior:
+        # the mode-0 interior density produces a genuine constant displacement
+        S[2][1][0, 0] -= beta
+    S[3][0] = beta * rows41[:, None] * M41 * kill0
+    S[3][1] = beta * rows41[:, None] * M42
+    S[0][2] = np.diag((-mu * beta if interior else mu * alpha) * ninv0)
+    S[3][2] = -mu * beta * rows41[:, None] * M41 * kill0
+    S[3][3] = -mu * beta * rows41[:, None] * M42 * kill0
+    S[1][2] = -mu * beta * kill0[:, None] * M21 * kill0
+    S[2][2] = mu * alpha * ninv0[:, None] * Cb
+    S[0][3] = -mu * beta * ninv0[:, None] * C
+    S[1][3] = -mu * beta * kill0[:, None] * M22 * kill0
+    S[2][3] = np.diag((mu * alpha if interior else -mu * beta) * ninv0)
+    return S
+
+
+def block_cavity_mode_matrix(material, bundle, m, S):
+    """The per-mode 4x4 cavity matrix read off the sixteen exterior blocks
+    S = exterior_blocks(material, bundle)."""
+    # unknown order: xe+[m], conj xe+[m], xe-[m], conj xe-[m]
+    unknown_blocks = [(S[0], S[1]), (S[2], S[3])]
+    E0 = np.zeros((4, 4), dtype=complex)
+    for p, (Fa, Fb) in enumerate(unknown_blocks):
+        for q, c in enumerate((2, 3)):
+            E0[2 * p, 2 * q] = Fa[c][m, m]
+            E0[2 * p, 2 * q + 1] = np.conj(Fb[c][m, m])
+            E0[2 * p + 1, 2 * q] = Fb[c][m, m]
+            E0[2 * p + 1, 2 * q + 1] = np.conj(Fa[c][m, m])
+    power = bundle.gamma ** np.array([-m, -m, m, m], dtype=float)
+    return -(E0.T) * power[:, None] / material.mu_ext
 
 
 # -- the layer transforms ---------------------------------------------------------

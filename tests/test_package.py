@@ -11,12 +11,13 @@ import elastinc
 SRC = Path(__file__).resolve().parents[1] / "src"
 REFERENCE = Path(__file__).resolve().parent / "layer_reference.py"
 
-# names deleted from the package: the monomial Faber substrate now lives in
-# tests/layer_reference.py as a reference, and the single-point field
-# wrappers and the square Grunsky alias are gone
+# names deleted from the package: the monomial Faber substrate and the
+# sixteen-block system now live in tests/layer_reference.py as references,
+# and the single-point field wrappers and the square Grunsky alias are gone
 REMOVED = ("faber_matrix", "faber_inverse", "monomial_derivative_matrix", "poly_eval",
            "loading_pair", "_polyder", "eval_exterior", "eval_interior",
-           "eval_traction_potential", "_sample", "grunsky_matrix")
+           "eval_traction_potential", "_sample", "grunsky_matrix",
+           "_sided_blocks", "exterior_blocks", "interior_blocks", "m_blocks")
 
 
 def defined_names(path: Path) -> set[str]:

@@ -23,18 +23,27 @@ from elastinc.system import (
     AssemblyError,
     assemble_system,
     cavity_mode_matrix,
-    exterior_blocks,
-    interior_blocks,
-    m_blocks,
+    kept_indices,
+    layer_matrices,
     solve,
 )
-from layer_reference import faber_matrix, folded_m_blocks, monomial_derivative_matrix, poly_eval
+from layer_reference import (
+    block_cavity_mode_matrix,
+    exterior_blocks,
+    faber_matrix,
+    folded_m_blocks,
+    interior_blocks,
+    monomial_derivative_matrix,
+    poly_eval,
+)
 
 EXACT_TOL = 1e-11
 SOLVE_TOL = 1e-10
 
 CAV = MaterialPair(2.0, 1.0, cavity=True)
 TRANS = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
+STIFF = MaterialPair(2.0, 1.0, lam_int=2e6, mu_int=1e6)    # mu_t / mu = 1e6
+SOFT = MaterialPair(2.0, 1.0, lam_int=2e-4, mu_int=1e-4)   # mu_t / mu = 1e-4
 DISK = ConformalMap(1.0, [0.5])
 ELLIPSE = ConformalMap(1.0, [0.5, 0.3])
 
@@ -99,6 +108,14 @@ def coupling_row_by_fft(cmap, j, n, n_theta=512):
     return pos, neg
 
 
+def coupling_quadrants(bundle):
+    """(M21, M41, M22, M42): the coupling matrix's quadrants, rows modes
+    (0..n or 0, -1, ..., -n), columns powers (0..n or 0, -1, ..., -n)."""
+    n = bundle.n
+    M = layer_matrices(bundle)[2]
+    return M[n:, n:], M[n::-1, n:], M[n:, n::-1], M[n::-1, n::-1]
+
+
 @pytest.mark.parametrize("cmap", [DISK, ELLIPSE, ConformalMap(1.3, [0.2 + 0.1j, -0.15, 0.08j])])
 def test_coupling_blocks_match_fft(cmap):
     # Column 0 of the positive-family matrices is structurally discarded
@@ -107,7 +124,7 @@ def test_coupling_blocks_match_fft(cmap):
     depth = cmap.a.size - 1
     n_big = n + depth + 1
     bundle = build_geometry(cmap, n_big)
-    M21, M41, M22, M42 = m_blocks(bundle)
+    M21, M41, M22, M42 = coupling_quadrants(bundle)
     for j in range(1, n + 1):
         pos, neg = coupling_row_by_fft(cmap, j, n)
         assert np.allclose(M21[j, 1 : n + 1], pos[1:], atol=EXACT_TOL)
@@ -122,7 +139,7 @@ def test_identity_map_coupling_blocks():
     # Pure rotation/scaling map: only the mode-1 density couples, because
     # its conjugate-shifted partner hits the transform's one-sided gap.
     bundle = build_geometry(ConformalMap(1.0, []), 6)
-    M21, M41, M22, M42 = m_blocks(bundle)
+    M21, M41, M22, M42 = coupling_quadrants(bundle)
     assert np.allclose(M41, 0.0, atol=1e-14)
     assert np.allclose(M42, 0.0, atol=1e-14)
     assert np.allclose(M22, 0.0, atol=1e-14)
@@ -146,7 +163,7 @@ def test_coupling_blocks_match_folded_reference(a, gamma):
     cmap = ConformalMap(gamma, np.asarray(a) * gamma ** (np.arange(len(a)) + 1.0))
     for n in (1, 4, 16, 48):
         bundle = build_geometry(cmap, n)
-        for name, got, want in zip(("M21", "M41", "M22", "M42"), m_blocks(bundle),
+        for name, got, want in zip(("M21", "M41", "M22", "M42"), coupling_quadrants(bundle),
                                    folded_m_blocks(bundle)):
             first = 1 if name in ("M21", "M41") else 0
             err = np.max(np.abs(got[:, first:] - want[:, first:]))
@@ -234,15 +251,15 @@ def reference_real(blocks, rhs_row):
 FOURTERM = [0.1, 0.25, 0.08 + 0.05j, 0.03]
 
 
-@pytest.mark.parametrize("n", [4, 16])
-@pytest.mark.parametrize("gamma", [1.0, 2.5])
+@pytest.mark.parametrize("n", [2, 4, 16, 48])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("shape", [[0.0], [0.0, 0.3], FOURTERM])
 def test_real_matrix_is_reference_without_zero_rows_and_columns(shape, gamma, n):
     cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
     bundle = build_geometry(cmap, n)
     spec = LoadingSpec([0.0, 0.3 + 0.1j, 0.2], [0.0, 1.0, 0.5j])
     d = n + 1
-    for material, zeros in ((TRANS, 6), (CAV, 4)):
+    for material, zeros in ((TRANS, 6), (CAV, 4), (STIFF, 6), (SOFT, 6)):
         system = assemble_system(material, bundle, spec)
         G, b = reference_real(*reference_blocks(material, bundle, spec))
         # the reference interleaves the real and imaginary rows family by family
@@ -274,15 +291,42 @@ def test_exterior_block_shapes_and_zero_rows():
 
 
 def test_interior_blocks_require_transmission():
-    bundle = build_geometry(ELLIPSE, 4)
     with pytest.raises(AssemblyError):
-        interior_blocks(CAV, bundle)
-    St = interior_blocks(TRANS, bundle)
-    at, bt, _ = TRANS.interior_constants()
-    # the mode-0 interior density carries the constant-displacement entry
-    assert St[2][1][0, 0] == pytest.approx(2 * at * np.log(bundle.gamma) - bt)
-    # ... and couples through the conjugate-shift of the mode-1 transform
-    assert St[3][1][0, 0] == pytest.approx(-0.3 * bt)
+        interior_blocks(CAV, build_geometry(ELLIPSE, 4))
+    _, bt, _ = TRANS.interior_constants()
+    for gamma in (1.0, 1.3):
+        bundle = build_geometry(ConformalMap(gamma, [0.5 * gamma, 0.3 * gamma**2]), 4)
+        St = interior_blocks(TRANS, bundle)
+        # the mode-0 interior density carries the constant-displacement entry,
+        # the same at every radius in the unit-radius problem
+        assert St[2][1][0, 0] == pytest.approx(-bt)
+        # ... and couples through the conjugate-shift of the mode-1 transform
+        assert St[3][1][0, 0] == pytest.approx(-0.3 * bt)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.3, 2.5])
+@pytest.mark.parametrize("shape", [[0.0], [0.0, 0.3], FOURTERM, [0.0, 0.9], [0.5, 0.3]],
+                         ids=["disk", "ellipse", "four-term", "a1-0.9", "ellipse-shifted"])
+def test_cavity_mode_matrix_is_the_block_reference(shape, gamma):
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    for n in (1, 2, 4, 16, 48, 64):
+        bundle = build_geometry(cmap, n)
+        S = exterior_blocks(CAV, bundle)
+        for m in range(1, n + 1):
+            np.testing.assert_array_equal(cavity_mode_matrix(CAV, bundle, m),
+                                          block_cavity_mode_matrix(CAV, bundle, m, S))
+    for m in (0, n + 1):
+        with pytest.raises(AssemblyError):
+            cavity_mode_matrix(CAV, bundle, m)
+
+
+def test_kept_indices_layout():
+    # window index = mode or power + n; positives first, then 0, -1, ..., -n
+    ext_modes, int_modes, disp_powers, trac_powers = kept_indices(3)
+    np.testing.assert_array_equal(int_modes, [4, 5, 6, 3, 2, 1, 0])
+    np.testing.assert_array_equal(disp_powers, int_modes)
+    np.testing.assert_array_equal(ext_modes, [4, 5, 6, 2, 1, 0])
+    np.testing.assert_array_equal(trac_powers, ext_modes)
 
 
 def test_assemble_modes_and_conflicts():
@@ -359,6 +403,15 @@ def test_realification_round_trip():
             a = res[c * d : (c + 1) * d]
             b = res[(c + 1) * d : (c + 2) * d]
             assert np.allclose(b, np.conj(a), atol=1e-12)
+
+
+def test_index_zero_entries_are_structural_zeros():
+    # the interior mode-0 coefficient is xi_minus[0] alone; entry 0 of the
+    # other three halves stays exactly zero
+    spec = LoadingSpec([0.0, 1.0 + 0.5j], [0.0, 1.0 + 0.5j])
+    sol = solve(assemble_system(TRANS, build_geometry(ELLIPSE, 10), spec))
+    assert abs(sol.xi_minus[0]) > 1.0
+    assert sol.xe_plus[0] == 0.0 and sol.xe_minus[0] == 0.0 and sol.xi_plus[0] == 0.0
 
 
 def test_ellipse_cavity_truncation_exactness():
