@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +58,7 @@ FIELD_FILE = "field.csv"
 ORACLE_FILE = "oracle_report.json"
 MANIFEST_FILE = "manifest.json"
 SUMMARY_FILE = "summary.txt"
+TIMINGS_FILE = "timings.json"
 
 CSV_HEADER = ("re(w)", "im(w)", "re(z)", "im(z)", "region", "re(u)", "im(u)")
 
@@ -312,19 +314,35 @@ class RunResults:
     samples: FieldGrid | None
     oracle_report: object | None
     interface_residuals: tuple[float, float] | None
+    timings: dict[str, float]  # seconds per stage that ran, by time.perf_counter
 
 
 class SolveFailure(RuntimeError):
     """The truncated solve did not meet its convergence contract."""
 
 
+@contextmanager
+def _timed(timings: dict, stage: str):
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
+
+
 def orchestrate(config: RunConfig, command: str) -> RunResults:
-    """Assemble, solve, and evaluate whatever the subcommand asks for."""
+    """Assemble, solve, and evaluate whatever the subcommand asks for.
+
+    Each stage that runs (geometry, assembly, solve, field, oracle,
+    residual) records its wall time in seconds.
+    """
     if command == "field" and config.grid is None:
         raise ConfigError("a field run needs a grid (config key or --grid)")
-    bundle = build_geometry(config.cmap, config.truncation)
-    system = assemble_system(config.material, bundle, config.loading)
-    solution = solve(system)
+    timings: dict[str, float] = {}
+    with _timed(timings, "geometry"):
+        bundle = build_geometry(config.cmap, config.truncation)
+    with _timed(timings, "assembly"):
+        system = assemble_system(config.material, bundle, config.loading)
+    with _timed(timings, "solve"):
+        solution = solve(system)
     if not solution.converged:
         raise SolveFailure(
             f"solve did not converge: residual {solution.residual:.3e} at n={config.truncation}"
@@ -332,22 +350,27 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
 
     samples = None
     if command == "field":
-        samples = grid_field(solution, config.loading, config.cmap, config.material, config.grid)
+        with _timed(timings, "field"):
+            samples = grid_field(solution, config.loading, config.cmap, config.material,
+                                 config.grid)
 
     report = None
     if command == "oracle-check" or config.oracle_enabled:
-        oracle_sol = solve_oracle(config.cmap, config.material, config.loading, config.oracle_nodes)
-        report = compare(oracle_sol, solution, config.cmap, config.material, config.loading)
+        with _timed(timings, "oracle"):
+            oracle_sol = solve_oracle(config.cmap, config.material, config.loading,
+                                      config.oracle_nodes)
+            report = compare(oracle_sol, solution, config.cmap, config.material, config.loading)
 
-    if config.material.cavity:
-        spread = boundary_traction_spread(
-            solution, config.loading, config.cmap, config.material, RESIDUAL_ANGLES
-        )
-        residuals = (float("nan"), spread)
-    else:
-        residuals = transmission_residual(
-            solution, config.loading, config.cmap, config.material, RESIDUAL_ANGLES
-        )
+    with _timed(timings, "residual"):
+        if config.material.cavity:
+            spread = boundary_traction_spread(
+                solution, config.loading, config.cmap, config.material, RESIDUAL_ANGLES
+            )
+            residuals = (float("nan"), spread)
+        else:
+            residuals = transmission_residual(
+                solution, config.loading, config.cmap, config.material, RESIDUAL_ANGLES
+            )
 
     return RunResults(
         config=config,
@@ -356,6 +379,7 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
         samples=samples,
         oracle_report=report,
         interface_residuals=residuals,
+        timings=timings,
     )
 
 
@@ -363,7 +387,8 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
 
 
 def _pair(c: complex) -> list[float]:
-    return [float(np.real(c)), float(np.imag(c))]
+    # + 0.0 turns -0.0 into 0.0: the sign of an exact zero follows operation order
+    return [float(np.real(c)) + 0.0, float(np.imag(c)) + 0.0]
 
 
 def _pair_list(arr) -> list[list[float]] | None:
@@ -385,7 +410,7 @@ def solution_payload(solution: DensitySolution) -> dict:
         "residual": solution.residual,
         "rank": solution.rank,
         "condition_estimate": solution.condition_estimate,
-        "rotation_projection": solution.rotation_projection,
+        "rotation_projection": solution.rotation_projection + 0.0,
         "converged": solution.converged,
     }
 
@@ -446,8 +471,9 @@ def emit_reports(results: RunResults, out_dir) -> list[Path]:
     """Write every report for a finished run; returns the paths written.
 
     The manifest echoes the effective config so a run can be reproduced
-    from its own output directory; apart from the manifest timestamp the
-    outputs are deterministic functions of the config.
+    from its own output directory; apart from the manifest timestamp and
+    timings.json (seconds per stage) the outputs are deterministic
+    functions of the config.
     """
     out = Path(out_dir)
     try:
@@ -487,6 +513,10 @@ def emit_reports(results: RunResults, out_dir) -> list[Path]:
     summary_path = out / SUMMARY_FILE
     _write_text(summary_path, _summary_text(results))
     written.append(summary_path)
+
+    timings_path = out / TIMINGS_FILE
+    _write_json(timings_path, results.timings)
+    written.append(timings_path)
 
     manifest_path = out / MANIFEST_FILE
     _write_json(

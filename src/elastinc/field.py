@@ -14,7 +14,8 @@ with the map coefficients. Outside, the layer terms decay, and for a
 Laurent-polynomial map of depth K they are finite Laurent series in 1/w:
 F_m(Psi(w)) = w^m + sum_{k <= mK} c_mk w^-k, whose w^m cancels against the
 density's explicit powers. Their coefficients are built once, exactly, from
-the Grunsky rows and summed at every |w| >= gamma by one Horner pass.
+the map's kept Grunsky table and summed at every |w| >= gamma by
+loading.boundary_series.
 Interior evaluation uses the Faber sums alone, valid throughout the
 inclusion.
 """
@@ -32,6 +33,7 @@ from .geometry import (
     GeometryError,
     eval_map,
     eval_map_derivative,
+    exterior_series_orders,
     faber_series,
     grunsky_rows,
     sweep_pairs,
@@ -168,7 +170,7 @@ class FieldEvaluator:
         unit = unit_radius(cmap)
         self.unit = unit
         n = solution.n
-        order = max(n + unit.depth, 1)
+        order, _ = exterior_series_orders(unit, n)
         scale = 1.0 / np.arange(1, order + 1)
         kernel = np.conj(np.concatenate([[1.0], unit.a]))  # conj(a_l), l = -1..K
 
@@ -213,11 +215,14 @@ class FieldEvaluator:
         stops at the order n + K, and c_mk = 0 for k > mK, so with
         max(n + 2, (n + K) K) columns the series are exact, not truncated.
         Built on the first exterior evaluation: interior evaluation never
-        needs it.
+        needs it. The Grunsky rows are a view of the table kept on the unit
+        map (geometry.grunsky_rows), which build_geometry at the same
+        truncation fills at this shape; every evaluator of that map, the
+        residuals' own among them, pays one matrix product here, not a
+        recurrence.
         """
         n = self.solution.n
-        order = self.faber_rows.shape[1] - 1
-        kfar = max(n + 2, order * self.unit.depth)
+        order, kfar = exterior_series_orders(self.unit, n)
         ks = np.arange(kfar + 1)
         tail = np.zeros((4, kfar + 1), dtype=complex)
         tail[[0, 1, 3]] = self.faber_rows @ grunsky_rows(self.unit, order, kfar)

@@ -22,6 +22,7 @@ boundaries, and summing them cancels away digits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class ConformalMap:
     def depth(self) -> int:
         """Largest K with a_K retained (0 for a pure translation or identity)."""
         return max(self.a.size - 1, 0)
+
+    @cached_property
+    def unit(self) -> "ConformalMap":
+        """The same boundary scaled by 1/gamma, built once per map: see unit_radius."""
+        k = np.arange(self.a.size)
+        return ConformalMap(1.0, self.a * self.gamma ** -(k + 1.0), validate=False)
 
     def coeff(self, k: int) -> complex:
         """Laurent coefficient a_k with the conventions a_{-1}=1, a_{-m}=0 (m>=2)."""
@@ -253,8 +260,26 @@ def faber_derivative_matrices(cmap: ConformalMap, n: int) -> np.ndarray:
 def grunsky_rows(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
     """Grunsky coefficients c_{mk} for m = 0..rows, k = 0..kmax (column 0 zero).
 
-    c_{mk} is the coefficient of w^{-k} in G_m(w) = F_m(Psi(w)). Composing
-    the Faber recursion with the map gives
+    c_{mk} is the coefficient of w^{-k} in G_m(w) = F_m(Psi(w)); the table
+    belongs to the map alone. It is kept on the map object, and a request
+    within the kept table returns a read-only view of it; only a larger
+    request runs the recurrence again (_grunsky_recurrence), at the larger
+    of the two shapes. Every entry of a larger table equals the entry of a
+    smaller one bit for bit, so a view never depends on which request came
+    first. Equal maps held in distinct objects keep distinct tables.
+    """
+    kept = cmap.__dict__.get("_grunsky", np.zeros((0, 0)))
+    if rows >= kept.shape[0] or kmax >= kept.shape[1]:
+        kept = _grunsky_recurrence(cmap, max(rows, kept.shape[0] - 1), max(kmax, kept.shape[1] - 1))
+        kept.flags.writeable = False
+        object.__setattr__(cmap, "_grunsky", kept)
+    return kept[: rows + 1, : kmax + 1]
+
+
+def _grunsky_recurrence(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
+    """The table of grunsky_rows, computed afresh.
+
+    Composing the Faber recursion with the map gives
 
         G_{m+1} = Psi G_m - m a_m - sum_{k=max(0,m-K)}^{m} a_{m-k} G_k,
 
@@ -320,20 +345,40 @@ class GeometryBundle:
 def unit_radius(cmap: ConformalMap) -> ConformalMap:
     """The same boundary scaled by 1/gamma: Psi_1(w) = Psi(gamma w) / gamma.
 
-    Its coefficients are a_k gamma^(-k-1) on |w| = 1. Validation is
-    scale-invariant, so the rescaled map is not validated again.
+    Its coefficients are a_k gamma^(-k-1) on |w| = 1. This is cmap.unit,
+    built once per map object, so the bundle, every FieldEvaluator and
+    LoadingSeries of one map share one unit map and with it one kept
+    Grunsky table. Validation is scale-invariant, so the rescaled map is
+    not validated again.
     """
-    k = np.arange(cmap.a.size)
-    return ConformalMap(1.0, cmap.a * cmap.gamma ** -(k + 1.0), validate=False)
+    return cmap.unit
+
+
+def exterior_series_orders(cmap: ConformalMap, n: int) -> tuple[int, int]:
+    """(n + K, max(n + 2, (n + K) K)) for a map of depth K at truncation n.
+
+    The first is the Faber order of the exterior layer terms, the second
+    the last power of 1/w in their Laurent series: c_mk = 0 for k > mK, so
+    the series is exact, not truncated (FieldEvaluator.tail).
+    """
+    order = max(n + cmap.depth, 1)
+    return order, max(n + 2, order * cmap.depth)
 
 
 def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
-    """Construct every matrix of the bundle at truncation order n, at unit radius."""
+    """Construct every matrix of the bundle at truncation order n, at unit radius.
+
+    The Grunsky table is requested at the shape the exterior layer series of
+    the same truncation read (exterior_series_orders), so one recurrence
+    serves the system and the field; the bundle keeps its (n + 1, n + 1)
+    block.
+    """
     unit = unit_radius(cmap)
+    table = grunsky_rows(unit, *exterior_series_orders(unit, n))
     return GeometryBundle(
         cmap=cmap,
         n=n,
         faber_deriv=faber_derivative_matrices(unit, n),
-        grunsky=grunsky_rows(unit, n, n),
+        grunsky=table[: n + 1, : n + 1],
         psi=psi_matrix(unit, n),
     )

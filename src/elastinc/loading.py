@@ -183,21 +183,37 @@ def boundary_series(pos: np.ndarray, neg: np.ndarray, w):
     """Evaluate sum_k pos[..., k] w^k + sum_k neg[..., k] w^{-k} (index 0 read from neg).
 
     Leading axes of pos and neg are coefficient rows, broadcast against each
-    other: every row is summed at every point by one Horner pass per sign,
-    and the result has shape rows + w.shape. The pass in 1/w runs in place
-    on the result.
+    other: every row is summed at every point, and the result has shape
+    rows + w.shape. Each sign is one power sum, in x = 1/w and in x = w.
     """
     w = np.asarray(w, dtype=complex)
-    pos, neg = (np.moveaxis(np.asarray(c), -1, 0) for c in (pos, neg))
-    pos, neg = (c.reshape(c.shape + (1,) * w.ndim) for c in (pos, neg))
-    out = np.zeros(np.broadcast_shapes(pos.shape[1:], neg.shape[1:], w.shape), dtype=complex)
-    winv = 1.0 / w
-    for k in range(len(neg) - 1, 0, -1):
-        out += neg[k]
-        out *= winv
-    acc = 0.0
-    for k in range(len(pos) - 1, 0, -1):
-        acc = (acc + pos[k]) * w
-    out += acc
-    out += neg[0]
-    return out
+    pos, neg = np.asarray(pos), np.asarray(neg)
+    x = w.reshape(-1)
+    out = np.zeros(np.broadcast_shapes(pos.shape[:-1], neg.shape[:-1]) + x.shape, dtype=complex)
+    out += _power_sum(neg, 1.0 / x)
+    if pos.shape[-1] > 1:
+        out += x * _power_sum(pos[..., 1:], x)
+    return out.reshape(out.shape[:-1] + w.shape)
+
+
+def _power_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c[..., k] x^k at the points x (one axis), summed in blocks.
+
+    With s = ceil(sqrt(D)) for D coefficients, the powers x^0..x^(s-1) come
+    from one cumprod; each block of s coefficients is one matrix product
+    with them, and Horner in x^s runs across the ceil(D / s) blocks
+    (Paterson and Stockmeyer, 1973): O(sqrt(D)) array operations where a
+    Horner pass takes 2D, on a working set of s rows of points.
+    """
+    d = c.shape[-1]
+    s = max(int(np.ceil(np.sqrt(d))), 1)
+    blocks = -(-d // s)
+    powers = np.empty((s,) + x.shape, dtype=complex)
+    powers[0] = 1.0
+    np.cumprod(np.broadcast_to(x, (s - 1,) + x.shape), axis=0, out=powers[1:])
+    step = powers[-1] * x  # x^s
+    acc = c[..., (blocks - 1) * s :] @ powers[: d - (blocks - 1) * s]
+    for j in range(blocks - 2, -1, -1):
+        acc *= step
+        acc += c[..., j * s : (j + 1) * s] @ powers
+    return acc

@@ -19,7 +19,8 @@ the cavity mode matrix read off them are the references for the block
 system's layer and coupling matrices on the two-sided window
 (system.layer_matrices). The row-wise grid evaluation and field.csv writer at
 the end are the references for grid_field's columns and the CLI's
-column-wise writer.
+column-wise writer. horner_boundary_series, one Horner pass per sign of the
+power, is the reference for loading.boundary_series's blocked power sums.
 """
 
 import csv
@@ -38,6 +39,30 @@ from elastinc.geometry import (
 )
 from elastinc.loading import LoadingSpec, boundary_series
 from elastinc.system import AssemblyError
+
+
+def horner_boundary_series(pos: np.ndarray, neg: np.ndarray, w):
+    """Evaluate sum_k pos[..., k] w^k + sum_k neg[..., k] w^{-k} (index 0 read from neg).
+
+    Leading axes of pos and neg are coefficient rows, broadcast against each
+    other: every row is summed at every point by one Horner pass per sign,
+    and the result has shape rows + w.shape. The pass in 1/w runs in place
+    on the result.
+    """
+    w = np.asarray(w, dtype=complex)
+    pos, neg = (np.moveaxis(np.asarray(c), -1, 0) for c in (pos, neg))
+    pos, neg = (c.reshape(c.shape + (1,) * w.ndim) for c in (pos, neg))
+    out = np.zeros(np.broadcast_shapes(pos.shape[1:], neg.shape[1:], w.shape), dtype=complex)
+    winv = 1.0 / w
+    for k in range(len(neg) - 1, 0, -1):
+        out += neg[k]
+        out *= winv
+    acc = 0.0
+    for k in range(len(pos) - 1, 0, -1):
+        acc = (acc + pos[k]) * w
+    out += acc
+    out += neg[0]
+    return out
 
 
 # -- the monomial Faber substrate -----------------------------------------------

@@ -21,7 +21,9 @@ from elastinc.cli import (
     parse_grid_text,
     run,
     self_test,
+    solution_payload,
 )
+from elastinc.system import DensitySolution
 
 CONFIG_TOL = 1e-12
 NAN, INF = float("nan"), float("inf")
@@ -155,6 +157,35 @@ def test_solve_writes_solution_and_manifest(tmp_path):
     assert manifest["command"] == "solve"
     assert "solution.json" in manifest["files"]
     assert (out / "summary.txt").read_text().startswith("command: solve")
+
+
+def test_solution_json_writes_no_negative_zero():
+    # the sign of an exactly-zero coefficient follows operation order in
+    # the assembly; solution.json prints every zero as 0.0
+    v = np.array([-0.0 - 0.0j, complex(-0.0, 1.5), complex(2.0, -0.0), -1.0 + 0.0j])
+    sol = DensitySolution(xe_plus=v, xe_minus=v.copy(), xi_plus=None, xi_minus=None,
+                          residual=0.0, rank=4, condition_estimate=1.0,
+                          rotation_projection=0.0, converged=True, n=3, mode="cavity")
+    payload = solution_payload(sol)
+    assert payload["coefficients"]["xe_plus"] == [[0.0, 0.0], [0.0, 1.5], [2.0, 0.0], [-1.0, 0.0]]
+    text = json.dumps(payload["coefficients"])
+    assert "-0.0" not in text and "-1.0" in text
+
+
+@pytest.mark.parametrize("command, stages", [
+    ("solve", {"geometry", "assembly", "solve", "residual"}),
+    ("field", {"geometry", "assembly", "solve", "field", "oracle", "residual"}),
+])
+def test_timings_report_every_stage(tmp_path, command, stages):
+    cfg = base_config(grid=GRID, oracle={"enabled": command == "field", "q": 64})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run(path, command=command, out_dir=str(out), stream=io.StringIO()) == EXIT_OK
+    timings = json.loads((out / "timings.json").read_text())
+    assert set(timings) == stages
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "timings.json" in manifest["files"]
 
 
 def test_field_grid_row_count(tmp_path):

@@ -486,6 +486,39 @@ def test_interior_evaluation_builds_no_tail(monkeypatch):
         ev.exterior_arrays(np.array([1.5, 3.0]))
 
 
+@pytest.mark.parametrize("material", [TRANS, CAV])
+def test_one_grunsky_recurrence_per_map(monkeypatch, material):
+    # the bundle, the caller's evaluator and the residual's own evaluator
+    # read one table kept on the map; only a larger request runs it again
+    from elastinc import geometry
+
+    calls = []
+    recurrence = geometry._grunsky_recurrence
+
+    def counted(cmap, rows, kmax):
+        calls.append((rows, kmax))
+        return recurrence(cmap, rows, kmax)
+
+    monkeypatch.setattr("elastinc.geometry._grunsky_recurrence", counted)
+    a = [0.1, 0.25, 0.08 + 0.05j, 0.03]
+    cmap = ConformalMap(1.3, np.asarray(a) * 1.3 ** np.arange(1, 5))
+    loading = single_mode(1, 1.0 + 0.5j, 2)
+    n = 16
+    sol = solve(assemble_system(material, build_geometry(cmap, n), loading))
+    FieldEvaluator(sol, loading, cmap, material).exterior_arrays(np.array([1.5, 3.0j]))
+    if material.cavity:
+        boundary_traction_spread(sol, loading, cmap, material, 16)
+    else:
+        transmission_residual(sol, loading, cmap, material, 16)
+    assert len(calls) == 1
+    build_geometry(ConformalMap(cmap.gamma, cmap.a), n)  # equal coefficients, another object
+    assert len(calls) == 2
+    build_geometry(cmap, 2 * n)
+    assert len(calls) == 3
+    build_geometry(cmap, n)
+    assert len(calls) == 3
+
+
 def test_transmission_residual_requires_transmission():
     sol, loading = solved_disk_cavity()
     with pytest.raises(FieldError):

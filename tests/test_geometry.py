@@ -18,6 +18,7 @@ from elastinc.geometry import (
     grunsky_rows,
     sweep_pairs,
     unit_radius,
+    _grunsky_recurrence,
     _polyline_self_intersects,
 )
 from layer_reference import (
@@ -168,6 +169,51 @@ def test_grunsky_scales_with_radius(gamma):
     Cg = grunsky_rows(scaled, n, kmax)
     powers = gamma ** np.add.outer(np.arange(n + 1), np.arange(kmax + 1))
     assert np.allclose(Cg, powers * C1, rtol=1e-12, atol=0.0)
+
+
+# unit-radius shapes: disk, ellipse, four-term, a1 = 0.9 and a seeded depth-5 map
+TABLE_MAPS = [[0.5], [0.5, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9],
+              np.array([1.0, 1.0j]) @ np.random.default_rng(5).standard_normal((2, 6)) * 0.02]
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 1.3, 2.5])
+@pytest.mark.parametrize("a", TABLE_MAPS)
+def test_bundle_grunsky_is_the_standalone_recurrence(a, gamma):
+    # build_geometry keeps a block of the larger table the exterior series
+    # read; that block must be the (n, n) recurrence bit for bit, so the
+    # system matrix does not depend on the table's shape
+    a = np.asarray(a, dtype=complex)
+    for n in (1, 2, 4, 16, 48, 64):
+        cmap = ConformalMap(gamma, a * gamma ** (np.arange(a.size) + 1.0))
+        bundle = build_geometry(cmap, n)
+        np.testing.assert_array_equal(bundle.grunsky, _grunsky_recurrence(unit_radius(cmap), n, n))
+
+
+def test_grunsky_table_is_kept_per_map_object():
+    calls = []
+
+    def counted(cmap, rows, kmax):
+        calls.append((rows, kmax))
+        return _grunsky_recurrence(cmap, rows, kmax)
+
+    a = [0.1, 0.25, 0.08 + 0.05j, 0.03]
+    cmap = ConformalMap(1.0, a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("elastinc.geometry._grunsky_recurrence", counted)
+        first = grunsky_rows(cmap, 10, 30)
+        assert grunsky_rows(cmap, 4, 12) is not first
+        np.testing.assert_array_equal(grunsky_rows(cmap, 4, 12), first[:5, :13])
+        assert calls == [(10, 30)]
+        grunsky_rows(ConformalMap(1.0, a), 10, 30)  # equal map, its own table
+        assert len(calls) == 2
+        grown = grunsky_rows(cmap, 12, 20)  # more rows, fewer columns: one run at the union
+        assert calls[-1] == (12, 30) and grown.shape == (13, 21)
+        np.testing.assert_array_equal(grown[:11], first[:, :21])
+        grunsky_rows(cmap, 12, 30)
+        assert len(calls) == 3
+    with pytest.raises(ValueError):
+        first[1, 1] = 0.0
+    assert unit_radius(cmap) is unit_radius(cmap) is cmap.unit
 
 
 def test_map_coefficient_matrices_layout():

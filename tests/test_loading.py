@@ -14,7 +14,7 @@ from elastinc.loading import (
 )
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system
-from layer_reference import loading_pair, poly_eval, polyder, rhs_matrices
+from layer_reference import horner_boundary_series, loading_pair, poly_eval, polyder, rhs_matrices
 
 SERIES_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -120,6 +120,42 @@ def test_traction_series_matches_potentials_up_to_constant():
     diff = series - direct
     diff -= diff.mean()
     assert np.max(np.abs(diff)) <= SERIES_TOL * max(1.0, np.max(np.abs(direct)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 17, 58, 202])
+@pytest.mark.parametrize("rows", [(), (4,)])
+def test_boundary_series_matches_horner(d, rows):
+    # the blocked power sums against one Horner pass per sign, within
+    # 1e-14 of the sum of |terms|: 1/w of modulus 0.02, 0.7 and 1 for the
+    # negative side, the unit circle for the positive side
+    rng = np.random.default_rng(d)
+    c = rng.standard_normal(rows + (d,)) + 1j * rng.standard_normal(rows + (d,))
+    unit = np.exp(2j * np.pi * rng.random(40))
+
+    def abs_sum(coeffs, x):
+        """sum_k |coeffs_k| |x|^k at every point."""
+        return np.abs(coeffs) @ np.abs(x)[None, :] ** np.arange(coeffs.shape[-1])[:, None]
+
+    for r in (0.02, 0.7, 1.0):
+        w = unit / r
+        got = boundary_series(np.zeros(1), c, w)
+        want = horner_boundary_series(np.zeros(1), c, w)
+        assert got.shape == want.shape == rows + w.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * abs_sum(c, 1.0 / w))
+    got = boundary_series(c, np.zeros(1), unit)
+    want = horner_boundary_series(c, np.zeros(1), unit)
+    assert got.shape == want.shape == rows + unit.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * abs_sum(c[..., 1:], unit))
+
+
+def test_boundary_series_broadcasts_rows_and_points():
+    rng = np.random.default_rng(3)
+    pos = rng.standard_normal((4, 1, 9)) + 0j
+    neg = rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))
+    w = 1.5 * np.exp(2j * np.pi * rng.random((2, 5)))
+    got = boundary_series(pos, neg, w)
+    assert got.shape == (4, 3, 2, 5)
+    np.testing.assert_allclose(got, horner_boundary_series(pos, neg, w), rtol=0, atol=1e-13)
 
 
 # unit-radius shapes: disk, ellipse, four-term, a1 = 0.9 and a seeded depth-5 map
