@@ -8,9 +8,9 @@ fields and boundary residuals. An independent Nystrom boundary-integral
 solver cross-checks the result.
 """
 
-from .materials import MaterialPair, derive_constants, cavity_limit
+from .materials import MaterialPair, derive_constants
 from .geometry import ConformalMap, GeometryBundle, build_geometry
-from .loading import LoadingSpec, RhsVector, rhs_vectors, eval_loading
+from .loading import LoadingSpec, eval_loading
 from .system import BlockSystem, DensitySolution, assemble_system, solve
 from .field import (
     FieldEvaluator,
@@ -30,21 +30,16 @@ from .oracle import (
     build_mesh,
     solve_oracle,
     eval_oracle_exterior,
-    eval_oracle_interior,
     compare,
-    self_convergence,
 )
 
 __all__ = [
     "MaterialPair",
     "derive_constants",
-    "cavity_limit",
     "ConformalMap",
     "GeometryBundle",
     "build_geometry",
     "LoadingSpec",
-    "RhsVector",
-    "rhs_vectors",
     "eval_loading",
     "BlockSystem",
     "DensitySolution",
@@ -65,9 +60,7 @@ __all__ = [
     "build_mesh",
     "solve_oracle",
     "eval_oracle_exterior",
-    "eval_oracle_interior",
     "compare",
-    "self_convergence",
 ]
 
 __version__ = "0.1.0"

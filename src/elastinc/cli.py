@@ -37,7 +37,7 @@ from .field import (
     transmission_residual,
 )
 from .geometry import ConformalMap, GeometryError, build_geometry, eval_map
-from .loading import LoadingError, LoadingSpec, boundary_series, eval_loading, rhs_vectors
+from .loading import LoadingError, LoadingSpec, boundary_series, eval_loading, unit_rhs_vectors
 from .materials import MaterialError, MaterialPair
 from .oracle import OracleError, check_node_count, compare, solve_oracle
 from .system import AssemblyError, DensitySolution, assemble_system, solve
@@ -49,6 +49,7 @@ EXIT_ASSEMBLY = 3
 EXIT_SOLVE = 4
 EXIT_MISMATCH = 5
 DEFAULT_TRUNCATION = 16
+MAX_TRUNCATION = 512
 DEFAULT_ORACLE_NODES = 256
 DEFAULT_ORACLE_TOLERANCE = 1e-3
 RESIDUAL_ANGLES = 64
@@ -203,9 +204,10 @@ def load_config(
 
     Every domain object is constructed here, so a config that would fail
     any module-level invariant (non-injective map, non-elliptic material,
-    constant loading term, loading above the truncation, a non-finite
-    value, an oracle node count the reference solver refuses) is rejected
-    before a run produces any output.
+    constant loading term, loading above the truncation, a truncation above
+    MAX_TRUNCATION, a non-finite value, an oracle node count the reference
+    solver refuses) is rejected before a run produces any output, or
+    allocates any of its matrices.
     """
     path = Path(path)
     try:
@@ -249,8 +251,8 @@ def load_config(
 
     n = truncation if truncation is not None else raw.get("truncation", DEFAULT_TRUNCATION)
     n = _integer(n, "truncation")
-    if n < 1:
-        raise ConfigError(f"truncation must be at least 1, got {n}")
+    if not 1 <= n <= MAX_TRUNCATION:
+        raise ConfigError(f"truncation must be in 1..{MAX_TRUNCATION}, got {n}")
     if loading.order > n:
         raise ConfigError(f"loading mode {loading.order} exceeds truncation order {n}")
 
@@ -623,10 +625,10 @@ def _check_loading_series() -> float:
     material = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
     bundle = build_geometry(cmap, 16)
     loading = LoadingSpec(A=[0.0, 0.3 - 0.1j], B=[0.0, 1.0, 0.25j])
-    rv = rhs_vectors(material, bundle, loading)
+    disp, _ = unit_rhs_vectors(material, bundle, loading)
     theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     w = cmap.gamma * np.exp(1j * theta)
-    series = boundary_series(rv.disp_pos, rv.disp_neg, w)
+    series = boundary_series(disp[16:], disp[16::-1], w / cmap.gamma)
     direct = eval_loading(loading, cmap, material, eval_map(cmap, w))
     return float(np.max(np.abs(series - direct)))
 

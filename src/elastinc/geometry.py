@@ -36,7 +36,7 @@ SINGULAR_DERIVATIVE_TOL = 1e-12
 SIMPLE_CURVE_SAMPLES = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConformalMap:
     """Exterior map data: conformal radius and coefficients (a0, a1, ..., aK)."""
 
@@ -326,7 +326,7 @@ def psi_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
     return padded[np.subtract.outer(idx, idx) + span]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometryBundle:
     """The map-derived matrices at one shared truncation order, built for
     unit_radius(cmap), the unit-radius problem the block system is posed on."""

@@ -8,11 +8,11 @@ Faber polynomials of the inclusion: mode m contributes
 At points, the potentials and their derivatives are summed by one helper,
 LoadingSeries, on the Faber recurrence of geometry.faber_series; the
 field, the interface diagnostics and the reference solver all read the
-loading through it. On the boundary circle |w| = gamma the loading and its
-traction potential become two-sided power series in w; their coefficients,
-split by the sign of the power, are the four right-hand-side row vectors of
-the block system. The term z conj(f') is Psi(w) times the two-sided series
-of conj(f'), one product with GeometryBundle.psi.
+loading through it. On the unit circle of the unit-radius problem the
+loading and its traction potential become two-sided power series in w; their
+coefficients on the window of powers -n..n are the two right-hand-side
+windows of the block system. The term z conj(f') is Psi(w) times the
+two-sided series of conj(f'), one product with GeometryBundle.psi.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class LoadingError(ValueError):
     """Inconsistent loading data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadingSpec:
     """Coefficient arrays (A, B) indexed by mode; index 0 must be zero."""
 
@@ -79,59 +79,29 @@ class LoadingSpec:
                            self.B * gamma ** np.arange(self.B.size))
 
 
-@dataclass(frozen=True)
-class RhsVector:
-    """Boundary power-series coefficients of the loading and its traction potential.
-
-    disp_pos[k] multiplies w^k (k >= 1) and disp_neg[k] multiplies w^{-k}
-    (k >= 0) in the loading's boundary series; trac_pos/trac_neg do the same
-    for the traction potential. Index 0 of disp_pos and trac_pos is zero.
-    """
-
-    disp_pos: np.ndarray
-    disp_neg: np.ndarray
-    trac_pos: np.ndarray
-    trac_neg: np.ndarray
-
-
 def unit_rhs_vectors(material: MaterialPair, bundle: GeometryBundle,
-                     spec: LoadingSpec) -> RhsVector:
-    """The boundary series of the unit-radius problem on |w| = 1.
+                     spec: LoadingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The (displacement, traction potential) windows of the unit-radius problem.
 
-    Mode m of f = sum_m A_m F_m is A_m (w^m + sum_k C[m, k] w^{-k}) on the
-    circle, where conj(w^k) = w^{-k}; so conj(f') = sum_m conj(A_m F_m') has
-    the series x = conj(A) conj(Dt) in the powers w^{-k} and x conj(C) in
-    the powers w^k, and z conj(f') is that two-sided series times Psi.
+    Each is the loading's series on |w| = 1 over the powers -n..n, power k
+    at index k + n. Mode m of f = sum_m A_m F_m is A_m (w^m + sum_k C[m, k]
+    w^{-k}) on the circle, where conj(w^k) = w^{-k}; so conj(f') = sum_m
+    conj(A_m F_m') has the series x = conj(A) conj(Dt) in the powers w^{-k}
+    and x conj(C) in the powers w^k, and z conj(f') is that two-sided series
+    times Psi. The traction potential is defined up to a constant: its
+    power-0 entry is 0.
     """
     n = bundle.n
     A, B = spec.unit_radius(bundle.gamma).padded(n)
     C = bundle.grunsky
     Cb = np.conj(C)
-    kill0 = np.ones(n + 1)
-    kill0[0] = 0.0
-    kappa = material.kappa
-    mu = material.mu_ext
-
     x = np.conj(A) @ np.conj(bundle.faber_deriv)
-    X = np.concatenate([x[::-1], (x @ Cb)[1:]]) @ bundle.psi  # z conj(f'), powers -n..n
-    X_pos = X[n:] * kill0
-    X_neg = X[n::-1]
-    Y_pos = np.conj(B) @ Cb
-    Y_neg = np.conj(B)
-    AC = A @ C
-
-    return RhsVector(disp_pos=kappa * A - X_pos + Y_pos,
-                     disp_neg=kappa * AC - X_neg + Y_neg,
-                     trac_pos=mu * (A + X_pos - Y_pos),
-                     trac_neg=mu * (AC + X_neg * kill0 - Y_neg))
-
-
-def rhs_vectors(material: MaterialPair, bundle: GeometryBundle, spec: LoadingSpec) -> RhsVector:
-    """The boundary series in powers of w on |w| = gamma: the unit-radius
-    coefficients of w^k and w^-k divided and multiplied by gamma^k."""
-    rv = unit_rhs_vectors(material, bundle, spec)
-    g = bundle.gamma ** np.arange(bundle.n + 1)
-    return RhsVector(rv.disp_pos / g, rv.disp_neg * g, rv.trac_pos / g, rv.trac_neg * g)
+    X = np.concatenate([x[::-1], (x @ Cb)[1:]]) @ bundle.psi  # z conj(f')
+    F = np.concatenate([(A @ C)[::-1], A[1:]])  # f
+    G = np.concatenate([np.conj(B)[::-1], (np.conj(B) @ Cb)[1:]])  # -conj(g)
+    trac = material.mu_ext * (F + X - G)
+    trac[n] = 0.0
+    return material.kappa * F - X + G, trac
 
 
 class LoadingSeries:

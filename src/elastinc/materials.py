@@ -102,7 +102,3 @@ class MaterialPair:
             raise MaterialError("interior kernel constants are undefined for a cavity")
         return self.alpha_t, self.beta_t, self.kappa_t
 
-
-def cavity_limit(lam_ext: float, mu_ext: float) -> MaterialPair:
-    """Material pair for a traction-free hole in the given exterior material."""
-    return MaterialPair(lam_ext=lam_ext, mu_ext=mu_ext, cavity=True)

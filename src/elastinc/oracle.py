@@ -64,7 +64,7 @@ def check_node_count(q: int) -> None:
         raise OracleError(f"reference solver is desk scale only: q <= {MAX_DESK_NODES}, got {q}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMesh:
     """Equispaced-in-angle quadrature nodes on the boundary curve.
 
@@ -127,36 +127,6 @@ def _kelvin_constants(material: MaterialPair, side: str) -> tuple[float, float]:
     raise OracleError(f"unknown material side {side!r}")
 
 
-def _lame_constants(material: MaterialPair, side: str) -> tuple[float, float]:
-    if side == "exterior":
-        return material.lam_ext, material.mu_ext
-    if side == "interior":
-        if not material.has_interior:
-            raise OracleError("interior conormal kernel needs a non-degenerate inclusion")
-        return material.lam_int, material.mu_int
-    raise OracleError(f"unknown material side {side!r}")
-
-
-def kelvin_kernel(x: complex, y: complex, material: MaterialPair,
-                  side: str = "exterior") -> np.ndarray:
-    """The 2x2 elastostatic fundamental solution evaluated at x - y.
-
-    Entries are (alpha/2pi) log|x-y| on the diagonal minus (beta/2pi)
-    times the outer product of the unit chord vector with itself, with
-    the Lame constants of the requested material side. Coincident points
-    are rejected.
-    """
-    alpha, beta = _kelvin_constants(material, side)
-    d = complex(x) - complex(y)
-    r = abs(d)
-    if r == 0.0:
-        raise OracleError("fundamental solution evaluated at coincident points")
-    e = np.array([d.real / r, d.imag / r])
-    return (alpha / (2.0 * np.pi)) * np.log(r) * np.eye(2) - (
-        beta / (2.0 * np.pi)
-    ) * np.outer(e, e)
-
-
 def _circulant(column: np.ndarray) -> np.ndarray:
     """The q x q matrix whose (i, j) entry is column[(i - j) mod q]."""
     k = np.arange(column.size)
@@ -195,7 +165,7 @@ def hilbert_weights(q: int) -> np.ndarray:
     return _circulant(-(4.0 * np.pi / q) * np.sum(np.sin(angles), axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ChordFrames:
     """Geometry-only factors shared by every kernel block on one mesh."""
 
@@ -277,28 +247,6 @@ def _conormal_blocks(mesh: BoundaryMesh, frames: _ChordFrames,
     return out
 
 
-def single_layer_matrix(mesh: BoundaryMesh, material: MaterialPair,
-                        side: str = "exterior") -> np.ndarray:
-    """Boundary trace of the single-layer displacement, one material side."""
-    alpha, beta = _kelvin_constants(material, side)
-    return _single_layer_blocks(mesh, _chord_frames(mesh), alpha, beta)
-
-
-def conormal_matrix(mesh: BoundaryMesh, material: MaterialPair,
-                    side: str = "exterior", trace: str = "exterior") -> np.ndarray:
-    """One-sided conormal derivative of the single layer at the nodes.
-
-    side picks the material whose kernel defines the layer; trace picks
-    the side of the boundary the limit is taken from (the jump term flips
-    sign between the two).
-    """
-    lam, mu = _lame_constants(material, side)
-    if trace not in ("exterior", "interior"):
-        raise OracleError(f"unknown trace side {trace!r}")
-    jump = 1.0 if trace == "exterior" else -1.0
-    return _conormal_blocks(mesh, _chord_frames(mesh), lam, mu, jump)
-
-
 # -- density plumbing ---------------------------------------------------------
 
 
@@ -351,7 +299,7 @@ def loading_conormal(loading: LoadingSpec, mesh: BoundaryMesh,
 # -- system assembly and solve ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromSystem:
     """Dense real Nystrom system bordered by the rigid-motion constraints.
 
@@ -382,7 +330,7 @@ class NystromSystem:
     frames: _ChordFrames | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleSolution:
     """Solved nodal densities and boundary displacement.
 
@@ -557,14 +505,6 @@ def eval_oracle_exterior(solution: OracleSolution, material: MaterialPair,
     return eval_loading(loading, solution.mesh.cmap, material, z) + layer
 
 
-def eval_oracle_interior(solution: OracleSolution, material: MaterialPair, z) -> np.ndarray:
-    """Oracle displacement at interior points: the interior layer alone."""
-    if solution.phi_nodes is None:
-        raise OracleError("cavity solution has no interior displacement")
-    z = np.asarray(z, dtype=complex)
-    return single_layer_potential(solution.mesh, solution.phi_complex, material, "interior", z)
-
-
 # -- comparison against the coefficient-space route ---------------------------
 
 
@@ -629,18 +569,3 @@ def compare(oracle: OracleSolution, series, geometry, material: MaterialPair,
         condition_estimate=oracle.condition_estimate,
     )
 
-
-def self_convergence(geometry, material: MaterialPair, loading: LoadingSpec,
-                     node_counts=(32, 64, 128)) -> np.ndarray:
-    """Boundary-displacement changes under mesh doubling, one per count.
-
-    Entry k is the max difference between the solves at node_counts[k]
-    and twice that, compared on the shared (even-index) nodes. On an
-    analytic boundary the sequence should fall super-algebraically.
-    """
-    diffs = []
-    for q in node_counts:
-        coarse = solve_oracle(geometry, material, loading, q)
-        fine = solve_oracle(geometry, material, loading, 2 * q)
-        diffs.append(np.max(np.abs(coarse.u_boundary - fine.u_boundary[::2])))
-    return np.array(diffs)

@@ -7,7 +7,8 @@ displacement and for the traction potential. On the window of modes x powers
 -n..n a side's density enters them through the layer matrix Q / |l| and its
 conjugate through the coupling matrix M (layer_matrices), each scaled by one
 material factor per equation family; the two transmission conditions,
-exterior minus interior, equal -2h.
+exterior minus interior, equal -2h, with h the loading's displacement and
+traction-potential windows on the same powers (loading.unit_rhs_vectors).
 
 The system is posed on the unit-radius problem (geometry.unit_radius and
 LoadingSpec.unit_radius), whose density coefficients serve every radius.
@@ -106,7 +107,7 @@ def _layer_pair(window, modes, powers, alpha, beta, mu, interior, traction):
     return A, B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSystem:
     """The square real system matrix @ x = rhs of the unit-radius problem.
 
@@ -139,13 +140,13 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
     n = bundle.n
     window = layer_matrices(bundle)  # shared by both sides
     ext_modes, int_modes, disp_powers, trac_powers = kept_indices(n)
-    rv = unit_rhs_vectors(material, bundle, spec)
+    disp, trac = unit_rhs_vectors(material, bundle, spec)
     # (kept powers, right-hand side on the window, traction?)
-    families = [(trac_powers, np.r_[rv.trac_neg[::-1], rv.trac_pos[1:]], True)]
+    families = [(trac_powers, trac, True)]
     sides = [(ext_modes, material.alpha, material.beta, material.mu_ext, False)]
     if mode == "transmission":
         alpha, beta, _ = material.interior_constants()
-        families.insert(0, (disp_powers, np.r_[rv.disp_neg[::-1], rv.disp_pos[1:]], False))
+        families.insert(0, (disp_powers, disp, False))
         sides.append((int_modes, alpha, beta, material.mu_int, True))
     row_at = np.cumsum([0] + [powers.size for powers, _, _ in families])
     col_at = np.cumsum([0] + [side[0].size for side in sides])
@@ -168,7 +169,7 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
                        mode=mode, material=material, bundle=bundle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySolution:
     """Solved density mode coefficients with solve diagnostics.
 

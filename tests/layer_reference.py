@@ -21,6 +21,11 @@ system's layer and coupling matrices on the two-sided window
 the end are the references for grid_field's columns and the CLI's
 column-wise writer. horner_boundary_series, one Horner pass per sign of the
 power, is the reference for loading.boundary_series's blocked power sums.
+split_window gives the per-sign vectors of a right-hand-side window
+(loading.unit_rhs_vectors) that the per-mode matrices and boundary_series
+read. single_layer_matrix, conormal_matrix, eval_oracle_interior and
+self_convergence are thin callers of the reference solver's own blocks and
+solve, the forms its tests check.
 """
 
 import csv
@@ -38,6 +43,15 @@ from elastinc.geometry import (
     unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series
+from elastinc.oracle import (
+    OracleError,
+    _chord_frames,
+    _conormal_blocks,
+    _kelvin_constants,
+    _single_layer_blocks,
+    single_layer_potential,
+    solve_oracle,
+)
 from elastinc.system import AssemblyError
 
 
@@ -63,6 +77,24 @@ def horner_boundary_series(pos: np.ndarray, neg: np.ndarray, w):
     out += acc
     out += neg[0]
     return out
+
+
+def split_window(window: np.ndarray, gamma: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, neg) of a window over the powers -n..n (power k at index k + n).
+
+    pos[k] multiplies w^k (pos[0] = 0) and neg[k] multiplies w^-k, the
+    layout boundary_series reads. A unit-radius window split with gamma
+    gives the series in powers of w on |w| = gamma: the coefficients of w^k
+    and w^-k divided and multiplied by gamma^k.
+    """
+    n = window.shape[-1] // 2
+    pos, neg = window[..., n:].copy(), window[..., n::-1].copy()
+    pos[..., 0] = 0.0
+    if gamma != 1.0:  # at gamma = 1 the entries keep their bits, signs of zero included
+        g = gamma ** np.arange(n + 1)
+        pos /= g
+        neg *= g
+    return pos, neg
 
 
 # -- the monomial Faber substrate -----------------------------------------------
@@ -224,8 +256,8 @@ def rhs_matrices(material, bundle, spec: LoadingSpec):
     Returns (disp_pos_mat, disp_neg_mat, trac_pos_mat, trac_neg_mat) where row
     m of disp_pos_mat holds the w^k coefficients on |w| = 1 of mode m's
     contribution to the rescaled loading spec.unit_radius(gamma), and
-    similarly for the other three. unit_rhs_vectors is the column sum of
-    rows m >= 1.
+    similarly for the other three. Split by split_window, the two windows of
+    unit_rhs_vectors are the column sums of rows m >= 1.
     """
     n = bundle.n
     A, B = spec.unit_radius(bundle.gamma).padded(n)
@@ -546,3 +578,48 @@ def write_field_rows(path, header, samples) -> None:
                     repr(float(np.imag(s.u))),
                 ]
             )
+
+
+# -- the reference solver's matrices and solves -----------------------------------
+
+
+def single_layer_matrix(mesh, material, side: str = "exterior") -> np.ndarray:
+    """Boundary trace of the single-layer displacement, one material side."""
+    alpha, beta = _kelvin_constants(material, side)
+    return _single_layer_blocks(mesh, _chord_frames(mesh), alpha, beta)
+
+
+def conormal_matrix(mesh, material, side: str = "exterior", trace: str = "exterior") -> np.ndarray:
+    """One-sided conormal derivative of the single layer at the nodes.
+
+    side picks the material whose kernel defines the layer; trace picks
+    the side of the boundary the limit is taken from (the jump term flips
+    sign between the two).
+    """
+    lam, mu = ((material.lam_ext, material.mu_ext) if side == "exterior"
+               else (material.lam_int, material.mu_int))
+    jump = {"exterior": 1.0, "interior": -1.0}[trace]
+    return _conormal_blocks(mesh, _chord_frames(mesh), lam, mu, jump)
+
+
+def eval_oracle_interior(solution, material, z) -> np.ndarray:
+    """Oracle displacement at interior points: the interior layer alone."""
+    if solution.phi_nodes is None:
+        raise OracleError("cavity solution has no interior displacement")
+    z = np.asarray(z, dtype=complex)
+    return single_layer_potential(solution.mesh, solution.phi_complex, material, "interior", z)
+
+
+def self_convergence(geometry, material, loading, node_counts=(32, 64, 128)) -> np.ndarray:
+    """Boundary-displacement changes under mesh doubling, one per count.
+
+    Entry k is the max difference between the solves at node_counts[k]
+    and twice that, compared on the shared (even-index) nodes. On an
+    analytic boundary the sequence should fall super-algebraically.
+    """
+    diffs = []
+    for q in node_counts:
+        coarse = solve_oracle(geometry, material, loading, q)
+        fine = solve_oracle(geometry, material, loading, 2 * q)
+        diffs.append(np.max(np.abs(coarse.u_boundary - fine.u_boundary[::2])))
+    return np.array(diffs)

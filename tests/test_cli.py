@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,27 @@ def test_invalid_input_exits_config_before_output(tmp_path, edit, command, flags
     argv = [command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out), *flags]
     assert main(argv) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("truncation", [cli.MAX_TRUNCATION + 1, 100000])
+def test_oversized_truncation_is_a_config_error(tmp_path, monkeypatch, truncation):
+    # n = 100000 once tried to allocate hundreds of GiB for the Grunsky table
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("an oversized truncation reached the geometry")
+
+    monkeypatch.setattr(cli, "build_geometry", no_geometry)
+    out = tmp_path / "out"
+    argv = ["solve", "--config", write_config(tmp_path, base_config()), "--out-dir", str(out),
+            "--truncation", str(truncation)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+    assert peak < 2**20
 
 
 def test_non_finite_residual_is_a_solve_failure(tmp_path, monkeypatch):

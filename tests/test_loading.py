@@ -9,12 +9,18 @@ from elastinc.loading import (
     LoadingSpec,
     boundary_series,
     eval_loading,
-    rhs_vectors,
     unit_rhs_vectors,
 )
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system
-from layer_reference import horner_boundary_series, loading_pair, poly_eval, polyder, rhs_matrices
+from layer_reference import (
+    horner_boundary_series,
+    loading_pair,
+    poly_eval,
+    polyder,
+    rhs_matrices,
+    split_window,
+)
 
 SERIES_TOL = 1e-8
 EXACT_TOL = 1e-12
@@ -27,8 +33,8 @@ DISK = ConformalMap(1.0, [0.5])
 def test_zero_loading_gives_zero_vectors():
     bundle = build_geometry(ELLIPSE, 8)
     spec = LoadingSpec(np.zeros(3), np.zeros(3))
-    rhs = rhs_vectors(MAT, bundle, spec)
-    for h in (rhs.disp_pos, rhs.disp_neg, rhs.trac_pos, rhs.trac_neg):
+    for h in unit_rhs_vectors(MAT, bundle, spec):
+        assert h.shape == (17,)
         assert np.allclose(h, 0.0, atol=EXACT_TOL)
 
 
@@ -39,13 +45,15 @@ def test_disk_single_conjugate_mode_matrices():
     B = np.zeros(n + 1, dtype=complex)
     B[3] = 1.5 - 0.25j
     spec = LoadingSpec(np.zeros(n + 1), B)
-    rv = unit_rhs_vectors(MAT, bundle, spec)
-    assert np.allclose(rv.disp_pos, 0.0, atol=EXACT_TOL)
-    assert np.allclose(rv.trac_pos, 0.0, atol=EXACT_TOL)
+    disp, trac = unit_rhs_vectors(MAT, bundle, spec)
+    disp_pos, disp_neg = split_window(disp)
+    trac_pos, trac_neg = split_window(trac)
+    assert np.allclose(disp_pos, 0.0, atol=EXACT_TOL)
+    assert np.allclose(trac_pos, 0.0, atol=EXACT_TOL)
     expect = np.zeros(n + 1, dtype=complex)
     expect[3] = np.conj(B[3])  # gamma = 1
-    assert np.allclose(rv.disp_neg, expect, atol=EXACT_TOL)
-    assert np.allclose(rv.trac_neg, -MAT.mu_ext * expect, atol=EXACT_TOL)
+    assert np.allclose(disp_neg, expect, atol=EXACT_TOL)
+    assert np.allclose(trac_neg, -MAT.mu_ext * expect, atol=EXACT_TOL)
 
 
 def test_ellipse_single_conjugate_mode_vectors():
@@ -56,15 +64,17 @@ def test_ellipse_single_conjugate_mode_vectors():
         B = np.zeros(n + 1, dtype=complex)
         B[m] = 0.7 + 0.2j
         spec = LoadingSpec(np.zeros(n + 1), B)
-        rhs = rhs_vectors(MAT, bundle, spec)
+        disp, trac = unit_rhs_vectors(MAT, bundle, spec)
+        disp_pos, disp_neg = split_window(disp, gamma)
+        trac_pos, trac_neg = split_window(trac, gamma)
         want_pos = np.zeros(n + 1, dtype=complex)
         want_pos[m] = np.conj(B[m] * a1**m) * gamma ** (-2 * m)
         want_neg = np.zeros(n + 1, dtype=complex)
         want_neg[m] = np.conj(B[m]) * gamma ** (2 * m)
-        assert np.allclose(rhs.disp_pos, want_pos, atol=EXACT_TOL)
-        assert np.allclose(rhs.disp_neg, want_neg, atol=EXACT_TOL)
-        assert np.allclose(rhs.trac_pos, -MAT.mu_ext * want_pos, atol=EXACT_TOL)
-        assert np.allclose(rhs.trac_neg, -MAT.mu_ext * want_neg, atol=EXACT_TOL)
+        assert np.allclose(disp_pos, want_pos, atol=EXACT_TOL)
+        assert np.allclose(disp_neg, want_neg, atol=EXACT_TOL)
+        assert np.allclose(trac_pos, -MAT.mu_ext * want_pos, atol=EXACT_TOL)
+        assert np.allclose(trac_neg, -MAT.mu_ext * want_neg, atol=EXACT_TOL)
 
 
 def test_eval_loading_identity_map_dilation():
@@ -96,10 +106,10 @@ def test_boundary_series_matches_direct_loading():
         cmap = ConformalMap(gamma, coeffs)
         bundle = build_geometry(cmap, 24)
         spec = random_loading(rng, 6)
-        rhs = rhs_vectors(MAT, bundle, spec)
+        disp, _ = unit_rhs_vectors(MAT, bundle, spec)
         theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
         w = gamma * np.exp(1j * theta)
-        series = boundary_series(rhs.disp_pos, rhs.disp_neg, w)
+        series = boundary_series(*split_window(disp, gamma), w)
         direct = eval_loading(spec, cmap, MAT, eval_map(cmap, w))
         scale = max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(series - direct)) <= SERIES_TOL * scale
@@ -110,13 +120,13 @@ def test_traction_series_matches_potentials_up_to_constant():
     cmap = ConformalMap(1.2, [0.1, 0.25, 0.05 - 0.1j])
     bundle = build_geometry(cmap, 24)
     spec = random_loading(rng, 5)
-    rhs = rhs_vectors(MAT, bundle, spec)
+    _, trac = unit_rhs_vectors(MAT, bundle, spec)
     theta = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     w = cmap.gamma * np.exp(1j * theta)
     z = eval_map(cmap, w)
     f, g = loading_pair(spec, cmap)
     direct = MAT.mu_ext * (poly_eval(f, z) + z * np.conj(poly_eval(polyder(f), z)) + np.conj(poly_eval(g, z)))
-    series = boundary_series(rhs.trac_pos, rhs.trac_neg, w)
+    series = boundary_series(*split_window(trac, cmap.gamma), w)
     diff = series - direct
     diff -= diff.mean()
     assert np.max(np.abs(diff)) <= SERIES_TOL * max(1.0, np.max(np.abs(direct)))
@@ -175,8 +185,8 @@ def test_unit_rhs_vectors_match_per_mode_reference(a, gamma, material):
     for n in (1, 4, 16, 48):
         bundle = build_geometry(cmap, n)
         spec = random_loading(rng, min(n, 6))
-        rv = unit_rhs_vectors(material, bundle, spec)
-        got = (rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)
+        disp, trac = unit_rhs_vectors(material, bundle, spec)
+        got = (*split_window(disp), *split_window(trac))
         for vector, matrix in zip(got, rhs_matrices(material, bundle, spec)):
             want = matrix[1:].sum(axis=0)
             assert np.max(np.abs(vector - want)) <= 1e-14 * np.max(np.abs(want))
@@ -187,9 +197,9 @@ def test_index_zero_invariants():
     cmap = ConformalMap(0.9, [0.0, 0.2, 0.1])
     bundle = build_geometry(cmap, 12)
     spec = random_loading(rng, 4)
-    rhs = rhs_vectors(MAT, bundle, spec)
-    assert abs(rhs.disp_pos[0]) <= EXACT_TOL
-    assert abs(rhs.trac_pos[0]) <= EXACT_TOL
+    disp, trac = unit_rhs_vectors(MAT, bundle, spec)
+    assert disp.shape == trac.shape == (25,)
+    assert trac[12] == 0.0  # power 0 of the traction potential
 
 
 def test_loading_spec_validation():
@@ -218,12 +228,12 @@ def test_block_row_layout():
     # families, without the structurally zero index-0 entries
     bundle = build_geometry(ConformalMap(1.5, [0.5]), 4)
     spec = LoadingSpec([0.0, 1.0 + 1.0j], [0.0, 2.0])
-    rv = unit_rhs_vectors(MAT, bundle, spec)
+    _, (tp, tn) = (split_window(h) for h in unit_rhs_vectors(MAT, bundle, spec))
     trans = MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
-    rt = unit_rhs_vectors(trans, bundle, spec)
+    (dp_t, dn_t), (tp_t, tn_t) = (split_window(h) for h in unit_rhs_vectors(trans, bundle, spec))
     for material, h in (
-        (MAT, [rv.trac_pos[1:], rv.trac_neg[1:]]),
-        (trans, [rt.disp_pos[1:], rt.disp_neg, rt.trac_pos[1:], rt.trac_neg[1:]]),
+        (MAT, [tp[1:], tn[1:]]),
+        (trans, [dp_t[1:], dn_t, tp_t[1:], tn_t[1:]]),
     ):
         h = np.concatenate(h)
         b = assemble_system(material, bundle, spec).rhs
@@ -231,6 +241,6 @@ def test_block_row_layout():
         np.testing.assert_array_equal(b, -2.0 * np.concatenate([h.real, h.imag]))
     # the unit-radius series are the series in w on |w| = gamma, in powers of w / gamma
     g = 1.5 ** np.arange(5)
-    pub = rhs_vectors(MAT, bundle, spec)
-    assert np.allclose(pub.trac_pos * g, rv.trac_pos, rtol=1e-15, atol=0.0)
-    assert np.allclose(pub.trac_neg / g, rv.trac_neg, rtol=1e-15, atol=0.0)
+    pos, neg = split_window(unit_rhs_vectors(MAT, bundle, spec)[1], 1.5)
+    assert np.allclose(pos * g, tp, rtol=1e-15, atol=0.0)
+    assert np.allclose(neg / g, tn, rtol=1e-15, atol=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from elastinc.materials import MaterialPair, MaterialError, cavity_limit, derive_constants
+from elastinc.materials import MaterialPair, MaterialError, derive_constants
 
 IDENTITY_RTOL = 1e-14
 
@@ -54,7 +54,7 @@ def test_material_pair_rejects_non_finite(lam_ext, mu_ext, lam_int, mu_int):
 
 
 def test_cavity_pair():
-    pair = cavity_limit(1.0, 1.0)
+    pair = MaterialPair(1.0, 1.0, cavity=True)
     assert pair.cavity
     assert not pair.has_interior
     assert pair.alpha_t is None

@@ -30,16 +30,11 @@ from elastinc.oracle import (
     assemble_nystrom,
     build_mesh,
     compare,
-    conormal_matrix,
     discrepancy,
-    eval_oracle_interior,
     hilbert_weights,
-    kelvin_kernel,
     loading_conormal,
     log_weights,
     rigid_fields,
-    self_convergence,
-    single_layer_matrix,
     single_layer_potential,
     solve_nystrom,
     solve_oracle,
@@ -47,14 +42,18 @@ from elastinc.oracle import (
 from elastinc.system import assemble_system, solve
 from layer_reference import (
     _shifted_coefficients,
+    conormal_matrix,
     deriv_layer_exterior,
     deriv_layer_interior,
+    eval_oracle_interior,
     loading_by_grunsky,
     loading_pair,
     log_layer_exterior,
     log_layer_interior,
     poly_eval,
     polyder,
+    self_convergence,
+    single_layer_matrix,
 )
 
 EXACT_TOL = 1e-12
@@ -148,35 +147,16 @@ def fft_derivative(vals: np.ndarray) -> np.ndarray:
 # -- kernel basics ------------------------------------------------------------
 
 
-def test_kelvin_kernel_unit_distance():
-    G = kelvin_kernel(1.5 + 0.25j, 0.5 + 0.25j, TRANS, "exterior")
-    beta = TRANS.beta
-    expected = np.array([[-beta / (2 * np.pi), 0.0], [0.0, 0.0]])
-    assert np.max(np.abs(G - expected)) <= EXACT_TOL
-    G_int = kelvin_kernel(1.5 + 0.25j, 0.5 + 0.25j, TRANS, "interior")
-    beta_t = TRANS.interior_constants()[1]
-    assert abs(G_int[0, 0] + beta_t / (2 * np.pi)) <= EXACT_TOL
-
-
-def test_kelvin_kernel_isotropy_and_symmetry():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        d = complex(*rng.normal(size=2))
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        R = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-        G = kelvin_kernel(d, 0.0, TRANS)
-        G_rot = kelvin_kernel(d * np.exp(1j * ang), 0.0, TRANS)
-        assert np.max(np.abs(G_rot - R @ G @ R.T)) <= EXACT_TOL
-        assert abs(G[0, 1] - G[1, 0]) <= EXACT_TOL
-
-
-def test_kelvin_kernel_rejects_degenerate_input():
+def test_single_layer_potential_rejects_degenerate_input():
+    # a point on a node, the interior side of a cavity and an unknown side
+    mesh = build_mesh(ELLIPSE, 16)
+    dens = np.ones(16, dtype=complex)
     with pytest.raises(OracleError):
-        kelvin_kernel(0.3 + 0.1j, 0.3 + 0.1j, TRANS)
+        single_layer_potential(mesh, dens, TRANS, "exterior", mesh.z[3:4])
     with pytest.raises(MaterialError):
-        kelvin_kernel(1.0, 0.0, CAV, "interior")
+        single_layer_potential(mesh, dens, CAV, "interior", np.array([0.1j]))
     with pytest.raises(OracleError):
-        kelvin_kernel(1.0, 0.0, TRANS, "sideways")
+        single_layer_potential(mesh, dens, TRANS, "sideways", np.array([0.1j]))
 
 
 # -- mesh ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package-level properties."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,13 +12,28 @@ import elastinc
 SRC = Path(__file__).resolve().parents[1] / "src"
 REFERENCE = Path(__file__).resolve().parent / "layer_reference.py"
 
-# names deleted from the package: the monomial Faber substrate and the
-# sixteen-block system now live in tests/layer_reference.py as references,
-# and the single-point field wrappers and the square Grunsky alias are gone
+# names deleted from the package: the monomial Faber substrate, the
+# sixteen-block system and the reference solver's test-only matrices and
+# solves now live in tests/layer_reference.py as references; the
+# single-point field wrappers, the square Grunsky alias, the per-sign
+# right-hand-side vectors, the Kelvin kernel at one point pair and the
+# cavity constructor are gone
 REMOVED = ("faber_matrix", "faber_inverse", "monomial_derivative_matrix", "poly_eval",
            "loading_pair", "_polyder", "eval_exterior", "eval_interior",
            "eval_traction_potential", "_sample", "grunsky_matrix",
-           "_sided_blocks", "exterior_blocks", "interior_blocks", "m_blocks")
+           "_sided_blocks", "exterior_blocks", "interior_blocks", "m_blocks",
+           "RhsVector", "rhs_vectors", "kill0", "kelvin_kernel", "single_layer_matrix",
+           "conormal_matrix", "_lame_constants", "eval_oracle_interior", "self_convergence",
+           "cavity_limit")
+
+PUBLIC = ["BlockSystem", "BoundaryMesh", "ComparisonReport", "ConformalMap", "DensitySolution",
+          "FieldEvaluator", "FieldGrid", "FieldSample", "GeometryBundle", "GridSpec",
+          "LoadingSpec", "MaterialPair", "OracleSolution", "assemble_system",
+          "boundary_traction_spread", "build_geometry", "build_mesh", "classify_points",
+          "compare", "derive_constants", "eval_loading", "eval_oracle_exterior", "grid_field",
+          "invert_map", "solve", "solve_oracle", "transmission_residual"]
+
+MODULES = ("cli", "field", "geometry", "loading", "materials", "oracle", "system")
 
 
 def defined_names(path: Path) -> set[str]:
@@ -62,6 +78,15 @@ def test_every_public_name_resolves():
     assert len(set(elastinc.__all__)) == len(elastinc.__all__)
 
 
+def test_public_surface_is_pinned():
+    assert sorted(elastinc.__all__) == PUBLIC
+    for name in PUBLIC:
+        assert getattr(elastinc, name) is not None
+    for owner in (elastinc, *(importlib.import_module(f"elastinc.{m}") for m in MODULES)):
+        present = [name for name in REMOVED if hasattr(owner, name)]
+        assert present == [], f"{owner.__name__} still has {present}"
+
+
 def test_package_defines_no_reference_substrate():
     # one Faber substrate in the package: every Faber sum runs the recurrence
     # on point values, and the monomial references stay in the tests
@@ -73,3 +98,24 @@ def test_package_defines_no_reference_substrate():
     for module in modules:
         clash = defined_names(module) & (reference | set(REMOVED))
         assert not clash, f"{module.name} defines {sorted(clash)}"
+
+
+def test_array_dataclasses_compare_by_identity():
+    # frozen dataclasses holding arrays compare and hash by identity: equal
+    # values in distinct objects stay distinct, as do the maps' kept tables
+    from elastinc.geometry import grunsky_rows
+
+    a, b = elastinc.ConformalMap(1.0, [0.5, 0.3]), elastinc.ConformalMap(1.0, [0.5, 0.3])
+    assert a == a and a != b and hash(a) != hash(b) and len({a, b}) == 2
+    assert grunsky_rows(a, 4, 8) is not grunsky_rows(b, 4, 8)
+    assert a.__dict__["_grunsky"] is not b.__dict__["_grunsky"]
+    spec = elastinc.LoadingSpec([0.0], [0.0, 1.0])
+    assert spec != elastinc.LoadingSpec([0.0], [0.0, 1.0]) and hash(spec) == hash(spec)
+    mat = elastinc.MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0)
+    bundle = elastinc.build_geometry(a, 4)
+    system = elastinc.assemble_system(mat, bundle, spec)
+    mesh = elastinc.build_mesh(a, 16)
+    held = (bundle, system, elastinc.solve(system), mesh, elastinc.solve_oracle(a, mat, spec, 16))
+    for x in held:
+        assert x == x and not x != x and isinstance(hash(x), int)
+    assert bundle != elastinc.build_geometry(a, 4) and mesh != elastinc.build_mesh(a, 16)

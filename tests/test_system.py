@@ -35,6 +35,7 @@ from layer_reference import (
     interior_blocks,
     monomial_derivative_matrix,
     poly_eval,
+    split_window,
 )
 
 EXACT_TOL = 1e-11
@@ -203,7 +204,7 @@ def test_jump_part_cancellation_decays_linearly():
 def reference_blocks(material, bundle, spec):
     """The (R, Q, n+1, n+1) complex blocks of x E = -2h and the block row h."""
     d = bundle.n + 1
-    rv = unit_rhs_vectors(material, bundle, spec)
+    rv = [v for window in unit_rhs_vectors(material, bundle, spec) for v in split_window(window)]
     S = exterior_blocks(material, bundle)
     if material.cavity:
         pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0)]
@@ -212,7 +213,7 @@ def reference_blocks(material, bundle, spec):
         St = interior_blocks(material, bundle)
         pairs = [(S[0], S[1], 1.0), (S[2], S[3], 1.0), (St[0], St[1], -1.0), (St[2], St[3], -1.0)]
         cols = [0, 1, 2, 3]
-    h = [(rv.disp_pos, rv.disp_neg, rv.trac_pos, rv.trac_neg)[c] for c in cols]
+    h = [rv[c] for c in cols]
     rhs_row = np.concatenate([v for hc in h for v in (hc, np.conj(hc))])
     blocks = np.zeros((2 * len(pairs), 2 * len(cols), d, d), dtype=complex)
     for p, (Fa, Fb, sign) in enumerate(pairs):
