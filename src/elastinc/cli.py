@@ -36,11 +36,25 @@ from .field import (
     grid_field,
     transmission_residual,
 )
-from .geometry import ConformalMap, GeometryError, build_geometry, eval_map
+from .geometry import (
+    ConformalMap,
+    GeometryError,
+    build_geometry,
+    eval_map,
+    grunsky_table_entries,
+)
 from .loading import LoadingError, LoadingSpec, boundary_series, eval_loading, unit_rhs_vectors
 from .materials import MaterialError, MaterialPair
-from .oracle import OracleError, check_node_count, compare, solve_oracle
-from .system import AssemblyError, DensitySolution, assemble_system, solve
+from .oracle import (
+    OracleError,
+    assemble_nystrom,
+    build_mesh,
+    check_node_count,
+    compare,
+    solve_nystrom,
+    solve_oracle,
+)
+from .system import AssemblyError, DensitySolution, assemble_system, one_norm_condition, solve
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -50,6 +64,7 @@ EXIT_SOLVE = 4
 EXIT_MISMATCH = 5
 DEFAULT_TRUNCATION = 16
 MAX_TRUNCATION = 512
+MAX_GRUNSKY_ENTRIES = 2**25  # complex entries of the geometry's Grunsky table (512 MiB)
 DEFAULT_ORACLE_NODES = 256
 DEFAULT_ORACLE_TOLERANCE = 1e-3
 RESIDUAL_ANGLES = 64
@@ -205,9 +220,10 @@ def load_config(
     Every domain object is constructed here, so a config that would fail
     any module-level invariant (non-injective map, non-elliptic material,
     constant loading term, loading above the truncation, a truncation above
-    MAX_TRUNCATION, a non-finite value, an oracle node count the reference
-    solver refuses) is rejected before a run produces any output, or
-    allocates any of its matrices.
+    MAX_TRUNCATION, a map so deep that its Grunsky table at the truncation
+    exceeds MAX_GRUNSKY_ENTRIES, a non-finite value, an oracle node count
+    the reference solver refuses) is rejected before a run produces any
+    output, or allocates any of its matrices.
     """
     path = Path(path)
     try:
@@ -253,6 +269,12 @@ def load_config(
     n = _integer(n, "truncation")
     if not 1 <= n <= MAX_TRUNCATION:
         raise ConfigError(f"truncation must be in 1..{MAX_TRUNCATION}, got {n}")
+    entries = grunsky_table_entries(cmap, n)
+    if entries > MAX_GRUNSKY_ENTRIES:
+        raise ConfigError(
+            f"a map of depth {cmap.depth} at truncation {n} needs a Grunsky table of "
+            f"{entries} complex entries, above the limit of {MAX_GRUNSKY_ENTRIES}"
+        )
     if loading.order > n:
         raise ConfigError(f"loading mode {loading.order} exceeds truncation order {n}")
 
@@ -313,8 +335,10 @@ class RunResults:
     config: RunConfig
     command: str
     solution: DensitySolution
+    condition_estimate: float  # one_norm_condition of the solved system's matrix
     samples: FieldGrid | None
     oracle_report: object | None
+    oracle_condition_estimate: float | None  # the same for the Nystrom matrix
     interface_residuals: tuple[float, float] | None
     timings: dict[str, float]  # seconds per stage that ran, by time.perf_counter
 
@@ -334,7 +358,10 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
     """Assemble, solve, and evaluate whatever the subcommand asks for.
 
     Each stage that runs (geometry, assembly, solve, field, oracle,
-    residual) records its wall time in seconds.
+    condition, residual) records its wall time in seconds. The condition
+    stage holds the 1-norm condition estimates of the solved system and,
+    when the oracle runs, of the Nystrom matrix: each costs two or three
+    more LU factorizations, paid only here, where they are reported.
     """
     if command == "field" and config.grid is None:
         raise ConfigError("a field run needs a grid (config key or --grid)")
@@ -356,12 +383,18 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
             samples = grid_field(solution, config.loading, config.cmap, config.material,
                                  config.grid)
 
-    report = None
+    report = oracle_system = oracle_condition = None
     if command == "oracle-check" or config.oracle_enabled:
         with _timed(timings, "oracle"):
-            oracle_sol = solve_oracle(config.cmap, config.material, config.loading,
-                                      config.oracle_nodes)
-            report = compare(oracle_sol, solution, config.cmap, config.material, config.loading)
+            oracle_system = assemble_nystrom(build_mesh(config.cmap, config.oracle_nodes),
+                                             config.material, config.loading)
+            report = compare(solve_nystrom(oracle_system), solution, config.cmap,
+                             config.material, config.loading)
+
+    with _timed(timings, "condition"):
+        condition = one_norm_condition(system.matrix)
+        if oracle_system is not None:
+            oracle_condition = one_norm_condition(oracle_system.matrix)
 
     with _timed(timings, "residual"):
         if config.material.cavity:
@@ -378,8 +411,10 @@ def orchestrate(config: RunConfig, command: str) -> RunResults:
         config=config,
         command=command,
         solution=solution,
+        condition_estimate=condition,
         samples=samples,
         oracle_report=report,
+        oracle_condition_estimate=oracle_condition,
         interface_residuals=residuals,
         timings=timings,
     )
@@ -399,7 +434,7 @@ def _pair_list(arr) -> list[list[float]] | None:
     return [_pair(v) for v in np.asarray(arr)]
 
 
-def solution_payload(solution: DensitySolution) -> dict:
+def solution_payload(solution: DensitySolution, condition_estimate: float) -> dict:
     return {
         "mode": solution.mode,
         "truncation": solution.n,
@@ -411,7 +446,7 @@ def solution_payload(solution: DensitySolution) -> dict:
         },
         "residual": solution.residual,
         "rank": solution.rank,
-        "condition_estimate": solution.condition_estimate,
+        "condition_estimate": condition_estimate,
         "rotation_projection": solution.rotation_projection + 0.0,
         "converged": solution.converged,
     }
@@ -450,7 +485,7 @@ def _summary_text(results: RunResults) -> str:
         f"mode: {sol.mode}",
         f"truncation: {sol.n}",
         f"solve residual: {sol.residual:.6e}",
-        f"rank: {sol.rank} (condition estimate {sol.condition_estimate:.6e}, "
+        f"rank: {sol.rank} (condition estimate {results.condition_estimate:.6e}, "
         f"converged {sol.converged})",
         f"rotation projection: {sol.rotation_projection:.6e}",
     ]
@@ -465,6 +500,7 @@ def _summary_text(results: RunResults) -> str:
     if results.oracle_report is not None:
         for name, value in results.oracle_report.rows():
             lines.append(f"oracle {name}: {value:.6e}")
+        lines.append(f"oracle condition_estimate: {results.oracle_condition_estimate:.6e}")
         lines.append(f"oracle tolerance: {results.config.oracle_tolerance:.6e}")
     return "\n".join(lines) + "\n"
 
@@ -485,7 +521,7 @@ def emit_reports(results: RunResults, out_dir) -> list[Path]:
 
     written: list[Path] = []
     sol_path = out / SOLUTION_FILE
-    _write_json(sol_path, solution_payload(results.solution))
+    _write_json(sol_path, solution_payload(results.solution, results.condition_estimate))
     written.append(sol_path)
 
     if results.samples is not None:
@@ -505,7 +541,7 @@ def emit_reports(results: RunResults, out_dir) -> list[Path]:
                 "exterior_rms": rep.exterior_rms,
                 "q": rep.q,
                 "n_points": rep.n_points,
-                "condition_estimate": rep.condition_estimate,
+                "condition_estimate": results.oracle_condition_estimate,
                 "tolerance": results.config.oracle_tolerance,
                 "within_tolerance": oracle_within_tolerance(results),
             },

@@ -365,6 +365,17 @@ def exterior_series_orders(cmap: ConformalMap, n: int) -> tuple[int, int]:
     return order, max(n + 2, order * cmap.depth)
 
 
+def grunsky_table_entries(cmap: ConformalMap, n: int) -> int:
+    """Complex entries of the table _grunsky_recurrence allocates for build_geometry(cmap, n).
+
+    Its working table has rows + 1 rows over the powers -(rows + kmax)..rows,
+    with (rows, kmax) = exterior_series_orders; a deep map makes it large at
+    a small n. Computed without building anything.
+    """
+    rows, kmax = exterior_series_orders(cmap, n)
+    return (rows + 1) * (2 * rows + kmax + 1)
+
+
 def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     """Construct every matrix of the bundle at truncation order n, at unit radius.
 

@@ -20,9 +20,10 @@ weights depend on the node angles only through t_i - t_j, so each weight
 matrix is circulant, gathered from one generating column.
 
 The rigid-motion constraints border the discretized equations, with one
-Lagrange multiplier each, into a square system solved by LU; its 1-norm
-condition number is estimated with one or two further LU solves (the
-Hager-Higham estimator behind LAPACK's gecon).
+Lagrange multiplier each, into a square system solved by one LU
+factorization. Its 1-norm condition estimate (system.one_norm_condition,
+the Hager-Higham estimator behind LAPACK's gecon) is a separate call on
+NystromSystem.matrix, made where the estimate is reported.
 
 Agreement between this solver and the coefficient-space route is the
 package's main end-to-end correctness check. The solver is a desk-scale
@@ -45,7 +46,6 @@ from .geometry import (
 )
 from .loading import LoadingSeries, LoadingSpec, eval_loading
 from .materials import MaterialPair
-from .system import one_norm_condition
 
 MIN_NODES = 8
 MAX_DESK_NODES = 512
@@ -345,7 +345,6 @@ class OracleSolution:
     mesh: BoundaryMesh
     mode: str
     residual_norm: float
-    condition_estimate: float
     rigid_moments: np.ndarray
     trace_gap: float
 
@@ -409,26 +408,22 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
 
 
 def solve_nystrom(system: NystromSystem) -> OracleSolution:
-    """LU solve of the bordered system, with a 1-norm condition estimate.
+    """LU solve of the bordered system: one factorization.
 
-    One LU factorization solves for the densities and the first probe of
-    the condition estimator together; the estimator adds one solve with
-    K^T and at most one more with K. A singular K raises OracleError. The
-    residual is that of the unbordered equations and the constraint rows,
-    ||K [sol, 0] - [rhs, 0]||, without the multipliers.
+    A singular K raises OracleError. The residual is that of the unbordered
+    equations and the constraint rows, ||K [sol, 0] - [rhs, 0]||, without
+    the multipliers. The condition estimate is one_norm_condition of
+    system.matrix, computed apart by whoever reports it.
     """
     matrix, mesh = system.matrix, system.mesh
     q, size = mesh.q, matrix.shape[0]
     n = size - 3
     rhs = np.zeros(size)
     rhs[:n] = system.rhs
-    start = np.full(size, 1.0 / size)
     try:
-        both = np.linalg.solve(matrix, np.column_stack([rhs, start]))
-        condition = one_norm_condition(matrix, both[:, 1], start)
+        sol = np.linalg.solve(matrix, rhs)[:n]
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular reference system ({size}x{size} bordered matrix)") from exc
-    sol = both[:n, 0]
     residual = float(np.linalg.norm(matrix[:, :n] @ sol - rhs))
 
     psi = sol[n - 2 * q :]
@@ -455,7 +450,6 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
         mesh=mesh,
         mode=system.mode,
         residual_norm=residual,
-        condition_estimate=condition,
         rigid_moments=rigid_moments(mesh, psi_c),
         trace_gap=trace_gap,
     )
@@ -524,7 +518,6 @@ class ComparisonReport:
     exterior_rms: float
     q: int
     n_points: int
-    condition_estimate: float
 
     def rows(self) -> list[tuple[str, float]]:
         return [
@@ -532,7 +525,6 @@ class ComparisonReport:
             ("boundary_rms", self.boundary_rms),
             ("exterior_max", self.exterior_max),
             ("exterior_rms", self.exterior_rms),
-            ("condition_estimate", self.condition_estimate),
         ]
 
 
@@ -566,6 +558,5 @@ def compare(oracle: OracleSolution, series, geometry, material: MaterialPair,
         exterior_rms=exterior_rms,
         q=oracle.mesh.q,
         n_points=n_points,
-        condition_estimate=oracle.condition_estimate,
     )
 

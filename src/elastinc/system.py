@@ -13,7 +13,8 @@ traction-potential windows on the same powers (loading.unit_rhs_vectors).
 The system is posed on the unit-radius problem (geometry.unit_radius and
 LoadingSpec.unit_radius), whose density coefficients serve every radius.
 The real and imaginary parts of the kept coefficients (kept_indices) are the
-unknowns of one square real matrix, factored once by LU.
+unknowns of one square real matrix, factored once by LU; its condition
+estimate (one_norm_condition) is a separate call that factors it again.
 """
 
 from __future__ import annotations
@@ -179,8 +180,8 @@ class DensitySolution:
     xi_plus/xi_minus likewise for the interior (None in cavity mode, where
     there is no interior density). Entry 0 of xe_plus, xe_minus and
     xi_plus is structurally zero; xi_minus[0] is the interior mode-0
-    coefficient. rank is the order of the square system solved and
-    condition_estimate its 1-norm condition estimate.
+    coefficient. rank is the order of the square system solved; its
+    1-norm condition estimate is one_norm_condition(system.matrix).
     """
 
     xe_plus: np.ndarray
@@ -189,25 +190,28 @@ class DensitySolution:
     xi_minus: np.ndarray | None
     residual: float
     rank: int
-    condition_estimate: float
     rotation_projection: float
     converged: bool
     n: int
     mode: str
 
 
-def one_norm_condition(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray) -> float:
+def one_norm_condition(matrix: np.ndarray) -> float:
     """Hager-Higham estimate of the 1-norm condition number ||K||_1 ||K^-1||_1.
 
     ||K^-1||_1 is the maximum of the convex function f(x) = ||K^-1 x||_1
-    on the unit 1-norm ball, attained at a unit vector e_j. probe is
-    K^-1 start for the uniform start vector, already solved with the
-    system. One solve with K^T gives the subgradient z = K^-T sign(probe)
-    of f there; if some |z_j| exceeds z . start, f rises towards e_j and
-    one more solve takes that column of K^-1. Every value taken is
-    ||K^-1 x||_1 for some unit x, so the estimate never exceeds the true
-    condition number.
+    on the unit 1-norm ball, attained at a unit vector e_j. One solve takes
+    f at the uniform start vector, one solve with K^T the subgradient
+    z = K^-T sign(K^-1 start) of f there; if some |z_j| exceeds z . start,
+    f rises towards e_j and one more solve takes that column of K^-1. Every
+    value taken is ||K^-1 x||_1 for some unit x, so the estimate never
+    exceeds the true condition number. Each solve factors K afresh (numpy
+    keeps no LU factors), so the estimate costs two or three
+    factorizations; it is computed where it is reported, not by solve.
     """
+    size = matrix.shape[0]
+    start = np.full(size, 1.0 / size)
+    probe = np.linalg.solve(matrix, start)
     estimate = float(np.sum(np.abs(probe)))
     z = np.linalg.solve(matrix.T, np.where(probe >= 0.0, 1.0, -1.0))
     j = int(np.argmax(np.abs(z)))
@@ -219,20 +223,15 @@ def one_norm_condition(matrix: np.ndarray, probe: np.ndarray, start: np.ndarray)
 
 
 def solve(system: BlockSystem) -> DensitySolution:
-    """LU solve of the square real system, with a 1-norm condition estimate.
+    """LU solve of the square real system: one factorization.
 
-    One factorization solves for the densities and for the first probe of
-    the condition estimator together; the estimator adds one solve with the
-    transpose and at most one more with the matrix. An exactly singular
-    matrix raises np.linalg.LinAlgError. Conjugate pairing holds exactly,
-    because only the independent real and imaginary parts are unknowns.
+    An exactly singular matrix raises np.linalg.LinAlgError. Conjugate
+    pairing holds exactly, because only the independent real and imaginary
+    parts are unknowns. The condition estimate is one_norm_condition of
+    system.matrix, computed apart by whoever reports it.
     """
     matrix, rhs = system.matrix, system.rhs
-    size = rhs.size
-    start = np.full(size, 1.0 / size)
-    both = np.linalg.solve(matrix, np.column_stack([rhs, start]))
-    condition = one_norm_condition(matrix, both[:, 1], start)
-    sol = both[:, 0]
+    sol = np.linalg.solve(matrix, rhs)
     scale = np.linalg.norm(rhs)
     # a non-finite rhs gives a NaN residual, which never counts as converged
     residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale != 0 else 0.0
@@ -263,8 +262,7 @@ def solve(system: BlockSystem) -> DensitySolution:
         xi_plus=xi_plus,
         xi_minus=xi_minus,
         residual=residual,
-        rank=size,
-        condition_estimate=condition,
+        rank=rhs.size,
         rotation_projection=rotation_projection,
         converged=residual <= DEFAULT_RESIDUAL_THRESHOLD,
         n=system.n,

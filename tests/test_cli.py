@@ -24,7 +24,8 @@ from elastinc.cli import (
     self_test,
     solution_payload,
 )
-from elastinc.system import DensitySolution
+from elastinc.geometry import ConformalMap, grunsky_table_entries
+from elastinc.system import DensitySolution, one_norm_condition
 
 CONFIG_TOL = 1e-12
 NAN, INF = float("nan"), float("inf")
@@ -165,17 +166,17 @@ def test_solution_json_writes_no_negative_zero():
     # the assembly; solution.json prints every zero as 0.0
     v = np.array([-0.0 - 0.0j, complex(-0.0, 1.5), complex(2.0, -0.0), -1.0 + 0.0j])
     sol = DensitySolution(xe_plus=v, xe_minus=v.copy(), xi_plus=None, xi_minus=None,
-                          residual=0.0, rank=4, condition_estimate=1.0,
-                          rotation_projection=0.0, converged=True, n=3, mode="cavity")
-    payload = solution_payload(sol)
+                          residual=0.0, rank=4, rotation_projection=0.0, converged=True,
+                          n=3, mode="cavity")
+    payload = solution_payload(sol, 1.0)
     assert payload["coefficients"]["xe_plus"] == [[0.0, 0.0], [0.0, 1.5], [2.0, 0.0], [-1.0, 0.0]]
     text = json.dumps(payload["coefficients"])
     assert "-0.0" not in text and "-1.0" in text
 
 
 @pytest.mark.parametrize("command, stages", [
-    ("solve", {"geometry", "assembly", "solve", "residual"}),
-    ("field", {"geometry", "assembly", "solve", "field", "oracle", "residual"}),
+    ("solve", {"geometry", "assembly", "solve", "condition", "residual"}),
+    ("field", {"geometry", "assembly", "solve", "field", "oracle", "condition", "residual"}),
 ])
 def test_timings_report_every_stage(tmp_path, command, stages):
     cfg = base_config(grid=GRID, oracle={"enabled": command == "field", "q": 64})
@@ -278,6 +279,38 @@ def test_oversized_truncation_is_a_config_error(tmp_path, monkeypatch, truncatio
     assert peak < 2**20
 
 
+def test_oversized_grunsky_table_is_a_config_error(tmp_path, monkeypatch):
+    # 2000 tiny map coefficients at n = 16: the Grunsky recurrence would ask
+    # for about 2017 x 4.04e6 complex entries (130 GB)
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("an oversized Grunsky table reached the geometry")
+
+    monkeypatch.setattr(cli, "build_geometry", no_geometry)
+    cfg = base_config(truncation=16)
+    cfg["map"] = {"gamma": 1.0, "a": [[0.5, 0.0], [0.3, 0.0]] + [[1e-9, 0.0]] * 1998}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    stream = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = run(path, command="solve", out_dir=str(out), stream=stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert "Grunsky table" in stream.getvalue()
+    assert not out.exists()
+    assert peak < 2**20
+
+
+def test_grunsky_table_bound_admits_the_largest_truncation():
+    # the four-term map at n = MAX_TRUNCATION needs about 1.3M entries
+    cmap = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+    entries = grunsky_table_entries(cmap, cli.MAX_TRUNCATION)
+    assert entries == 516 * 2576
+    assert entries <= cli.MAX_GRUNSKY_ENTRIES
+
+
 def test_non_finite_residual_is_a_solve_failure(tmp_path, monkeypatch):
     assemble = cli.assemble_system
 
@@ -347,6 +380,31 @@ def test_oracle_check_passes_and_reports(tmp_path):
     assert report["within_tolerance"] is True
     assert report["boundary_max"] <= 1e-3
     assert report["q"] == 64
+
+
+def test_condition_estimates_are_reported_once_per_matrix(tmp_path, monkeypatch):
+    # the estimate runs once on the coefficient matrix and once on the Nystrom
+    # matrix, and the reports carry exactly those two numbers
+    calls = []
+
+    def recorded(matrix):
+        calls.append((matrix.shape[0], one_norm_condition(matrix)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(cli, "one_norm_condition", recorded)
+    out = tmp_path / "out"
+    code = run(write_config(tmp_path, base_config()), command="oracle-check", out_dir=str(out),
+               stream=io.StringIO())
+    assert code == EXIT_OK
+    assert [size for size, _ in calls] == [8 * 13 - 6, 4 * 64 + 3]
+    (_, series), (_, reference) = calls
+    assert json.loads((out / "solution.json").read_text())["condition_estimate"] == series
+    assert json.loads((out / "oracle_report.json").read_text())["condition_estimate"] == reference
+    lines = (out / "summary.txt").read_text().splitlines()
+    assert f"rank: {8 * 13 - 6} (condition estimate {series:.6e}, converged True)" in lines
+    at = lines.index(f"oracle condition_estimate: {reference:.6e}")
+    assert lines[at - 1].startswith("oracle exterior_rms: ")
+    assert lines[at + 1].startswith("oracle tolerance: ")
 
 
 def test_oracle_mismatch_exit_code(tmp_path):

@@ -63,11 +63,14 @@ def test_reference_solve_does_not_load_scipy():
     # the README config, solved by the Nystrom reference at q = 64
     code = (
         "import sys\n"
-        "from elastinc import ConformalMap, LoadingSpec, MaterialPair, solve_oracle\n"
-        "sol = solve_oracle(ConformalMap(1.0, [0.5, 0.3]),\n"
-        "                   MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0),\n"
-        "                   LoadingSpec(A=[0.0], B=[0.0, 1.0]), 64)\n"
-        "print(sol.condition_estimate > 1.0, 'scipy' in sys.modules)"
+        "from elastinc import ConformalMap, LoadingSpec, MaterialPair, build_mesh\n"
+        "from elastinc.oracle import assemble_nystrom, solve_nystrom\n"
+        "from elastinc.system import one_norm_condition\n"
+        "system = assemble_nystrom(build_mesh(ConformalMap(1.0, [0.5, 0.3]), 64),\n"
+        "                          MaterialPair(2.0, 1.0, lam_int=4.0, mu_int=3.0),\n"
+        "                          LoadingSpec(A=[0.0], B=[0.0, 1.0]))\n"
+        "sol = solve_nystrom(system)\n"
+        "print(one_norm_condition(system.matrix) > 1.0, 'scipy' in sys.modules)"
     )
     assert run_python(code) == "True False"
 

@@ -25,6 +25,7 @@ from elastinc.system import (
     cavity_mode_matrix,
     kept_indices,
     layer_matrices,
+    one_norm_condition,
     solve,
 )
 from layer_reference import (
@@ -484,3 +485,34 @@ def test_transmission_solve_converges_and_decouples():
         mask = np.ones(n + 1, dtype=bool)
         mask[1] = False
         assert np.max(np.abs(vec[mask])) <= 1e-9
+
+
+# -- one factorization per solve; the condition estimate is a call of its own --
+
+
+@pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+def test_solve_factors_the_matrix_once(monkeypatch, material):
+    n = 16
+    system = assemble_system(material, build_geometry(ConformalMap(1.0, FOURTERM), n),
+                             single_mode(2, 1.0 - 0.5j, n))
+    calls, numpy_solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or numpy_solve(a, b))
+    sol = solve(system)
+    assert len(calls) == 1 and calls[0] is system.matrix
+    assert sol.converged
+
+
+# In cavity mode two columns of K^-1 tie in 1-norm to 4e-6 (n = 32) and 8e-9
+# (n = 64), and the one Hager step takes the smaller of the two.
+@pytest.mark.parametrize("material, rel", [(TRANS, 1e-12), (CAV, 1e-5)],
+                         ids=["transmission", "cavity"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_condition_estimate_equals_exact_one_norm(n, material, rel):
+    K = assemble_system(material, build_geometry(ConformalMap(1.0, FOURTERM), n),
+                        single_mode(1, 1.0, n)).matrix
+    exact = np.max(np.sum(np.abs(K), axis=0)) * np.max(np.sum(np.abs(np.linalg.inv(K)), axis=0))
+    estimate = one_norm_condition(K)
+    # ||K||_1 ||K^-1 x||_1 for a unit x: a lower bound up to roundoff, and
+    # one Hager step reaches the largest column of K^-1 on this map, or a tie
+    assert estimate <= exact * (1.0 + 1e-10)
+    assert abs(estimate - exact) <= rel * exact
