@@ -17,7 +17,15 @@ part (spectrally exact weights for the half-cotangent kernel, whose
 diagonal vanishes by odd symmetry); diagonal entries of the smooth parts
 are local Taylor limits involving the curve's second derivative. The
 weights depend on the node angles only through t_i - t_j, so each weight
-matrix is circulant, gathered from one generating column.
+matrix is a read-only circulant view of one generating column; so are
+the angle factors |sin((t_i - t_j)/2)| and cot((t_i - t_j)/2), whose
+columns are evaluated at the signed difference reduced to [-q/2, q/2).
+
+Assembly computes the q x q factors that every block shares once per mesh
+(_chord_frames: the chord products, the log part and the conormal's smooth
+and odd kernels). Each material- and sign-scaled block is then written
+straight into the bordered matrix by in-place passes over these factors,
+and the +-1/2 jump goes on the diagonal alone.
 
 The rigid-motion constraints border the discretized equations, with one
 Lagrange multiplier each, into a square system solved by one LU
@@ -36,6 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import FieldEvaluator, _as_map
 from .geometry import (
@@ -128,9 +137,14 @@ def _kelvin_constants(material: MaterialPair, side: str) -> tuple[float, float]:
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
-    """The q x q matrix whose (i, j) entry is column[(i - j) mod q]."""
-    k = np.arange(column.size)
-    return column[(k[:, None] - k[None, :]) % column.size]
+    """Read-only q x q view whose (i, j) entry is column[(i - j) mod q].
+
+    Row i is a window of one (2q - 1)-vector (the column reversed, then
+    again without its last entry), so the matrix costs O(q) memory.
+    """
+    q = column.size
+    doubled = np.concatenate((column[::-1], column[:0:-1]))
+    return sliding_window_view(doubled, q)[::-1]
 
 
 def _mode_angles(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -145,7 +159,8 @@ def log_weights(q: int) -> np.ndarray:
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
     applied to the smooth factor sampled at the nodes. The weights depend
-    on t_i - t_j only, so the matrix is circulant in one generating column.
+    on t_i - t_j only, so the matrix is a read-only circulant view of one
+    generating column.
     """
     m, angles = _mode_angles(q)
     column = -(4.0 * np.pi / q) * np.sum(np.cos(angles) / m[:, None], axis=0)
@@ -159,92 +174,160 @@ def hilbert_weights(q: int) -> np.ndarray:
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
     the diagonal weight is zero (odd symmetry about the singularity).
-    Circulant like the log weights.
+    A read-only circulant view like the log weights.
     """
     _, angles = _mode_angles(q)
     return _circulant(-(4.0 * np.pi / q) * np.sum(np.sin(angles), axis=0))
 
 
+def _half_angle_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """|sin((t_i - t_j)/2)| and cot((t_i - t_j)/2) / 2 as circulant columns.
+
+    Entry k is taken at the signed difference s = i - j reduced to
+    [-q/2, q/2), half angle pi s / q: next to the diagonal the angle is
+    small and exact to rounding, where pi k / q near pi would lose digits
+    in the sine. Entry 0 (the diagonal) is 0 in both columns.
+    """
+    s = (np.arange(q) + q // 2) % q - q // 2
+    half = (np.pi / q) * s
+    tan_half = np.tan(half)
+    tan_half[0] = 1.0
+    half_cot = 0.5 / tan_half
+    half_cot[0] = 0.0
+    return np.abs(np.sin(half)), half_cot
+
+
 @dataclass(frozen=True, eq=False)
 class _ChordFrames:
-    """Geometry-only factors shared by every kernel block on one mesh."""
+    """Geometry-only q x q factors that every kernel block on one mesh shares.
 
-    e1: np.ndarray       # unit chord components, tangent on the diagonal
-    e2: np.ndarray
-    log_smooth: np.ndarray   # log(r / (2 |sin((t-s)/2)|)), log h on the diagonal
-    a_normal: np.ndarray     # h(s) (chord . n(t)) / r^2, curvature limit on the diagonal
-    q_smooth: np.ndarray     # odd kernel minus half-cotangent, curvature limit on the diagonal
+    With chord d = z_i - z_j, r = |d|, unit chord (e1, e2) = d / r (the
+    unit tangent on the diagonal) and htrap = 2 pi / q:
+
+        e11, e12, e22   e1 e1, e1 e2, e2 e2
+        log_part        0.5 log_weights + htrap log(r / 2|sin((t_i - t_j)/2)|),
+                        with log h_i in place of the log on the diagonal
+        smooth          htrap h_j Re(n_i / d), 0.5 htrap Im(z''/z') on the diagonal
+        odd             0.5 hilbert_weights + htrap (h_j Im(n_i / d) + cot((t_i - t_j)/2) / 2),
+                        0.5 htrap Re(z''/z') on the diagonal
+
+    log_part times h_j is the log kernel of the single layer; smooth and
+    odd are the conormal kernel's smooth part and its principal-value part.
+    """
+
+    e11: np.ndarray
+    e12: np.ndarray
+    e22: np.ndarray
+    log_part: np.ndarray
+    smooth: np.ndarray
+    odd: np.ndarray
 
 
 def _chord_frames(mesh: BoundaryMesh) -> _ChordFrames:
-    z, h, normal = mesh.z, mesh.h, mesh.normal
-    q = mesh.q
-    d = z[:, None] - z[None, :]
-    eye = np.eye(q, dtype=bool)
-    r = np.abs(d)
-    r[eye] = 1.0
+    """The shared factors, computed once per mesh with in-place passes.
 
-    tau = mesh.zprime / h
-    e1 = d.real / r
-    e2 = d.imag / r
-    e1[eye] = tau.real
-    e2[eye] = tau.imag
-
-    delta = mesh.theta[:, None] - mesh.theta[None, :]
-    sin_half = 2.0 * np.abs(np.sin(0.5 * delta))
-    sin_half[eye] = 1.0
-    log_smooth = np.log(r / sin_half)
-    log_smooth[eye] = np.log(h)
-
-    curv = mesh.zsecond / mesh.zprime
-    n_over_d = normal[:, None] / np.where(eye, 1.0, d)
-    a_normal = h[None, :] * n_over_d.real
-    a_normal[eye] = 0.5 * curv.imag
-
-    half_cot = 0.5 / np.tan(np.where(eye, 1.0, -0.5 * delta))
-    q_smooth = h[None, :] * n_over_d.imag - half_cot
-    q_smooth[eye] = 0.5 * curv.real
-    return _ChordFrames(e1, e2, log_smooth, a_normal, q_smooth)
-
-
-def _single_layer_blocks(mesh: BoundaryMesh, frames: _ChordFrames,
-                         alpha: float, beta: float) -> np.ndarray:
-    """Dense (2q, 2q) matrix mapping nodal density components to the layer trace."""
-    q = mesh.q
-    htrap = 2.0 * np.pi / q
-    hj = mesh.h[None, :]
-    log_part = 0.5 * log_weights(q) + htrap * frames.log_smooth
-    diag_kernel = (alpha / (2.0 * np.pi)) * log_part * hj
-    ee = -(beta / (2.0 * np.pi)) * htrap * hj
-    out = np.zeros((2 * q, 2 * q))
-    out[:q, :q] = diag_kernel + ee * frames.e1 * frames.e1
-    out[:q, q:] = ee * frames.e1 * frames.e2
-    out[q:, :q] = out[:q, q:]
-    out[q:, q:] = diag_kernel + ee * frames.e2 * frames.e2
-    return out
-
-
-def _conormal_blocks(mesh: BoundaryMesh, frames: _ChordFrames,
-                     lam: float, mu: float, jump_sign: float) -> np.ndarray:
-    """Dense (2q, 2q) matrix for the one-sided conormal trace of the layer.
-
-    jump_sign +1 gives the trace from outside, -1 from inside; the
-    principal-value part is the same on both sides.
+    The angle factors come from _half_angle_columns as circulant views, so
+    log_part and odd each add one circulant view to the chord-dependent
+    term. Every diagonal is set before any division by it.
     """
-    q = mesh.q
+    z, h, q = mesh.z, mesh.h, mesh.q
     htrap = 2.0 * np.pi / q
+    diag = np.diag_indices(q)
+    abs_sin, half_cot = _half_angle_columns(q)
+    circle_chord = 2.0 * abs_sin
+    circle_chord[0] = 1.0
+
+    d = z[:, None] - z[None, :]
+    d[diag] = 1.0
+    r = np.abs(d)
+    e11 = d.real / r  # the unit chord's components, squared in place below
+    e22 = d.imag / r
+    tau = mesh.zprime / h
+    e11[diag] = tau.real
+    e22[diag] = tau.imag
+    e12 = e11 * e22
+    e11 *= e11
+    e22 *= e22
+
+    log_part = r
+    log_part[diag] = h
+    log_part /= _circulant(circle_chord)
+    np.log(log_part, out=log_part)
+    log_part *= htrap
+    log_part += _circulant(0.5 * log_weights(q)[:, 0])
+
+    curv = (0.5 * htrap) * (mesh.zsecond / mesh.zprime)
+    n_over_d = np.divide(mesh.normal[:, None], d, out=d)
+    smooth = np.multiply(n_over_d.real, htrap * h)
+    smooth[diag] = curv.imag
+    odd = np.multiply(n_over_d.imag, htrap * h)
+    odd += _circulant(0.5 * hilbert_weights(q)[:, 0] + htrap * half_cot)
+    odd[diag] = curv.real
+    return _ChordFrames(e11, e12, e22, log_part, smooth, odd)
+
+
+def _write_single_layer(out: np.ndarray, frames: _ChordFrames, h: np.ndarray,
+                        alpha: float, beta: float, sign: float) -> None:
+    """Write sign times the (2q, 2q) single-layer trace matrix into the view out.
+
+    Block (a, b) is (alpha / 2 pi) h_j (delta_ab log_part + ratio e_ab),
+    ratio = -beta htrap / alpha, formed in out itself with no temporary;
+    the two off-diagonal blocks are equal.
+    """
+    q = h.size
+    htrap = 2.0 * np.pi / q
+    ratio = -beta * htrap / alpha
+    scale = (sign * alpha / (2.0 * np.pi)) * h
+    for blk, chord in ((out[:q, :q], frames.e11), (out[q:, q:], frames.e22)):
+        np.multiply(chord, ratio, out=blk)
+        blk += frames.log_part
+        blk *= scale
+    np.multiply(frames.e12, ratio * scale, out=out[:q, q:])
+    out[q:, :q] = out[:q, q:]
+
+
+def _write_conormal(out: np.ndarray, frames: _ChordFrames, lam: float, mu: float,
+                    jump_sign: float, sign: float) -> None:
+    """Write sign times the (2q, 2q) one-sided conormal trace matrix into out.
+
+    Block (a, a) is (c1 + c2 e_aa) smooth / 2 pi and block (1, 2), (2, 1) is
+    (c2 e12 smooth +- c1 odd) / 2 pi, formed in out itself with no temporary.
+    jump_sign +1 gives the trace from outside, -1 from inside; the
+    principal-value part is the same on both sides, and the jump
+    jump_sign / 2 goes on the diagonal alone.
+    """
+    q = frames.e11.shape[0]
     c1 = mu / (lam + 2.0 * mu)
     c2 = 2.0 * (lam + mu) / (lam + 2.0 * mu)
-    pref = 1.0 / (2.0 * np.pi)
-    smooth = htrap * frames.a_normal
-    odd = 0.5 * hilbert_weights(q) + htrap * frames.q_smooth
-    out = np.zeros((2 * q, 2 * q))
-    out[:q, :q] = pref * (c1 * smooth + c2 * frames.e1 * frames.e1 * smooth)
-    out[:q, q:] = pref * (c2 * frames.e1 * frames.e2 * smooth + c1 * odd)
-    out[q:, :q] = pref * (c2 * frames.e1 * frames.e2 * smooth - c1 * odd)
-    out[q:, q:] = pref * (c1 * smooth + c2 * frames.e2 * frames.e2 * smooth)
-    out += jump_sign * 0.5 * np.eye(2 * q)
-    return out
+    pref = sign / (2.0 * np.pi)
+    for blk, chord in ((out[:q, :q], frames.e11), (out[q:, q:], frames.e22)):
+        np.multiply(chord, pref * c2, out=blk)
+        blk += pref * c1
+        blk *= frames.smooth
+    for blk, odd_sign in ((out[:q, q:], 1.0), (out[q:, :q], -1.0)):
+        np.multiply(frames.e12, odd_sign * c2 / c1, out=blk)
+        blk *= frames.smooth
+        blk += frames.odd
+        blk *= odd_sign * pref * c1
+    idx = np.arange(2 * q)
+    out[idx, idx] += sign * jump_sign * 0.5
+
+
+def _single_layer_apply(frames: _ChordFrames, h: np.ndarray, alpha: float, beta: float,
+                        density: np.ndarray) -> np.ndarray:
+    """The single-layer trace of a (2q,) component density, by q x q products.
+
+    The same sums as _write_single_layer's blocks, without forming them.
+    """
+    q = h.size
+    htrap = 2.0 * np.pi / q
+    v = (h * density.reshape(2, q)).T
+    log_v = frames.log_part @ v
+    cross = frames.e12 @ v
+    ratio = -beta * htrap / alpha
+    u1 = log_v[:, 0] + ratio * (frames.e11 @ v[:, 0] + cross[:, 1])
+    u2 = log_v[:, 1] + ratio * (cross[:, 0] + frames.e22 @ v[:, 1])
+    return (alpha / (2.0 * np.pi)) * np.concatenate((u1, u2))
 
 
 # -- density plumbing ---------------------------------------------------------
@@ -315,9 +398,10 @@ class NystromSystem:
     K[N:, :N]. The three trailing unknowns are Lagrange multipliers, zero
     up to discretization error when the discrete equations are consistent.
     loading_nodes is the loading displacement at the mesh nodes, which
-    the boundary displacement adds to the layer. frames are the chord
-    frames of the assembly, kept for a cavity only: its boundary
-    displacement needs the single layer, which K lacks.
+    the boundary displacement adds to the layer. frames are the shared
+    q x q factors of the assembly (_chord_frames), kept for a cavity only:
+    its boundary displacement needs the single layer, which K lacks, and
+    solve_nystrom applies it by q x q matrix-vector products with them.
     """
 
     matrix: np.ndarray
@@ -370,29 +454,28 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
     (N+3, N+3) matrix in place, bordered by the constraint rows and their
     transpose.
     """
-    q = mesh.q
+    q, h = mesh.q, mesh.h
     frames = _chord_frames(mesh)
     h_nodes = eval_loading(loading, mesh.cmap, material, mesh.z)
     dh_nodes = loading_conormal(loading, mesh, material)
-    trac_ext = _conormal_blocks(mesh, frames, material.lam_ext, material.mu_ext, 1.0)
+    lam, mu = material.lam_ext, material.mu_ext
 
     if material.has_interior:
         n = 4 * q
         matrix = np.zeros((n + 3, n + 3))
         alpha, beta = _kelvin_constants(material, "exterior")
         alpha_t, beta_t = _kelvin_constants(material, "interior")
-        matrix[: 2 * q, : 2 * q] = _single_layer_blocks(mesh, frames, alpha_t, beta_t)
-        np.negative(_single_layer_blocks(mesh, frames, alpha, beta), out=matrix[: 2 * q, 2 * q : n])
-        matrix[2 * q : n, : 2 * q] = _conormal_blocks(
-            mesh, frames, material.lam_int, material.mu_int, -1.0
-        )
-        np.negative(trac_ext, out=matrix[2 * q : n, 2 * q : n])
+        _write_single_layer(matrix[: 2 * q, : 2 * q], frames, h, alpha_t, beta_t, 1.0)
+        _write_single_layer(matrix[: 2 * q, 2 * q : n], frames, h, alpha, beta, -1.0)
+        _write_conormal(matrix[2 * q : n, : 2 * q], frames,
+                        material.lam_int, material.mu_int, -1.0, 1.0)
+        _write_conormal(matrix[2 * q : n, 2 * q : n], frames, lam, mu, 1.0, -1.0)
         rhs = np.concatenate([_components(h_nodes), _components(dh_nodes)])
         mode = "transmission"
     else:
         n = 2 * q
         matrix = np.zeros((n + 3, n + 3))
-        matrix[:n, :n] = trac_ext
+        _write_conormal(matrix[:n, :n], frames, lam, mu, 1.0, 1.0)
         rhs = -_components(dh_nodes)
         mode = "cavity"
 
@@ -437,8 +520,8 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     else:
         phi_nodes = None
         alpha, beta = _kelvin_constants(system.material, "exterior")
-        disp_ext = _single_layer_blocks(mesh, system.frames, alpha, beta)
-        u_ext = system.loading_nodes + _complexify(disp_ext @ psi)
+        layer = _single_layer_apply(system.frames, mesh.h, alpha, beta, psi)
+        u_ext = system.loading_nodes + _complexify(layer)
         trace_gap = 0.0
 
     psi_c = _complexify(psi)

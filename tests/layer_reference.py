@@ -23,12 +23,16 @@ column-wise writer. horner_boundary_series, one Horner pass per sign of the
 power, is the reference for loading.boundary_series's blocked power sums.
 split_window gives the per-sign vectors of a right-hand-side window
 (loading.unit_rhs_vectors) that the per-mode matrices and boundary_series
-read. single_layer_matrix, conormal_matrix, eval_oracle_interior and
-self_convergence are thin callers of the reference solver's own blocks and
-solve, the forms its tests check.
+read. dense_chord_frames, dense_single_layer_blocks and
+dense_conormal_blocks build the reference solver's (2q, 2q) blocks as new
+dense arrays, the reference for the blocks assemble_nystrom writes in
+place from shared factors. single_layer_matrix and conormal_matrix are thin
+callers of them; eval_oracle_interior and self_convergence call the
+reference solver's own potential and solve, the forms its tests check.
 """
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +48,11 @@ from elastinc.geometry import (
 )
 from elastinc.loading import LoadingSpec, boundary_series
 from elastinc.oracle import (
+    BoundaryMesh,
     OracleError,
-    _chord_frames,
-    _conormal_blocks,
     _kelvin_constants,
-    _single_layer_blocks,
+    hilbert_weights,
+    log_weights,
     single_layer_potential,
     solve_oracle,
 )
@@ -583,10 +587,92 @@ def write_field_rows(path, header, samples) -> None:
 # -- the reference solver's matrices and solves -----------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class DenseChordFrames:
+    """Geometry-only factors shared by every kernel block on one mesh."""
+
+    e1: np.ndarray       # unit chord components, tangent on the diagonal
+    e2: np.ndarray
+    log_smooth: np.ndarray   # log(r / (2 |sin((t-s)/2)|)), log h on the diagonal
+    a_normal: np.ndarray     # h(s) (chord . n(t)) / r^2, curvature limit on the diagonal
+    q_smooth: np.ndarray     # odd kernel minus half-cotangent, curvature limit on the diagonal
+
+
+def dense_chord_frames(mesh: BoundaryMesh) -> DenseChordFrames:
+    z, h, normal = mesh.z, mesh.h, mesh.normal
+    q = mesh.q
+    d = z[:, None] - z[None, :]
+    eye = np.eye(q, dtype=bool)
+    r = np.abs(d)
+    r[eye] = 1.0
+
+    tau = mesh.zprime / h
+    e1 = d.real / r
+    e2 = d.imag / r
+    e1[eye] = tau.real
+    e2[eye] = tau.imag
+
+    delta = mesh.theta[:, None] - mesh.theta[None, :]
+    sin_half = 2.0 * np.abs(np.sin(0.5 * delta))
+    sin_half[eye] = 1.0
+    log_smooth = np.log(r / sin_half)
+    log_smooth[eye] = np.log(h)
+
+    curv = mesh.zsecond / mesh.zprime
+    n_over_d = normal[:, None] / np.where(eye, 1.0, d)
+    a_normal = h[None, :] * n_over_d.real
+    a_normal[eye] = 0.5 * curv.imag
+
+    half_cot = 0.5 / np.tan(np.where(eye, 1.0, -0.5 * delta))
+    q_smooth = h[None, :] * n_over_d.imag - half_cot
+    q_smooth[eye] = 0.5 * curv.real
+    return DenseChordFrames(e1, e2, log_smooth, a_normal, q_smooth)
+
+
+def dense_single_layer_blocks(mesh: BoundaryMesh, frames: DenseChordFrames,
+                              alpha: float, beta: float) -> np.ndarray:
+    """Dense (2q, 2q) matrix mapping nodal density components to the layer trace."""
+    q = mesh.q
+    htrap = 2.0 * np.pi / q
+    hj = mesh.h[None, :]
+    log_part = 0.5 * log_weights(q) + htrap * frames.log_smooth
+    diag_kernel = (alpha / (2.0 * np.pi)) * log_part * hj
+    ee = -(beta / (2.0 * np.pi)) * htrap * hj
+    out = np.zeros((2 * q, 2 * q))
+    out[:q, :q] = diag_kernel + ee * frames.e1 * frames.e1
+    out[:q, q:] = ee * frames.e1 * frames.e2
+    out[q:, :q] = out[:q, q:]
+    out[q:, q:] = diag_kernel + ee * frames.e2 * frames.e2
+    return out
+
+
+def dense_conormal_blocks(mesh: BoundaryMesh, frames: DenseChordFrames,
+                          lam: float, mu: float, jump_sign: float) -> np.ndarray:
+    """Dense (2q, 2q) matrix for the one-sided conormal trace of the layer.
+
+    jump_sign +1 gives the trace from outside, -1 from inside; the
+    principal-value part is the same on both sides.
+    """
+    q = mesh.q
+    htrap = 2.0 * np.pi / q
+    c1 = mu / (lam + 2.0 * mu)
+    c2 = 2.0 * (lam + mu) / (lam + 2.0 * mu)
+    pref = 1.0 / (2.0 * np.pi)
+    smooth = htrap * frames.a_normal
+    odd = 0.5 * hilbert_weights(q) + htrap * frames.q_smooth
+    out = np.zeros((2 * q, 2 * q))
+    out[:q, :q] = pref * (c1 * smooth + c2 * frames.e1 * frames.e1 * smooth)
+    out[:q, q:] = pref * (c2 * frames.e1 * frames.e2 * smooth + c1 * odd)
+    out[q:, :q] = pref * (c2 * frames.e1 * frames.e2 * smooth - c1 * odd)
+    out[q:, q:] = pref * (c1 * smooth + c2 * frames.e2 * frames.e2 * smooth)
+    out += jump_sign * 0.5 * np.eye(2 * q)
+    return out
+
+
 def single_layer_matrix(mesh, material, side: str = "exterior") -> np.ndarray:
     """Boundary trace of the single-layer displacement, one material side."""
     alpha, beta = _kelvin_constants(material, side)
-    return _single_layer_blocks(mesh, _chord_frames(mesh), alpha, beta)
+    return dense_single_layer_blocks(mesh, dense_chord_frames(mesh), alpha, beta)
 
 
 def conormal_matrix(mesh, material, side: str = "exterior", trace: str = "exterior") -> np.ndarray:
@@ -599,7 +685,7 @@ def conormal_matrix(mesh, material, side: str = "exterior", trace: str = "exteri
     lam, mu = ((material.lam_ext, material.mu_ext) if side == "exterior"
                else (material.lam_int, material.mu_int))
     jump = {"exterior": 1.0, "interior": -1.0}[trace]
-    return _conormal_blocks(mesh, _chord_frames(mesh), lam, mu, jump)
+    return dense_conormal_blocks(mesh, dense_chord_frames(mesh), lam, mu, jump)
 
 
 def eval_oracle_interior(solution, material, z) -> np.ndarray:

@@ -7,6 +7,8 @@ different computational route), and the full solve against the
 coefficient-space solver on disk and ellipse configurations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from elastinc.loading import LoadingSpec, eval_loading
 from elastinc.materials import MaterialError, MaterialPair
 from elastinc.oracle import (
     BoundaryMesh,
+    _half_angle_columns,
+    _kelvin_constants,
     NystromSystem,
     OracleError,
     assemble_nystrom,
@@ -43,6 +47,9 @@ from elastinc.system import assemble_system, one_norm_condition, solve
 from layer_reference import (
     _shifted_coefficients,
     conormal_matrix,
+    dense_chord_frames,
+    dense_conormal_blocks,
+    dense_single_layer_blocks,
     deriv_layer_exterior,
     deriv_layer_interior,
     eval_oracle_interior,
@@ -233,6 +240,38 @@ def test_circulant_weights_match_double_sum(q):
     R, W = double_sum_weights(q)
     assert np.max(np.abs(log_weights(q) - R)) <= 1e-13
     assert np.max(np.abs(hilbert_weights(q) - W)) <= 1e-13
+
+
+@pytest.mark.parametrize("weights", [log_weights, hilbert_weights], ids=["log", "hilbert"])
+def test_cached_weights_are_read_only(weights):
+    # one cached array serves every assembly: an in-place write must fail
+    # rather than change the weights of later solves
+    w = weights(16)
+    assert w is weights(16)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w += 0.0
+    with pytest.raises(ValueError):
+        w[0, 1] = w[0, 1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("q", [8, 64, 512])
+def test_half_angle_columns_match_extended_precision(q):
+    # the angle at the signed difference reduced to [-q/2, q/2) is exact to
+    # rounding next to the diagonal; the unreduced pi k / q is not (2.3e-15
+    # relative at q = 64, 5.3e-14 at q = 512)
+    abs_sin, half_cot = _half_angle_columns(q)
+    assert abs_sin[0] == 0.0 and half_cot[0] == 0.0
+    s = ((np.arange(q) + q // 2) % q - q // 2)[1:]
+    half = np.arccos(np.longdouble(-1.0)) * s.astype(np.longdouble) / q
+    sin_ref = np.abs(np.sin(half))
+    cot_ref = np.cos(half) / np.sin(half)
+    sin_err = np.abs(abs_sin[1:] - sin_ref) / sin_ref
+    cot_err = np.abs(2.0 * half_cot[1:] - cot_ref) / np.maximum(np.abs(cot_ref), 1.0)
+    assert float(np.max(sin_err)) <= 4.4e-16
+    assert float(np.max(cot_err)) <= 4.4e-16
 
 
 # -- layer matrices against the per-mode series route -------------------------
@@ -533,3 +572,75 @@ def test_singular_bordered_system_raises():
 def test_discrepancy_of_identical_samples_is_zero():
     x = np.array([1.0 + 2.0j, -0.5j, 3.0])
     assert discrepancy(x, x) == (0.0, 0.0)
+
+
+# -- the in-place assembly against the dense block reference -------------------
+
+
+def dense_reference_matrix(mesh: BoundaryMesh, material: MaterialPair) -> np.ndarray:
+    """The unbordered Nystrom matrix M stacked from the dense reference blocks."""
+    frames = dense_chord_frames(mesh)
+    outer = dense_conormal_blocks(mesh, frames, material.lam_ext, material.mu_ext, 1.0)
+    if not material.has_interior:
+        return outer
+    alpha, beta = _kelvin_constants(material, "exterior")
+    alpha_t, beta_t = _kelvin_constants(material, "interior")
+    inner = dense_conormal_blocks(mesh, frames, material.lam_int, material.mu_int, -1.0)
+    return np.block([
+        [dense_single_layer_blocks(mesh, frames, alpha_t, beta_t),
+         -dense_single_layer_blocks(mesh, frames, alpha, beta)],
+        [inner, -outer],
+    ])
+
+
+@MATERIALS
+@pytest.mark.parametrize("q", [8, 64, 512])
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_assembly_matches_dense_reference(name, q, material):
+    # the shared factors written block by block give the dense blocks to
+    # roundoff (the reference's unreduced angles err by 5e-14 near corners)
+    mesh = build_mesh(MAPS[name], q)
+    system = assemble_nystrom(mesh, material, RICH)
+    reference = dense_reference_matrix(mesh, material)
+    n = reference.shape[0]
+    assert np.max(np.abs(system.matrix[:n, :n] - reference)) <= 1e-14 * np.max(np.abs(reference))
+    h_nodes = eval_loading(RICH, mesh.cmap, material, mesh.z)
+    dh_nodes = components(loading_conormal(RICH, mesh, material))
+    rhs = np.concatenate([components(h_nodes), dh_nodes]) if material.has_interior else -dh_nodes
+    assert np.array_equal(system.rhs, rhs)
+    if not material.has_interior:
+        # the cavity's boundary displacement: loading plus the exterior single layer
+        sol = solve_nystrom(system)
+        alpha, beta = _kelvin_constants(material, "exterior")
+        single = dense_single_layer_blocks(mesh, dense_chord_frames(mesh), alpha, beta)
+        want = h_nodes + complexify(single @ components(sol.psi_complex))
+        assert np.max(np.abs(sol.u_boundary - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def traced_peak(call) -> tuple[object, int]:
+    """call() under tracemalloc: its result and the peak of traced bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transmission_assembly_allocates_eight_q_squared_beyond_the_matrix():
+    # the blocks go straight into the bordered matrix: besides it, only the
+    # six shared factors and the construction's temporaries are live
+    q = 512
+    mesh = build_mesh(FOURTERM, q)
+    log_weights(q), hilbert_weights(q)
+    system, peak = traced_peak(lambda: assemble_nystrom(mesh, TRANS, RICH))
+    assert peak <= system.matrix.nbytes + 8 * q * q * 8
+
+
+def test_cavity_solve_builds_no_single_layer_matrix():
+    # the boundary displacement comes from q x q products with the kept
+    # factors, not from a (2q, 2q) single-layer block
+    q = 512
+    system = assemble_nystrom(build_mesh(FOURTERM, q), CAV, RICH)
+    _, peak = traced_peak(lambda: solve_nystrom(system))
+    assert peak < (2 * q) ** 2 * 2

@@ -13,8 +13,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 REFERENCE = Path(__file__).resolve().parent / "layer_reference.py"
 
 # names deleted from the package: the monomial Faber substrate, the
-# sixteen-block system and the reference solver's test-only matrices and
-# solves now live in tests/layer_reference.py as references; the
+# sixteen-block system, the reference solver's test-only matrices and
+# solves and its dense (2q, 2q) block builders now live in
+# tests/layer_reference.py as references; the
 # single-point field wrappers, the square Grunsky alias, the per-sign
 # right-hand-side vectors, the Kelvin kernel at one point pair and the
 # cavity constructor are gone
@@ -24,7 +25,7 @@ REMOVED = ("faber_matrix", "faber_inverse", "monomial_derivative_matrix", "poly_
            "_sided_blocks", "exterior_blocks", "interior_blocks", "m_blocks",
            "RhsVector", "rhs_vectors", "kill0", "kelvin_kernel", "single_layer_matrix",
            "conormal_matrix", "_lame_constants", "eval_oracle_interior", "self_convergence",
-           "cavity_limit")
+           "cavity_limit", "_single_layer_blocks", "_conormal_blocks")
 
 PUBLIC = ["BlockSystem", "BoundaryMesh", "ComparisonReport", "ConformalMap", "DensitySolution",
           "FieldEvaluator", "FieldGrid", "FieldSample", "GeometryBundle", "GridSpec",
