@@ -29,15 +29,12 @@ import numpy as np
 
 from .geometry import (
     ConformalMap,
-    GeometryBundle,
-    GeometryError,
     eval_map,
     eval_map_derivative,
     exterior_series_orders,
     faber_series,
     grunsky_rows,
     sweep_pairs,
-    unit_radius,
 )
 from .loading import LoadingSeries, LoadingSpec, boundary_series
 from .materials import MaterialPair
@@ -142,17 +139,11 @@ class FieldGrid:
             yield FieldSample(w, z, u, region, f, fp, g, {}, nb)
 
 
-def _as_map(geometry) -> ConformalMap:
-    if isinstance(geometry, GeometryBundle):
-        return geometry.cmap
-    return geometry
-
-
 class FieldEvaluator:
     """Precomputed series data for evaluating one solved configuration.
 
     The solution's coefficients belong to the unit-radius problem, so the
-    series are built for unit_radius(cmap) and are evaluated at w / gamma
+    series are built for cmap.unit and are evaluated at w / gamma
     and z / gamma; since z = gamma zeta, f and g keep their values and f'
     is divided by gamma on output. The exterior layer terms are one exact
     Laurent series in 1/w at every |w| >= gamma (tail, built on the first
@@ -161,13 +152,12 @@ class FieldEvaluator:
     """
 
     def __init__(self, solution: DensitySolution, loading: LoadingSpec,
-                 geometry, material: MaterialPair):
-        cmap = _as_map(geometry)
+                 cmap: ConformalMap, material: MaterialPair):
         self.cmap = cmap
         self.material = material
         self.solution = solution
         self.gamma = cmap.gamma
-        unit = unit_radius(cmap)
+        unit = cmap.unit
         self.unit = unit
         n = solution.n
         order, _ = exterior_series_orders(unit, n)
@@ -253,20 +243,32 @@ class FieldEvaluator:
         f = beta * (L + self.x0_log * logw)
         fp = beta * (C / wdpsi)
         g = -alpha * (Lbar + np.conj(self.x0_log) * logw) - beta * (q / wdpsi)
-        kappa = self.material.kappa
         fH, gH, dfH = self.load_series.potentials(z)
-        H = kappa * fH - z * np.conj(dfH) - np.conj(gH)
+        kappa = self.material.kappa
+        load = kappa * fH - z * np.conj(dfH) - np.conj(gH)
+        arrays = self._arrays(z, zeta, load, kappa, f, fp, g)
+        arrays["f"] += fH
+        arrays["fprime"] += dfH
+        arrays["g"] += gH
+        return arrays
+
+    def _arrays(self, z, zeta, load, kappa, f, fp, g) -> dict:
+        """The displacement u = load + (kappa f - zeta conj(fp) - conj(g)) / 2 and its parts.
+
+        f, fp and g are the layer potentials of the unit-radius problem; the
+        returned f, fprime and g are their halves, fprime returned to z by
+        1/gamma.
+        """
         f_part = 0.5 * kappa * f
         fp_part = -0.5 * zeta * np.conj(fp)
         g_part = -0.5 * np.conj(g)
-        u = H + f_part + fp_part + g_part
         return {
             "z": z,
-            "u": u,
-            "f": fH + 0.5 * f,
-            "fprime": dfH + 0.5 * fp / self.gamma,
-            "g": gH + 0.5 * g,
-            "load_part": H,
+            "u": load + f_part + fp_part + g_part,
+            "f": 0.5 * f,
+            "fprime": 0.5 * fp / self.gamma,
+            "g": 0.5 * g,
+            "load_part": load,
             "f_part": f_part,
             "fprime_part": fp_part,
             "g_part": g_part,
@@ -287,23 +289,8 @@ class FieldEvaluator:
         f = bt * sL
         fp = bt * sC
         g = -at * sLbar - bt * sCy
-        mean = bt * self.mean_i
-        f_part = 0.5 * kt * f
-        fp_part = -0.5 * zeta * np.conj(fp)
-        g_part = -0.5 * np.conj(g)
-        load = np.full_like(z, -0.5 * mean)
-        u = load + f_part + fp_part + g_part
-        return {
-            "z": z,
-            "u": u,
-            "f": 0.5 * f,
-            "fprime": 0.5 * fp / self.gamma,
-            "g": 0.5 * g,
-            "load_part": load,
-            "f_part": f_part,
-            "fprime_part": fp_part,
-            "g_part": g_part,
-        }
+        load = np.full_like(z, -0.5 * (bt * self.mean_i))
+        return self._arrays(z, zeta, load, kt, f, fp, g)
 
     def interior_arrays(self, w: np.ndarray) -> dict:
         """Interior evaluation at preimage points in the extension band."""
@@ -319,18 +306,19 @@ def _traction_arrays(arrays: dict, mu: float) -> np.ndarray:
 
 
 def transmission_residual(solution: DensitySolution, loading: LoadingSpec,
-                          geometry, material: MaterialPair, angles) -> tuple[float, float]:
+                          cmap: ConformalMap, material: MaterialPair,
+                          angles: int) -> tuple[float, float]:
     """Interface mismatch of the solved transmission field.
 
     Returns (r_disp, r_trac): the largest displacement gap across the
     boundary and the largest pairwise spread of the traction-potential
-    difference, both evaluated on the boundary w = gamma e^(i theta) from
-    the exterior series and the interior polynomials.
+    difference, both evaluated on the boundary w = gamma e^(i theta) at
+    angles equispaced angles, from the exterior series and the interior
+    polynomials.
     """
     if solution.mode != "transmission":
         raise FieldError("transmission residual needs a transmission solution")
-    cmap = _as_map(geometry)
-    w = cmap.gamma * np.exp(1j * _as_angles(angles))
+    w = _boundary_ring(cmap, angles)
     ev = FieldEvaluator(solution, loading, cmap, material)
     outer = ev.exterior_arrays(w)
     inner = ev.interior_arrays_z(outer["z"])
@@ -341,24 +329,22 @@ def transmission_residual(solution: DensitySolution, loading: LoadingSpec,
 
 
 def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
-                             geometry, material: MaterialPair, angles) -> float:
+                             cmap: ConformalMap, material: MaterialPair, angles: int) -> float:
     """Largest pairwise spread of the exterior traction potential on the boundary.
 
-    Evaluated on w = gamma e^(i theta). For a traction-free cavity this
-    measures how far the solved field is from exactly cancelling the
-    loading traction.
+    Evaluated on w = gamma e^(i theta) at angles equispaced angles. For a
+    traction-free cavity this measures how far the solved field is from
+    exactly cancelling the loading traction.
     """
-    cmap = _as_map(geometry)
-    w = cmap.gamma * np.exp(1j * _as_angles(angles))
+    w = _boundary_ring(cmap, angles)
     ev = FieldEvaluator(solution, loading, cmap, material)
     te = _traction_arrays(ev.exterior_arrays(w), material.mu_ext)
     return float(np.max(np.abs(te[:, None] - te[None, :])))
 
 
-def _as_angles(angles) -> np.ndarray:
-    if np.isscalar(angles):
-        return np.linspace(0.0, 2.0 * np.pi, int(angles), endpoint=False)
-    return np.asarray(angles, dtype=float)
+def _boundary_ring(cmap: ConformalMap, count: int) -> np.ndarray:
+    """count equispaced points on the boundary circle |w| = gamma."""
+    return cmap.gamma * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, count, endpoint=False))
 
 
 # -- physical-plane plumbing -------------------------------------------------
@@ -378,7 +364,7 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     w = np.where(np.abs(w) < cmap.gamma, 2.0 * cmap.gamma * np.exp(1j * np.angle(w)), w)
     shape = w.shape
     w, zf = w.reshape(-1), z.reshape(-1)
-    tol = NEWTON_TOL * max(1.0, float(np.max(np.abs(z), initial=0.0)))
+    tol = NEWTON_TOL * max(cmap.gamma, float(np.max(np.abs(z), initial=0.0)))
     floor = 0.6 * cmap.gamma
     active = np.arange(w.size)
     for _ in range(NEWTON_MAX_ITER):
@@ -432,7 +418,7 @@ def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
     return regions.reshape(z.shape), near.reshape(z.shape)
 
 
-def grid_field(solution: DensitySolution, loading: LoadingSpec, geometry,
+def grid_field(solution: DensitySolution, loading: LoadingSpec, cmap: ConformalMap,
                material: MaterialPair, grid: GridSpec) -> FieldGrid:
     """Evaluate the solved field on a rectangular grid of physical points.
 
@@ -441,7 +427,6 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, geometry,
     of a cavity get NaN displacement. Points inside the boundary band are
     flagged, not skipped.
     """
-    cmap = _as_map(geometry)
     ev = FieldEvaluator(solution, loading, cmap, material)
     pts = grid.points()
     regions, near = classify_points(cmap, pts, band=grid.band)

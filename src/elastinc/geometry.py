@@ -61,7 +61,14 @@ class ConformalMap:
 
     @cached_property
     def unit(self) -> "ConformalMap":
-        """The same boundary scaled by 1/gamma, built once per map: see unit_radius."""
+        """The same boundary scaled by 1/gamma: Psi_1(w) = Psi(gamma w) / gamma.
+
+        Its coefficients are a_k gamma^(-k-1) on |w| = 1. It is built once per
+        map object, so the bundle, every FieldEvaluator and LoadingSeries of
+        one map share one unit map and with it one kept Grunsky table.
+        Validation is scale-invariant, so the rescaled map is not validated
+        again.
+        """
         k = np.arange(self.a.size)
         return ConformalMap(1.0, self.a * self.gamma ** -(k + 1.0), validate=False)
 
@@ -74,15 +81,25 @@ class ConformalMap:
         return 0.0 + 0.0j
 
 
-def eval_map(cmap: ConformalMap, w, margin: float | None = None):
-    """Psi(w); allowed for |w| >= gamma*(1 - margin), default margin 0.1."""
+def _extension_points(cmap: ConformalMap, w, margin: float | None, what: str) -> np.ndarray:
+    """w as a complex array, refused below |w| = gamma*(1 - margin), default margin 0.1.
+
+    The slack of 1e-15 is relative to gamma, so the refusal does not depend
+    on the map's scale.
+    """
     w = np.asarray(w, dtype=complex)
     frac = DEFAULT_EXTENSION_MARGIN if margin is None else float(margin)
-    if np.any(np.abs(w) < cmap.gamma * (1.0 - frac) - 1e-15):
+    if np.any(np.abs(w) < cmap.gamma * (1.0 - frac - 1e-15)):
         raise GeometryError(
-            "map evaluated below the analytic-extension radius "
+            f"{what} evaluated below the analytic-extension radius "
             f"gamma*(1-{frac}) = {cmap.gamma * (1.0 - frac):g}"
         )
+    return w
+
+
+def eval_map(cmap: ConformalMap, w, margin: float | None = None):
+    """Psi(w); allowed for |w| >= gamma*(1 - margin), default margin 0.1."""
+    w = _extension_points(cmap, w, margin, "map")
     out = w + 0.0j
     winv = 1.0 / w
     acc = np.zeros_like(out)
@@ -93,12 +110,9 @@ def eval_map(cmap: ConformalMap, w, margin: float | None = None):
 
 def eval_map_derivative(cmap: ConformalMap, w, margin: float | None = None):
     """Psi'(w) = 1 - sum_k k a_k w^(-k-1); errors near a zero of the derivative."""
-    w = np.asarray(w, dtype=complex)
-    frac = DEFAULT_EXTENSION_MARGIN if margin is None else float(margin)
-    if np.any(np.abs(w) < cmap.gamma * (1.0 - frac) - 1e-15):
-        raise GeometryError("map derivative evaluated below the analytic-extension radius")
+    w = _extension_points(cmap, w, margin, "map derivative")
     winv = 1.0 / w
-    acc = np.zeros_like(np.asarray(w, dtype=complex))
+    acc = np.zeros_like(w)
     for k in range(cmap.a.size - 1, 0, -1):
         acc = (acc + k * cmap.a[k]) * winv
     out = 1.0 - acc * winv
@@ -109,12 +123,9 @@ def eval_map_derivative(cmap: ConformalMap, w, margin: float | None = None):
 
 def eval_map_second_derivative(cmap: ConformalMap, w, margin: float | None = None):
     """Psi''(w) = sum_k k (k+1) a_k w^(-k-2)."""
-    w = np.asarray(w, dtype=complex)
-    frac = DEFAULT_EXTENSION_MARGIN if margin is None else float(margin)
-    if np.any(np.abs(w) < cmap.gamma * (1.0 - frac) - 1e-15):
-        raise GeometryError("map second derivative evaluated below the analytic-extension radius")
+    w = _extension_points(cmap, w, margin, "map second derivative")
     winv = 1.0 / w
-    acc = np.zeros_like(np.asarray(w, dtype=complex))
+    acc = np.zeros_like(w)
     for k in range(cmap.a.size - 1, 0, -1):
         acc = (acc + k * (k + 1) * cmap.a[k]) * winv
     return acc * winv * winv
@@ -134,7 +145,7 @@ def boundary_point(cmap: ConformalMap, theta):
 def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) -> None:
     theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     z, h = boundary_point(cmap, theta)
-    if np.any(h <= 1e-12):
+    if np.any(h <= 1e-12 * cmap.gamma):
         raise GeometryError("degenerate parametrization: boundary scale factor vanishes")
     pts = np.column_stack([z.real, z.imag])
     nxt = np.roll(pts, -1, axis=0)
@@ -329,7 +340,7 @@ def psi_matrix(cmap: ConformalMap, n: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GeometryBundle:
     """The map-derived matrices at one shared truncation order, built for
-    unit_radius(cmap), the unit-radius problem the block system is posed on."""
+    cmap.unit, the unit-radius problem the block system is posed on."""
 
     cmap: ConformalMap
     n: int
@@ -340,18 +351,6 @@ class GeometryBundle:
     @property
     def gamma(self) -> float:
         return self.cmap.gamma
-
-
-def unit_radius(cmap: ConformalMap) -> ConformalMap:
-    """The same boundary scaled by 1/gamma: Psi_1(w) = Psi(gamma w) / gamma.
-
-    Its coefficients are a_k gamma^(-k-1) on |w| = 1. This is cmap.unit,
-    built once per map object, so the bundle, every FieldEvaluator and
-    LoadingSeries of one map share one unit map and with it one kept
-    Grunsky table. Validation is scale-invariant, so the rescaled map is
-    not validated again.
-    """
-    return cmap.unit
 
 
 def exterior_series_orders(cmap: ConformalMap, n: int) -> tuple[int, int]:
@@ -384,7 +383,7 @@ def build_geometry(cmap: ConformalMap, n: int) -> GeometryBundle:
     serves the system and the field; the bundle keeps its (n + 1, n + 1)
     block.
     """
-    unit = unit_radius(cmap)
+    unit = cmap.unit
     table = grunsky_rows(unit, *exterior_series_orders(unit, n))
     return GeometryBundle(
         cmap=cmap,

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    ConformalMap,
-    GeometryBundle,
-    faber_derivative_matrices,
-    faber_series,
-    unit_radius,
-)
+from .geometry import ConformalMap, GeometryBundle, faber_derivative_matrices, faber_series
 from .materials import MaterialPair
 
 
@@ -110,18 +104,18 @@ class LoadingSeries:
     The loading is kappa f - z conj(f') - conj(g), with f = sum_m A_m F_m and
     g = -sum_m B_m F_m. Every sum runs the Faber recurrence on the point
     values (geometry.faber_series) of the unit-radius map at z / gamma, with
-    the coefficients A_m gamma^m and B_m gamma^m; each derivative returns to
-    z by a factor 1/gamma, applied to its coefficient row. The rows are
-    built once, so an evaluator that sums the loading at many point sets
-    pays for them once.
+    the unit-radius loading's coefficients (LoadingSpec.unit_radius); each
+    derivative returns to z by a factor 1/gamma, applied to its coefficient
+    row. The rows are built once, so an evaluator that sums the loading at
+    many point sets pays for them once.
     """
 
     def __init__(self, spec: LoadingSpec, cmap: ConformalMap):
         self.gamma = cmap.gamma
-        self.unit = unit_radius(cmap)
+        self.unit = cmap.unit
         self.order = spec.order
-        A, B = spec.padded(self.order)
-        self.rows = np.stack([A, -B]) * self.gamma ** np.arange(A.size)  # (f, g) at unit radius
+        A, B = spec.unit_radius(self.gamma).padded(self.order)
+        self.rows = np.stack([A, -B])  # (f, g) at unit radius
 
     def potentials(self, z):
         """(f, g, f') at points z, what the displacement needs."""

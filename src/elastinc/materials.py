@@ -51,8 +51,8 @@ class MaterialPair:
     """Exterior/interior material data with derived kernel constants.
 
     The interior may be a cavity (``cavity=True``), in which case the interior
-    Lame constants are zero and the derived tilde constants are ``None``
-    (they are singular at mu_int = 0). System assembly branches on the flag.
+    Lame constants are zero and interior_constants() raises (the constants
+    are singular at mu_int = 0). System assembly branches on the flag.
     """
 
     lam_ext: float
@@ -64,9 +64,6 @@ class MaterialPair:
     alpha: float = field(init=False, repr=False)
     beta: float = field(init=False, repr=False)
     kappa: float = field(init=False, repr=False)
-    alpha_t: float | None = field(init=False, repr=False)
-    beta_t: float | None = field(init=False, repr=False)
-    kappa_t: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         alpha, beta, kappa = derive_constants(self.lam_ext, self.mu_ext)
@@ -76,29 +73,22 @@ class MaterialPair:
         if self.cavity:
             if self.lam_int != 0.0 or self.mu_int != 0.0:
                 raise MaterialError("cavity mode requires zero interior constants")
-            object.__setattr__(self, "alpha_t", None)
-            object.__setattr__(self, "beta_t", None)
-            object.__setattr__(self, "kappa_t", None)
-        else:
-            at, bt, kt = derive_constants(self.lam_int, self.mu_int)
-            d_lam = self.lam_ext - self.lam_int
-            d_mu = self.mu_ext - self.mu_int
-            if d_lam * d_lam + d_mu * d_mu == 0.0:
-                raise MaterialError(
-                    "transmission mode requires material contrast; "
-                    "interior and exterior constants are identical"
-                )
-            object.__setattr__(self, "alpha_t", at)
-            object.__setattr__(self, "beta_t", bt)
-            object.__setattr__(self, "kappa_t", kt)
+            return
+        derive_constants(self.lam_int, self.mu_int)  # validates the interior constants
+        d_lam = self.lam_ext - self.lam_int
+        d_mu = self.mu_ext - self.mu_int
+        if d_lam * d_lam + d_mu * d_mu == 0.0:
+            raise MaterialError(
+                "transmission mode requires material contrast; "
+                "interior and exterior constants are identical"
+            )
 
     @property
     def has_interior(self) -> bool:
         return not self.cavity
 
     def interior_constants(self) -> tuple[float, float, float]:
-        """Return (alpha_t, beta_t, kappa_t); error in cavity mode."""
+        """Return (alpha_t, beta_t, kappa_t) of the inclusion; error in cavity mode."""
         if self.cavity:
             raise MaterialError("interior kernel constants are undefined for a cavity")
-        return self.alpha_t, self.beta_t, self.kappa_t
-
+        return derive_constants(self.lam_int, self.mu_int)

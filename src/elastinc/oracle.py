@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .field import FieldEvaluator, _as_map
+from .field import FieldEvaluator
 from .geometry import (
     ConformalMap,
     eval_map,
@@ -109,9 +109,8 @@ class BoundaryMesh:
         return self.h * (2.0 * np.pi / self.q)
 
 
-def build_mesh(geometry, q: int) -> BoundaryMesh:
+def build_mesh(cmap: ConformalMap, q: int) -> BoundaryMesh:
     """Boundary mesh with q equispaced angles on |w| = gamma."""
-    cmap = _as_map(geometry)
     theta = 2.0 * np.pi * np.arange(q) / q
     w = cmap.gamma * np.exp(1j * theta)
     dpsi = eval_map_derivative(cmap, w)
@@ -125,15 +124,6 @@ def build_mesh(geometry, q: int) -> BoundaryMesh:
 
 
 # -- kernels ------------------------------------------------------------------
-
-
-def _kelvin_constants(material: MaterialPair, side: str) -> tuple[float, float]:
-    if side == "exterior":
-        return material.alpha, material.beta
-    if side == "interior":
-        alpha_t, beta_t, _ = material.interior_constants()
-        return alpha_t, beta_t
-    raise OracleError(f"unknown material side {side!r}")
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
@@ -407,7 +397,6 @@ class NystromSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     constraints: np.ndarray
-    mode: str
     mesh: BoundaryMesh
     material: MaterialPair
     loading_nodes: np.ndarray
@@ -418,29 +407,19 @@ class NystromSystem:
 class OracleSolution:
     """Solved nodal densities and boundary displacement.
 
-    psi_nodes and phi_nodes hold the real 2-vector densities as (q, 2)
-    arrays (phi_nodes is None for a cavity); u_boundary is the complex
-    boundary displacement taken from the exterior representation.
+    psi and phi hold the complex nodal densities psi_1 + i psi_2 of the
+    exterior and interior layers (phi is None for a cavity); u_boundary is
+    the complex boundary displacement taken from the exterior
+    representation.
     """
 
-    psi_nodes: np.ndarray
-    phi_nodes: np.ndarray | None
+    psi: np.ndarray
+    phi: np.ndarray | None
     u_boundary: np.ndarray
     mesh: BoundaryMesh
-    mode: str
     residual_norm: float
     rigid_moments: np.ndarray
     trace_gap: float
-
-    @property
-    def psi_complex(self) -> np.ndarray:
-        return self.psi_nodes[:, 0] + 1j * self.psi_nodes[:, 1]
-
-    @property
-    def phi_complex(self) -> np.ndarray | None:
-        if self.phi_nodes is None:
-            return None
-        return self.phi_nodes[:, 0] + 1j * self.phi_nodes[:, 1]
 
 
 def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
@@ -463,21 +442,19 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
     if material.has_interior:
         n = 4 * q
         matrix = np.zeros((n + 3, n + 3))
-        alpha, beta = _kelvin_constants(material, "exterior")
-        alpha_t, beta_t = _kelvin_constants(material, "interior")
+        alpha_t, beta_t = material.interior_constants()[:2]
         _write_single_layer(matrix[: 2 * q, : 2 * q], frames, h, alpha_t, beta_t, 1.0)
-        _write_single_layer(matrix[: 2 * q, 2 * q : n], frames, h, alpha, beta, -1.0)
+        _write_single_layer(matrix[: 2 * q, 2 * q : n], frames, h, material.alpha, material.beta,
+                            -1.0)
         _write_conormal(matrix[2 * q : n, : 2 * q], frames,
                         material.lam_int, material.mu_int, -1.0, 1.0)
         _write_conormal(matrix[2 * q : n, 2 * q : n], frames, lam, mu, 1.0, -1.0)
         rhs = np.concatenate([_components(h_nodes), _components(dh_nodes)])
-        mode = "transmission"
     else:
         n = 2 * q
         matrix = np.zeros((n + 3, n + 3))
         _write_conormal(matrix[:n, :n], frames, lam, mu, 1.0, 1.0)
         rhs = -_components(dh_nodes)
-        mode = "cavity"
 
     constraints = matrix[n:, :n]
     wq = mesh.weights
@@ -486,7 +463,7 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         row[n - q :] = wq * r.imag
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T
-    return NystromSystem(matrix, rhs, constraints, mode, mesh, material, h_nodes,
+    return NystromSystem(matrix, rhs, constraints, mesh, material, h_nodes,
                          None if material.has_interior else frames)
 
 
@@ -509,39 +486,34 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
         raise OracleError(f"singular reference system ({size}x{size} bordered matrix)") from exc
     residual = float(np.linalg.norm(matrix[:, :n] @ sol - rhs))
 
-    psi = sol[n - 2 * q :]
-    if system.mode == "transmission":
-        phi = sol[: 2 * q]
-        phi_c = _complexify(phi)
-        phi_nodes = np.column_stack([phi_c.real, phi_c.imag])
+    psi, phi = sol[n - 2 * q :], None
+    material = system.material
+    if material.has_interior:
         u_ext = system.loading_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
-        u_int = _complexify(matrix[: 2 * q, : 2 * q] @ phi)
+        u_int = _complexify(matrix[: 2 * q, : 2 * q] @ sol[: 2 * q])
         trace_gap = float(np.max(np.abs(u_int - u_ext)))
+        phi = _complexify(sol[: 2 * q])
     else:
-        phi_nodes = None
-        alpha, beta = _kelvin_constants(system.material, "exterior")
-        layer = _single_layer_apply(system.frames, mesh.h, alpha, beta, psi)
+        layer = _single_layer_apply(system.frames, mesh.h, material.alpha, material.beta, psi)
         u_ext = system.loading_nodes + _complexify(layer)
         trace_gap = 0.0
 
-    psi_c = _complexify(psi)
-    psi_nodes = np.column_stack([psi_c.real, psi_c.imag])
+    psi = _complexify(psi)
     return OracleSolution(
-        psi_nodes=psi_nodes,
-        phi_nodes=phi_nodes,
+        psi=psi,
+        phi=phi,
         u_boundary=u_ext,
         mesh=mesh,
-        mode=system.mode,
         residual_norm=residual,
-        rigid_moments=rigid_moments(mesh, psi_c),
+        rigid_moments=rigid_moments(mesh, psi),
         trace_gap=trace_gap,
     )
 
 
-def solve_oracle(geometry, material: MaterialPair, loading: LoadingSpec,
+def solve_oracle(cmap: ConformalMap, material: MaterialPair, loading: LoadingSpec,
                  q: int) -> OracleSolution:
     """Mesh, assemble, and solve in one call."""
-    mesh = build_mesh(geometry, q)
+    mesh = build_mesh(cmap, q)
     return solve_nystrom(assemble_nystrom(mesh, material, loading))
 
 
@@ -549,14 +521,15 @@ def solve_oracle(geometry, material: MaterialPair, loading: LoadingSpec,
 
 
 def single_layer_potential(mesh: BoundaryMesh, density: np.ndarray,
-                           material: MaterialPair, side: str, z) -> np.ndarray:
+                           alpha: float, beta: float, z) -> np.ndarray:
     """Single-layer displacement at points away from the boundary.
 
+    alpha and beta are the kernel constants of the layer's material
+    (MaterialPair.alpha, .beta, or the first two of interior_constants()).
     Plain trapezoid sum over the nodes; spectrally accurate at points
     whose distance from the curve is comparable to the node spacing or
     larger, inaccurate very close to it.
     """
-    alpha, beta = _kelvin_constants(material, side)
     values = np.asarray(density, dtype=complex)
     z = np.asarray(z, dtype=complex)
     d = z[:, None] - mesh.z[None, :]
@@ -578,7 +551,7 @@ def eval_oracle_exterior(solution: OracleSolution, material: MaterialPair,
                          loading: LoadingSpec, z) -> np.ndarray:
     """Oracle displacement at exterior points: loading plus exterior layer."""
     z = np.asarray(z, dtype=complex)
-    layer = single_layer_potential(solution.mesh, solution.psi_complex, material, "exterior", z)
+    layer = single_layer_potential(solution.mesh, solution.psi, material.alpha, material.beta, z)
     return eval_loading(loading, solution.mesh.cmap, material, z) + layer
 
 
@@ -611,7 +584,7 @@ class ComparisonReport:
         ]
 
 
-def compare(oracle: OracleSolution, series, geometry, material: MaterialPair,
+def compare(oracle: OracleSolution, series, cmap: ConformalMap, material: MaterialPair,
             loading: LoadingSpec, n_points: int = 64) -> ComparisonReport:
     """Boundary and offset-circle discrepancies between the two routes.
 
@@ -619,7 +592,6 @@ def compare(oracle: OracleSolution, series, geometry, material: MaterialPair,
     evaluated on the boundary |w| = gamma at the mesh angles; the exterior
     field is compared at n_points on |w| = OFFSET_RATIO * gamma.
     """
-    cmap = _as_map(geometry)
     evaluator = FieldEvaluator(series, loading, cmap, material)
     gamma = cmap.gamma
 

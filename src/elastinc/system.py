@@ -10,7 +10,7 @@ material factor per equation family; the two transmission conditions,
 exterior minus interior, equal -2h, with h the loading's displacement and
 traction-potential windows on the same powers (loading.unit_rhs_vectors).
 
-The system is posed on the unit-radius problem (geometry.unit_radius and
+The system is posed on the unit-radius problem (ConformalMap.unit and
 LoadingSpec.unit_radius), whose density coefficients serve every radius.
 The real and imaginary parts of the kept coefficients (kept_indices) are the
 unknowns of one square real matrix, factored once by LU; its condition
@@ -123,7 +123,6 @@ class BlockSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     n: int
-    mode: str                 # "transmission" | "cavity"
     material: MaterialPair
     bundle: GeometryBundle
 
@@ -137,7 +136,6 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
     real and imaginary parts are written as they stand. The interior enters
     with the opposite sign: each condition is exterior minus interior.
     """
-    mode = "cavity" if material.cavity else "transmission"
     n = bundle.n
     window = layer_matrices(bundle)  # shared by both sides
     ext_modes, int_modes, disp_powers, trac_powers = kept_indices(n)
@@ -145,7 +143,7 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
     # (kept powers, right-hand side on the window, traction?)
     families = [(trac_powers, trac, True)]
     sides = [(ext_modes, material.alpha, material.beta, material.mu_ext, False)]
-    if mode == "transmission":
+    if material.has_interior:
         alpha, beta, _ = material.interior_constants()
         families.insert(0, (disp_powers, disp, False))
         sides.append((int_modes, alpha, beta, material.mu_int, True))
@@ -167,7 +165,7 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
 
     h = np.concatenate([rhs[powers] for powers, rhs, _ in families])
     return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]), n=n,
-                       mode=mode, material=material, bundle=bundle)
+                       material=material, bundle=bundle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +243,8 @@ def solve(system: BlockSystem) -> DensitySolution:
     plus, minus = window[:, n:].copy(), window[:, n::-1]
     plus[:, 0] = 0.0
     xe_plus, xe_minus, xi_plus, xi_minus = plus[0], minus[0], plus[1], minus[1]
-    if system.mode == "cavity":
+    cavity = system.material.cavity
+    if cavity:
         xi_plus = xi_minus = None
 
     cmap = system.bundle.cmap
@@ -266,7 +265,7 @@ def solve(system: BlockSystem) -> DensitySolution:
         rotation_projection=rotation_projection,
         converged=residual <= DEFAULT_RESIDUAL_THRESHOLD,
         n=system.n,
-        mode=system.mode,
+        mode="cavity" if cavity else "transmission",
     )
 
 

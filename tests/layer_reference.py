@@ -44,13 +44,11 @@ from elastinc.geometry import (
     eval_map_derivative,
     eval_map_second_derivative,
     grunsky_rows,
-    unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series
 from elastinc.oracle import (
     BoundaryMesh,
     OracleError,
-    _kelvin_constants,
     hilbert_weights,
     log_weights,
     single_layer_potential,
@@ -236,7 +234,7 @@ def folded_matrices(bundle):
     scale = np.zeros(n + 1)
     scale[1:] = 1.0 / np.arange(1, n + 1)
     D = bundle.faber_deriv * scale[:, None]
-    return (D, *map_coefficient_matrices(unit_radius(bundle.cmap), n))
+    return (D, *map_coefficient_matrices(bundle.cmap.unit, n))
 
 
 def folded_m_blocks(bundle):
@@ -669,9 +667,16 @@ def dense_conormal_blocks(mesh: BoundaryMesh, frames: DenseChordFrames,
     return out
 
 
+def kelvin_constants(material, side: str) -> tuple[float, float]:
+    """The single-layer kernel constants (alpha, beta) of one material side."""
+    if side == "exterior":
+        return material.alpha, material.beta
+    return material.interior_constants()[:2]
+
+
 def single_layer_matrix(mesh, material, side: str = "exterior") -> np.ndarray:
     """Boundary trace of the single-layer displacement, one material side."""
-    alpha, beta = _kelvin_constants(material, side)
+    alpha, beta = kelvin_constants(material, side)
     return dense_single_layer_blocks(mesh, dense_chord_frames(mesh), alpha, beta)
 
 
@@ -690,13 +695,14 @@ def conormal_matrix(mesh, material, side: str = "exterior", trace: str = "exteri
 
 def eval_oracle_interior(solution, material, z) -> np.ndarray:
     """Oracle displacement at interior points: the interior layer alone."""
-    if solution.phi_nodes is None:
+    if solution.phi is None:
         raise OracleError("cavity solution has no interior displacement")
     z = np.asarray(z, dtype=complex)
-    return single_layer_potential(solution.mesh, solution.phi_complex, material, "interior", z)
+    alpha_t, beta_t, _ = material.interior_constants()
+    return single_layer_potential(solution.mesh, solution.phi, alpha_t, beta_t, z)
 
 
-def self_convergence(geometry, material, loading, node_counts=(32, 64, 128)) -> np.ndarray:
+def self_convergence(cmap, material, loading, node_counts=(32, 64, 128)) -> np.ndarray:
     """Boundary-displacement changes under mesh doubling, one per count.
 
     Entry k is the max difference between the solves at node_counts[k]
@@ -705,7 +711,7 @@ def self_convergence(geometry, material, loading, node_counts=(32, 64, 128)) -> 
     """
     diffs = []
     for q in node_counts:
-        coarse = solve_oracle(geometry, material, loading, q)
-        fine = solve_oracle(geometry, material, loading, 2 * q)
+        coarse = solve_oracle(cmap, material, loading, q)
+        fine = solve_oracle(cmap, material, loading, 2 * q)
         diffs.append(np.max(np.abs(coarse.u_boundary - fine.u_boundary[::2])))
     return np.array(diffs)

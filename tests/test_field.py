@@ -28,7 +28,6 @@ from elastinc.geometry import (
     eval_map_derivative,
     faber_series,
     grunsky_rows,
-    unit_radius,
 )
 from elastinc.loading import LoadingSpec, boundary_series, unit_rhs_vectors
 from elastinc.materials import MaterialPair
@@ -134,7 +133,7 @@ def test_evaluator_matches_per_mode_sums():
     # the coefficients belong to the unit-radius map: compare per-mode sums
     # there, at unit-radius preimages; with no loading, the evaluator's f,
     # f' and g are half the layer terms, f' in physical units
-    unit = unit_radius(cmap)
+    unit = cmap.unit
     w = np.array([1.3, 1.8]) * np.exp(1j * np.array([0.4, 2.9]))
     outer = ev.exterior_arrays(cmap.gamma * w)
     f, fp, g = 2 * outer["f"], 2 * cmap.gamma * outer["fprime"], 2 * outer["g"]
@@ -202,7 +201,7 @@ def scattered_part(rows, x0, material, cmap, w):
     ks = np.arange(rows.shape[1])[:, None]
     L, Lbar, C, q = rows @ omega ** -ks
     logw = np.log(omega)
-    wdpsi = omega * eval_map_derivative(unit_radius(cmap), omega)
+    wdpsi = omega * eval_map_derivative(cmap.unit, omega)
     alpha, beta = material.alpha, material.beta
     f = beta * (L + x0 * logw)
     fp = beta * C / wdpsi
@@ -226,7 +225,7 @@ def test_exterior_series_is_exact(cmap, n):
     sol = random_solution(np.random.default_rng(n), n, mode="cavity")
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, CAV)
     kfar = ev.tail.shape[1] - 1
-    ref = exterior_tail(unit_radius(cmap), sol, kfar + 40)
+    ref = exterior_tail(cmap.unit, sol, kfar + 40)
     assert np.all(ref[:, kfar + 1 :] == 0.0)
     w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))  # |w| = gamma
     got = boundary_series(np.zeros(1), ev.tail, w)
@@ -243,7 +242,7 @@ def test_exterior_series_has_no_seam_beyond_64_modes():
     n = 80
     sol = random_solution(np.random.default_rng(80), n)
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), ELONGATED, TRANS)
-    ref = exterior_tail(unit_radius(ELONGATED), sol, 600)
+    ref = exterior_tail(ELONGATED.unit, sol, 600)
     w = 2.0 * ELONGATED.gamma * np.exp(1j * np.linspace(0.0, 2 * np.pi, 16, endpoint=False))
     sides = []
     for side in (w * (1.0 - 1e-12), w * (1.0 + 1e-12)):
@@ -268,7 +267,7 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
     k = np.arange(depth)
     a = 0.08 * (rng.uniform(-1, 1, depth) + 1j * rng.uniform(-1, 1, depth)) * gamma ** (k + 1.0)
     cmap = ConformalMap(gamma, a)
-    unit = unit_radius(cmap)
+    unit = cmap.unit
     sol = random_solution(rng, n)
     ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, TRANS)
     w = 1.1 * np.exp(1j * np.array([0.2, 1.9, 4.4]))
@@ -733,13 +732,16 @@ def test_invert_map_elongated_ellipse():
 @pytest.mark.parametrize("a", [[0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]])
 def test_invert_map_reaches_full_precision(a):
     # the step after the residual first drops below NEWTON_TOL takes the
-    # iterate from about 3e-13 to about 2e-15 (relative residual, measured)
-    cmap = ConformalMap(1.0, a)
-    rng = np.random.default_rng(3)
-    w = (1.0 + 2.0 * rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
-    z = eval_map(cmap, w)
-    back = invert_map(cmap, z)
-    assert np.max(np.abs(eval_map(cmap, back) - z) / np.abs(z)) <= 1e-14
+    # iterate from about 3e-13 to about 2e-15 (relative residual, measured);
+    # the tolerance scales with max(gamma, max|z|), so small maps reach it too
+    a = np.asarray(a, dtype=complex)
+    for gamma in (1e-11, 1.0, 1e6):
+        cmap = ConformalMap(gamma, a * gamma ** (np.arange(a.size) + 1.0))
+        rng = np.random.default_rng(3)
+        w = gamma * (1.0 + 2.0 * rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+        z = eval_map(cmap, w)
+        back = invert_map(cmap, z)
+        assert np.max(np.abs(eval_map(cmap, back) - z) / np.abs(z)) <= 1e-14, gamma
 
 
 def test_grid_field_elongated_ellipse_straddling_boundary():

@@ -13,11 +13,11 @@ from elastinc.geometry import (
     build_geometry,
     eval_map,
     eval_map_derivative,
+    eval_map_second_derivative,
     faber_derivative_matrices,
     faber_series,
     grunsky_rows,
     sweep_pairs,
-    unit_radius,
     _grunsky_recurrence,
     _polyline_self_intersects,
 )
@@ -34,6 +34,15 @@ SERIES_TOL = 1e-8
 
 ELLIPSE = ConformalMap(1.0, [0.5, 0.3])
 DISK = ConformalMap(1.0, [0.5])
+
+# every threshold of map validation and evaluation is relative to gamma
+SCALES = (1e-13, 1.0, 1e13)
+
+
+def scaled_coefficients(a, gamma):
+    """The coefficients a_k gamma^(k+1) of the same shape at radius gamma."""
+    a = np.asarray(a, dtype=complex)
+    return a * gamma ** (np.arange(a.size) + 1.0)
 
 
 def random_map(rng, depth=4, gamma=None):
@@ -186,7 +195,7 @@ def test_bundle_grunsky_is_the_standalone_recurrence(a, gamma):
     for n in (1, 2, 4, 16, 48, 64):
         cmap = ConformalMap(gamma, a * gamma ** (np.arange(a.size) + 1.0))
         bundle = build_geometry(cmap, n)
-        np.testing.assert_array_equal(bundle.grunsky, _grunsky_recurrence(unit_radius(cmap), n, n))
+        np.testing.assert_array_equal(bundle.grunsky, _grunsky_recurrence(cmap.unit, n, n))
 
 
 def test_grunsky_table_is_kept_per_map_object():
@@ -213,7 +222,7 @@ def test_grunsky_table_is_kept_per_map_object():
         assert len(calls) == 3
     with pytest.raises(ValueError):
         first[1, 1] = 0.0
-    assert unit_radius(cmap) is unit_radius(cmap) is cmap.unit
+    assert cmap.unit is cmap.unit  # one unit map, and with it one kept table, per map object
 
 
 def test_map_coefficient_matrices_layout():
@@ -241,6 +250,18 @@ def test_eval_map_domain_and_values():
     eval_map(ELLIPSE, 0.95)
 
 
+@pytest.mark.parametrize("gamma", SCALES)
+@pytest.mark.parametrize("evaluate", [eval_map, eval_map_derivative, eval_map_second_derivative])
+def test_extension_margin_is_relative_to_gamma(evaluate, gamma):
+    # an absolute slack of 1e-15 let |w| = 0.895 gamma through at gamma = 1e-13
+    cmap = ConformalMap(gamma, scaled_coefficients([0.5, 0.3], gamma))
+    evaluate(cmap, 0.9 * gamma)
+    evaluate(cmap, 0.55 * gamma, margin=0.5)
+    for w, margin in ((0.895 * gamma, None), (0.49 * gamma, 0.5)):
+        with pytest.raises(GeometryError, match="analytic-extension radius"):
+            evaluate(cmap, w, margin=margin)
+
+
 def test_boundary_point_scale_matches_numeric_derivative():
     theta = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
     z, h = boundary_point(ELLIPSE, theta)
@@ -252,10 +273,26 @@ def test_boundary_point_scale_matches_numeric_derivative():
 
 
 def test_rejects_folded_boundary():
-    with pytest.raises(GeometryError):
-        ConformalMap(1.0, [0.0, 1.2])
-    with pytest.raises(GeometryError):
-        ConformalMap(1.0, [0.0, 0.0, 0.0, 0.5])
+    for gamma in SCALES:
+        with pytest.raises(GeometryError):
+            ConformalMap(gamma, scaled_coefficients([0.0, 1.2], gamma))
+        with pytest.raises(GeometryError):
+            ConformalMap(gamma, scaled_coefficients([0.0, 0.0, 0.0, 0.5], gamma))
+
+
+@pytest.mark.parametrize("gamma", SCALES)
+def test_rejects_degenerate_parametrization(gamma):
+    # a1 = gamma^2: the slit, whose scale factor vanishes at theta = 0 and pi
+    with pytest.raises(GeometryError, match="vanishes"):
+        ConformalMap(gamma, scaled_coefficients([0.0, 1.0], gamma))
+
+
+@pytest.mark.parametrize("gamma", [1e-13, 1e-12, 1.0, 1e12, 1e13])
+def test_accepts_valid_maps_at_every_scale(gamma):
+    # the scale factor was compared with an absolute 1e-12, which refused
+    # the ellipse ConformalMap(1e-12, [0, 0.3e-24]) as degenerate
+    for shape in ([0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]):
+        ConformalMap(gamma, scaled_coefficients(shape, gamma))
 
 
 def test_rejects_bad_radius():
@@ -297,7 +334,7 @@ def test_psi_matrix_multiplies_by_psi(a, gamma):
         s[live] = rng.standard_normal((2, 2 * (n - depth) - 1)).T @ [1.0, 1.0j]
         samples = 4 * n + 4
         w = np.exp(2j * np.pi * np.arange(samples) / samples)
-        values = eval_map(unit_radius(cmap), w) * (np.polyval(s[::-1], w) / w**n)
+        values = eval_map(cmap.unit, w) * (np.polyval(s[::-1], w) / w**n)
         want = (np.fft.fft(values) / samples)[np.arange(-n, n + 1) % samples]
         assert np.max(np.abs(s @ psi - want)) <= 1e-13 * np.max(np.abs(want))
 

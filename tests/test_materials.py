@@ -57,7 +57,6 @@ def test_cavity_pair():
     pair = MaterialPair(1.0, 1.0, cavity=True)
     assert pair.cavity
     assert not pair.has_interior
-    assert pair.alpha_t is None
     with pytest.raises(MaterialError):
         pair.interior_constants()
 

@@ -28,7 +28,6 @@ from elastinc.materials import MaterialError, MaterialPair
 from elastinc.oracle import (
     BoundaryMesh,
     _half_angle_columns,
-    _kelvin_constants,
     NystromSystem,
     OracleError,
     assemble_nystrom,
@@ -53,6 +52,7 @@ from layer_reference import (
     deriv_layer_exterior,
     deriv_layer_interior,
     eval_oracle_interior,
+    kelvin_constants,
     loading_by_grunsky,
     loading_pair,
     log_layer_exterior,
@@ -155,15 +155,13 @@ def fft_derivative(vals: np.ndarray) -> np.ndarray:
 
 
 def test_single_layer_potential_rejects_degenerate_input():
-    # a point on a node, the interior side of a cavity and an unknown side
+    # a point on a node; a cavity has no interior kernel constants to pass
     mesh = build_mesh(ELLIPSE, 16)
     dens = np.ones(16, dtype=complex)
     with pytest.raises(OracleError):
-        single_layer_potential(mesh, dens, TRANS, "exterior", mesh.z[3:4])
+        single_layer_potential(mesh, dens, TRANS.alpha, TRANS.beta, mesh.z[3:4])
     with pytest.raises(MaterialError):
-        single_layer_potential(mesh, dens, CAV, "interior", np.array([0.1j]))
-    with pytest.raises(OracleError):
-        single_layer_potential(mesh, dens, TRANS, "sideways", np.array([0.1j]))
+        CAV.interior_constants()
 
 
 # -- mesh ---------------------------------------------------------------------
@@ -300,11 +298,11 @@ def test_single_layer_matches_series_off_boundary():
     phi = 2.0 * np.pi * np.arange(16) / 16
     w_out = 1.3 * np.exp(1j * phi)
     z_out = eval_map(ELLIPSE, w_out)
-    pot = single_layer_potential(mesh, dens, TRANS, "exterior", z_out)
+    pot = single_layer_potential(mesh, dens, TRANS.alpha, TRANS.beta, z_out)
     ser = series_single_layer(ELLIPSE, TRANS, "exterior", COEFFS, w_out, "exterior")
     assert np.max(np.abs(pot - ser)) <= SERIES_TOL
     z_in = 0.5 + 0.2 * np.exp(1j * phi)
-    pot_in = single_layer_potential(mesh, dens, TRANS, "exterior", z_in)
+    pot_in = single_layer_potential(mesh, dens, TRANS.alpha, TRANS.beta, z_in)
     ser_in = series_single_layer(ELLIPSE, TRANS, "exterior", COEFFS, z_in, "interior")
     assert np.max(np.abs(pot_in - ser_in)) <= SERIES_TOL
 
@@ -408,8 +406,8 @@ def test_high_order_loading_matches_grunsky_series(cmap, M):
 def test_zero_loading_gives_zero_solution():
     zero = LoadingSpec(A=np.zeros(2), B=np.zeros(2))
     sol = solve_oracle(ELLIPSE, TRANS, zero, 32)
-    assert np.max(np.abs(sol.psi_nodes)) <= EXACT_TOL
-    assert np.max(np.abs(sol.phi_nodes)) <= EXACT_TOL
+    assert np.max(np.abs(sol.psi)) <= EXACT_TOL
+    assert np.max(np.abs(sol.phi)) <= EXACT_TOL
     assert np.max(np.abs(sol.u_boundary)) <= EXACT_TOL
 
 
@@ -421,7 +419,7 @@ def test_disk_cavity_oracle_agrees_with_series():
     assert report.boundary_max <= 1e-4
     assert report.exterior_max <= 1e-4
     assert np.max(np.abs(oracle_sol.rigid_moments)) <= 1e-10
-    assert oracle_sol.phi_nodes is None
+    assert oracle_sol.phi is None
 
 
 def test_ellipse_transmission_oracle_agrees_with_series():
@@ -490,7 +488,7 @@ def test_far_field_decay_of_solved_density():
     peaks = {}
     for radius in (10.0, 20.0, 40.0):
         z = eval_map(ELLIPSE, radius * np.exp(1j * phi))
-        vals = single_layer_potential(sol.mesh, sol.psi_complex, CAV, "exterior", z)
+        vals = single_layer_potential(sol.mesh, sol.psi, CAV.alpha, CAV.beta, z)
         peaks[radius] = np.max(np.abs(vals))
     scaled = [r * peaks[r] for r in (10.0, 20.0, 40.0)]
     assert max(scaled) / min(scaled) <= 1.05
@@ -529,9 +527,9 @@ def test_bordered_solve_matches_stacked_least_squares(name, q, material):
     assert system.matrix.shape == (n + 3, n + 3)
     assert np.shares_memory(system.constraints, system.matrix)
     sol = solve_nystrom(system)
-    got = sol.psi_nodes.T.ravel()
-    if sol.phi_nodes is not None:
-        got = np.concatenate([sol.phi_nodes.T.ravel(), got])
+    got = components(sol.psi)
+    if sol.phi is not None:
+        got = np.concatenate([components(sol.phi), got])
     want = stacked_lstsq_densities(system)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert np.max(np.abs(sol.rigid_moments)) <= 1e-10
@@ -564,7 +562,7 @@ def test_singular_bordered_system_raises():
     mesh = build_mesh(DISK, 16)
     matrix = np.zeros((2 * mesh.q + 3, 2 * mesh.q + 3))
     system = NystromSystem(matrix, np.ones(2 * mesh.q), matrix[2 * mesh.q :, : 2 * mesh.q],
-                           "cavity", mesh, CAV, np.zeros(mesh.q, dtype=complex))
+                           mesh, CAV, np.zeros(mesh.q, dtype=complex))
     with pytest.raises(OracleError, match="singular reference system"):
         solve_nystrom(system)
 
@@ -583,8 +581,8 @@ def dense_reference_matrix(mesh: BoundaryMesh, material: MaterialPair) -> np.nda
     outer = dense_conormal_blocks(mesh, frames, material.lam_ext, material.mu_ext, 1.0)
     if not material.has_interior:
         return outer
-    alpha, beta = _kelvin_constants(material, "exterior")
-    alpha_t, beta_t = _kelvin_constants(material, "interior")
+    alpha, beta = kelvin_constants(material, "exterior")
+    alpha_t, beta_t = kelvin_constants(material, "interior")
     inner = dense_conormal_blocks(mesh, frames, material.lam_int, material.mu_int, -1.0)
     return np.block([
         [dense_single_layer_blocks(mesh, frames, alpha_t, beta_t),
@@ -611,9 +609,9 @@ def test_assembly_matches_dense_reference(name, q, material):
     if not material.has_interior:
         # the cavity's boundary displacement: loading plus the exterior single layer
         sol = solve_nystrom(system)
-        alpha, beta = _kelvin_constants(material, "exterior")
-        single = dense_single_layer_blocks(mesh, dense_chord_frames(mesh), alpha, beta)
-        want = h_nodes + complexify(single @ components(sol.psi_complex))
+        single = dense_single_layer_blocks(mesh, dense_chord_frames(mesh), material.alpha,
+                                           material.beta)
+        want = h_nodes + complexify(single @ components(sol.psi))
         assert np.max(np.abs(sol.u_boundary - want)) <= 1e-14 * np.max(np.abs(want))
 
 

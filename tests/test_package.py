@@ -1,6 +1,7 @@
 """Package-level properties."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -18,14 +19,18 @@ REFERENCE = Path(__file__).resolve().parent / "layer_reference.py"
 # tests/layer_reference.py as references; the
 # single-point field wrappers, the square Grunsky alias, the per-sign
 # right-hand-side vectors, the Kelvin kernel at one point pair and the
-# cavity constructor are gone
+# cavity constructor are gone, and so are the second forms of arguments and
+# results: the bundle-or-map geometry argument, the array form of the
+# residual angles, the material-side strings and the (q, 2) real copies of
+# the reference densities
 REMOVED = ("faber_matrix", "faber_inverse", "monomial_derivative_matrix", "poly_eval",
            "loading_pair", "_polyder", "eval_exterior", "eval_interior",
            "eval_traction_potential", "_sample", "grunsky_matrix",
            "_sided_blocks", "exterior_blocks", "interior_blocks", "m_blocks",
            "RhsVector", "rhs_vectors", "kill0", "kelvin_kernel", "single_layer_matrix",
            "conormal_matrix", "_lame_constants", "eval_oracle_interior", "self_convergence",
-           "cavity_limit", "_single_layer_blocks", "_conormal_blocks")
+           "cavity_limit", "_single_layer_blocks", "_conormal_blocks", "_as_map", "_as_angles",
+           "_kelvin_constants", "psi_complex", "phi_complex")
 
 PUBLIC = ["BlockSystem", "BoundaryMesh", "ComparisonReport", "ConformalMap", "DensitySolution",
           "FieldEvaluator", "FieldGrid", "FieldSample", "GeometryBundle", "GridSpec",
@@ -89,6 +94,29 @@ def test_public_surface_is_pinned():
     for owner in (elastinc, *(importlib.import_module(f"elastinc.{m}") for m in MODULES)):
         present = [name for name in REMOVED if hasattr(owner, name)]
         assert present == [], f"{owner.__name__} still has {present}"
+
+
+def test_removed_forms_are_gone():
+    # unit_radius and alpha_t stay legitimate names elsewhere
+    # (LoadingSpec.unit_radius, local variables), so they are checked here
+    # rather than through REMOVED
+    from elastinc.oracle import NystromSystem
+
+    assert not hasattr(importlib.import_module("elastinc.geometry"), "unit_radius")
+    assert hasattr(elastinc.LoadingSpec, "unit_radius")
+    # fields that copied a fact held elsewhere: the phase is material.cavity (a
+    # solution keeps its mode for solution.json), the interior constants are
+    # material.interior_constants(), the reference densities are complex
+    removed_fields = {
+        elastinc.BlockSystem: {"mode"},
+        NystromSystem: {"mode"},
+        elastinc.OracleSolution: {"mode", "psi_nodes", "phi_nodes"},
+        elastinc.MaterialPair: {"alpha_t", "beta_t", "kappa_t"},
+    }
+    for owner, removed in removed_fields.items():
+        present = removed & {f.name for f in dataclasses.fields(owner)}
+        assert not present, f"{owner.__name__} still has {sorted(present)}"
+    assert "mode" in {f.name for f in dataclasses.fields(elastinc.DensitySolution)}
 
 
 def test_package_defines_no_reference_substrate():

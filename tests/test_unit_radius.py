@@ -8,16 +8,20 @@ benchmark's checks do.
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from elastinc.field import FieldEvaluator
-from elastinc.geometry import ConformalMap, build_geometry
+from elastinc.field import FieldEvaluator, invert_map
+from elastinc.geometry import ConformalMap, build_geometry, eval_map
 from elastinc.loading import LoadingSpec, eval_loading
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system, solve
+from test_geometry import random_map
 
 INTERFACE_TOL = 1e-6
 SCALE_TOL = 1e-12
 AFFINE_TOL = 1e-12
+ROUND_TRIP_TOL = 1e-14
 
 # the benchmark's map shapes at gamma = 1: disk, ellipse, four-term, elongated
 SHAPES = {
@@ -126,6 +130,38 @@ def test_radius_solve_matches_rescaled_unit_solve(family, gamma, mode):
         inner = ev.interior_arrays(0.95 * gamma * omega / np.abs(omega))["u"]
         inner_ref = ev_ref.interior_arrays(0.95 * omega / np.abs(omega))["u"]
         assert np.max(np.abs(inner - inner_ref)) <= SCALE_TOL * np.max(np.abs(inner_ref))
+
+
+# ---------------------------------------------------------------------------
+# the Scale property: any valid map at any radius is its unit-radius problem
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_gamma=st.floats(-12.0, 12.0),
+       mode=st.sampled_from(["transmission", "cavity"]))
+@example(seed=0, log_gamma=-12.0, mode="transmission")
+@example(seed=1, log_gamma=12.0, mode="cavity")
+def test_scale_property(seed, log_gamma, mode):
+    # A random univalent map drawn at unit radius and rescaled to gamma =
+    # 10^log_gamma is accepted; its solved coefficients are those of the
+    # unit problem, and the map inverts to full precision at its own scale.
+    rng = np.random.default_rng(seed)
+    gamma = 10.0**log_gamma
+    shape = random_map(rng, gamma=1.0).a
+    material = material_for(mode, rng)
+    unit_loading = loading_for(rng)
+    modes = np.arange(3)
+    loading = LoadingSpec(unit_loading.A * gamma**-modes, unit_loading.B * gamma**-modes)
+    cmap = scaled_map(shape, gamma)
+    n = 16
+    sol, _ = solved(cmap, material, loading, n)
+    ref, _ = solved(ConformalMap(1.0, shape), material, unit_loading, n)
+    names = ["xe_plus", "xe_minus"] + (["xi_plus", "xi_minus"] if mode == "transmission" else [])
+    got = np.concatenate([getattr(sol, name) for name in names])
+    want = np.concatenate([getattr(ref, name) for name in names])
+    assert np.max(np.abs(got - want)) <= SCALE_TOL * np.max(np.abs(want))
+    w = gamma * (1.0 + 2.0 * rng.random(200)) * np.exp(2j * np.pi * rng.random(200))
+    back = invert_map(cmap, eval_map(cmap, w))
+    assert np.max(np.abs(back - w) / np.abs(w)) <= ROUND_TRIP_TOL
 
 
 # ---------------------------------------------------------------------------
