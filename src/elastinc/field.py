@@ -22,7 +22,7 @@ inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -59,9 +59,7 @@ class FieldSample:
     physical plane and no preimage is available), z the physical point and
     u the complex displacement u1 + i u2. f, fprime, g are the values of
     the total holomorphic pair and its derivative at z, so that the
-    traction potential can be formed later. parts splits u into the
-    loading part and the three layer terms; for interior samples the
-    load_part slot carries the density-mean constant.
+    traction potential can be formed later.
     """
 
     w: complex
@@ -71,7 +69,6 @@ class FieldSample:
     f: complex
     fprime: complex
     g: complex
-    parts: dict = field(default_factory=dict)
     near_boundary: bool = False
 
     def __post_init__(self) -> None:
@@ -81,7 +78,10 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned rectangular grid in the physical plane, row-major order."""
+    """Axis-aligned rectangular grid in the physical plane, row-major order.
+
+    band is the boundary band of classify_points, a fraction of gamma.
+    """
 
     xmin: float
     xmax: float
@@ -106,7 +106,7 @@ class FieldGrid:
     interior and near are boolean region and boundary-band flags. w is NaN
     at interior points, and u, f, fprime, g are NaN too at the interior
     points of a cavity. The grid also reads as a sequence of FieldSample
-    rows, with empty parts.
+    rows.
     """
 
     w: np.ndarray
@@ -128,7 +128,7 @@ class FieldGrid:
     def __getitem__(self, i: int) -> FieldSample:
         w, z, u, f, fp, g = (col[i].item() for col in
                              (self.w, self.z, self.u, self.f, self.fprime, self.g))
-        return FieldSample(w, z, u, _REGIONS[bool(self.interior[i])], f, fp, g, {},
+        return FieldSample(w, z, u, _REGIONS[bool(self.interior[i])], f, fp, g,
                            bool(self.near[i]))
 
     def __iter__(self):
@@ -136,7 +136,7 @@ class FieldGrid:
         rows = zip(self.w.tolist(), self.z.tolist(), self.u.tolist(), self.regions(),
                    self.f.tolist(), self.fprime.tolist(), self.g.tolist(), self.near.tolist())
         for w, z, u, region, f, fp, g, nb in rows:
-            yield FieldSample(w, z, u, region, f, fp, g, {}, nb)
+            yield FieldSample(w, z, u, region, f, fp, g, nb)
 
 
 class FieldEvaluator:
@@ -253,25 +253,18 @@ class FieldEvaluator:
         return arrays
 
     def _arrays(self, z, zeta, load, kappa, f, fp, g) -> dict:
-        """The displacement u = load + (kappa f - zeta conj(fp) - conj(g)) / 2 and its parts.
+        """The displacement u = load + (kappa f - zeta conj(fp) - conj(g)) / 2.
 
         f, fp and g are the layer potentials of the unit-radius problem; the
         returned f, fprime and g are their halves, fprime returned to z by
         1/gamma.
         """
-        f_part = 0.5 * kappa * f
-        fp_part = -0.5 * zeta * np.conj(fp)
-        g_part = -0.5 * np.conj(g)
         return {
             "z": z,
-            "u": load + f_part + fp_part + g_part,
+            "u": load + 0.5 * kappa * f - 0.5 * zeta * np.conj(fp) - 0.5 * np.conj(g),
             "f": 0.5 * f,
             "fprime": 0.5 * fp / self.gamma,
             "g": 0.5 * g,
-            "load_part": load,
-            "f_part": f_part,
-            "fprime_part": fp_part,
-            "g_part": g_part,
         }
 
     # -- interior ----------------------------------------------------------
@@ -389,15 +382,17 @@ def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
 
     Returns (regions, near) where regions[i] is "exterior" or "interior"
     by the even-odd rule against the sampled boundary polyline, and near[i]
-    marks points within band of that polyline. A horizontal ray to the
-    right of a point crosses an edge when the point's y lies in the edge's
-    half-open y-range and the crossing lies right of it; sweep_pairs finds
-    those (edge, point) pairs from the points sorted by y, so only pairs
-    that can cross (or, with the y-range widened by band, come near) are
-    formed.
+    marks points within band * gamma of that polyline: the band is a
+    fraction of the map's radius, so a grid scaled with the map flags the
+    same points at every gamma. A horizontal ray to the right of a point
+    crosses an edge when the point's y lies in the edge's half-open y-range
+    and the crossing lies right of it; sweep_pairs finds those (edge, point)
+    pairs from the points sorted by y, so only pairs that can cross (or,
+    with the y-range widened by the band, come near) are formed.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.reshape(-1)
+    band = band * cmap.gamma
     theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
     p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
     p1 = np.roll(p0, -1)

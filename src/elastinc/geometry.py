@@ -144,9 +144,8 @@ def boundary_point(cmap: ConformalMap, theta):
 
 def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) -> None:
     theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    z, h = boundary_point(cmap, theta)
-    if np.any(h <= 1e-12 * cmap.gamma):
-        raise GeometryError("degenerate parametrization: boundary scale factor vanishes")
+    # a vanishing scale factor h = gamma |Psi'| is refused by the derivative itself
+    z, _ = boundary_point(cmap, theta)
     pts = np.column_stack([z.real, z.imag])
     nxt = np.roll(pts, -1, axis=0)
     signed_area = 0.5 * np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0])

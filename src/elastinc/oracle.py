@@ -17,9 +17,10 @@ part (spectrally exact weights for the half-cotangent kernel, whose
 diagonal vanishes by odd symmetry); diagonal entries of the smooth parts
 are local Taylor limits involving the curve's second derivative. The
 weights depend on the node angles only through t_i - t_j, so each weight
-matrix is a read-only circulant view of one generating column; so are
-the angle factors |sin((t_i - t_j)/2)| and cot((t_i - t_j)/2), whose
-columns are evaluated at the signed difference reduced to [-q/2, q/2).
+matrix is a read-only circulant view of one generating column, built per
+call by one inverse real FFT of its mode coefficients; so are the angle
+factors |sin((t_i - t_j)/2)| and cot((t_i - t_j)/2), whose columns are
+evaluated at the signed difference reduced to [-q/2, q/2).
 
 Assembly computes the q x q factors that every block shares once per mesh
 (_chord_frames: the chord products, the log part and the conormal's smooth
@@ -41,7 +42,6 @@ instrument (node counts up to 512), not a performance target.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -137,37 +137,33 @@ def _circulant(column: np.ndarray) -> np.ndarray:
     return sliding_window_view(doubled, q)[::-1]
 
 
-def _mode_angles(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Modes m = 1 .. q/2 - 1 and the angles m t_k reduced mod 2 pi exactly."""
-    m = np.arange(1, q // 2)
-    return m, (2.0 * np.pi / q) * (np.outer(m, np.arange(q)) % q)
-
-
-@lru_cache(maxsize=8)
 def log_weights(q: int) -> np.ndarray:
     """Quadrature weights for the periodic kernel log(4 sin^2((t-s)/2)).
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
     applied to the smooth factor sampled at the nodes. The weights depend
     on t_i - t_j only, so the matrix is a read-only circulant view of one
-    generating column.
+    generating column, -(4 pi / q) sum_{m < q/2} cos(m t_k) / m
+    - (4 pi / q^2) (-1)^k: one inverse real FFT of the coefficients 1/m,
+    m = 1 .. q/2.
     """
-    m, angles = _mode_angles(q)
-    column = -(4.0 * np.pi / q) * np.sum(np.cos(angles) / m[:, None], axis=0)
-    column -= (4.0 * np.pi / q**2) * (-1.0) ** np.arange(q)
-    return _circulant(column)
+    c = np.zeros(q // 2 + 1)
+    c[1:] = 1.0 / np.arange(1, q // 2 + 1)
+    return _circulant(-2.0 * np.pi * np.fft.irfft(c, q))
 
 
-@lru_cache(maxsize=8)
 def hilbert_weights(q: int) -> np.ndarray:
     """Quadrature weights for the principal-value kernel cot((s-t)/2).
 
     Spectrally exact on trigonometric polynomials of degree below q/2;
     the diagonal weight is zero (odd symmetry about the singularity).
-    A read-only circulant view like the log weights.
+    A read-only circulant view like the log weights, of the column
+    -(4 pi / q) sum_{m < q/2} sin(m t_k): one inverse real FFT of the
+    coefficients -i, m = 1 .. q/2 - 1.
     """
-    _, angles = _mode_angles(q)
-    return _circulant(-(4.0 * np.pi / q) * np.sum(np.sin(angles), axis=0))
+    c = np.zeros(q // 2 + 1, dtype=complex)
+    c[1 : q // 2] = -1j
+    return _circulant(-2.0 * np.pi * np.fft.irfft(c, q))
 
 
 def _half_angle_columns(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -340,15 +336,6 @@ def rigid_fields(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return ones, 1j * ones, -1j * z
 
 
-def rigid_moments(mesh: BoundaryMesh, density: np.ndarray) -> np.ndarray:
-    """Arclength inner products of a nodal density with the rigid fields."""
-    values = np.asarray(density, dtype=complex)
-    wq = mesh.weights
-    return np.array(
-        [np.sum(wq * (values.real * r.real + values.imag * r.imag)) for r in rigid_fields(mesh.z)]
-    )
-
-
 # -- loading data on the mesh -------------------------------------------------
 
 
@@ -410,7 +397,10 @@ class OracleSolution:
     psi and phi hold the complex nodal densities psi_1 + i psi_2 of the
     exterior and interior layers (phi is None for a cavity); u_boundary is
     the complex boundary displacement taken from the exterior
-    representation.
+    representation. residual_norm is the one check of the solve: its
+    constraint rows are psi's normalised rigid moments, and in transmission
+    its displacement rows are the interior minus the exterior trace at the
+    nodes.
     """
 
     psi: np.ndarray
@@ -418,8 +408,6 @@ class OracleSolution:
     u_boundary: np.ndarray
     mesh: BoundaryMesh
     residual_norm: float
-    rigid_moments: np.ndarray
-    trace_gap: float
 
 
 def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
@@ -490,24 +478,12 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     material = system.material
     if material.has_interior:
         u_ext = system.loading_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
-        u_int = _complexify(matrix[: 2 * q, : 2 * q] @ sol[: 2 * q])
-        trace_gap = float(np.max(np.abs(u_int - u_ext)))
         phi = _complexify(sol[: 2 * q])
     else:
         layer = _single_layer_apply(system.frames, mesh.h, material.alpha, material.beta, psi)
         u_ext = system.loading_nodes + _complexify(layer)
-        trace_gap = 0.0
-
-    psi = _complexify(psi)
-    return OracleSolution(
-        psi=psi,
-        phi=phi,
-        u_boundary=u_ext,
-        mesh=mesh,
-        residual_norm=residual,
-        rigid_moments=rigid_moments(mesh, psi),
-        trace_gap=trace_gap,
-    )
+    return OracleSolution(psi=_complexify(psi), phi=phi, u_boundary=u_ext, mesh=mesh,
+                          residual_norm=residual)
 
 
 def solve_oracle(cmap: ConformalMap, material: MaterialPair, loading: LoadingSpec,

@@ -122,7 +122,6 @@ class BlockSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    n: int
     material: MaterialPair
     bundle: GeometryBundle
 
@@ -164,7 +163,7 @@ def assemble_system(material: MaterialPair, bundle: GeometryBundle,
             matrix[im, r], matrix[im, i] = plus.imag, minus.real
 
     h = np.concatenate([rhs[powers] for powers, rhs, _ in families])
-    return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]), n=n,
+    return BlockSystem(matrix=matrix, rhs=-2.0 * np.concatenate([h.real, h.imag]),
                        material=material, bundle=bundle)
 
 
@@ -235,7 +234,7 @@ def solve(system: BlockSystem) -> DensitySolution:
     residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale != 0 else 0.0
 
     # the kept modes of both sides onto the window; mode 0 is a minus entry
-    n = system.n
+    n = system.bundle.n
     ext_modes, int_modes, _, _ = kept_indices(n)
     x = sol.reshape(2, -1)
     window = np.zeros((2, 2 * n + 1), dtype=complex)  # exterior, interior
@@ -264,7 +263,7 @@ def solve(system: BlockSystem) -> DensitySolution:
         rank=rhs.size,
         rotation_projection=rotation_projection,
         converged=residual <= DEFAULT_RESIDUAL_THRESHOLD,
-        n=system.n,
+        n=n,
         mode="cavity" if cavity else "transmission",
     )
 

@@ -29,6 +29,10 @@ dense arrays, the reference for the blocks assemble_nystrom writes in
 place from shared factors. single_layer_matrix and conormal_matrix are thin
 callers of them; eval_oracle_interior and self_convergence call the
 reference solver's own potential and solve, the forms its tests check.
+rigid_moments and trace_gap measure two parts of the bordered residual the
+solver reports (OracleSolution.residual_norm) on their own: the exterior
+density's moments against the rigid motions, and the interior-exterior
+displacement gap at the nodes.
 """
 
 import csv
@@ -51,6 +55,7 @@ from elastinc.oracle import (
     OracleError,
     hilbert_weights,
     log_weights,
+    rigid_fields,
     single_layer_potential,
     solve_oracle,
 )
@@ -525,13 +530,10 @@ def deriv_layer_interior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray
 def _samples(arrays: dict, w, region: str, near) -> list[FieldSample]:
     """One FieldSample per evaluated point, converting each array column once."""
     columns = [np.asarray(arrays[key], dtype=complex).tolist()
-               for key in ("z", "u", "f", "fprime", "g",
-                           "load_part", "f_part", "fprime_part", "g_part")]
+               for key in ("z", "u", "f", "fprime", "g")]
     return [
-        FieldSample(wi, z, u, region, f, fp, g,
-                    {"load_part": lp, "f_part": fpart, "fprime_part": fppart, "g_part": gpart},
-                    nb)
-        for wi, nb, z, u, f, fp, g, lp, fpart, fppart, gpart in zip(w, near, *columns)
+        FieldSample(wi, z, u, region, f, fp, g, nb)
+        for wi, nb, z, u, f, fp, g in zip(w, near, *columns)
     ]
 
 
@@ -557,7 +559,7 @@ def grid_rows(solution, loading, cmap: ConformalMap, material, grid) -> list[Fie
     elif inner.size:
         samples[inner] = [
             FieldSample(w=nanval, z=zi, u=nanval, region="interior", f=nanval, fprime=nanval,
-                        g=nanval, parts={}, near_boundary=nb)
+                        g=nanval, near_boundary=nb)
             for zi, nb in zip(pts[inner].tolist(), near[inner].tolist())
         ]
     return samples.tolist()
@@ -691,6 +693,33 @@ def conormal_matrix(mesh, material, side: str = "exterior", trace: str = "exteri
                else (material.lam_int, material.mu_int))
     jump = {"exterior": 1.0, "interior": -1.0}[trace]
     return dense_conormal_blocks(mesh, dense_chord_frames(mesh), lam, mu, jump)
+
+
+def rigid_moments(mesh: BoundaryMesh, density: np.ndarray) -> np.ndarray:
+    """Arclength inner products of a nodal density with the rigid fields."""
+    values = np.asarray(density, dtype=complex)
+    wq = mesh.weights
+    return np.array(
+        [np.sum(wq * (values.real * r.real + values.imag * r.imag)) for r in rigid_fields(mesh.z)]
+    )
+
+
+def trace_gap(system, solution) -> float:
+    """max |u_int - u_ext| at the nodes of a transmission solve.
+
+    Both traces are read off the displacement rows of the assembled matrix:
+    u_int is the interior single layer of phi, u_ext the loading minus the
+    exterior single layer of psi (the block holds it with the minus sign).
+    """
+    q = system.mesh.q
+
+    def layer(block, density):
+        out = block @ np.concatenate([density.real, density.imag])
+        return out[:q] + 1j * out[q:]
+
+    u_int = layer(system.matrix[: 2 * q, : 2 * q], solution.phi)
+    u_ext = system.loading_nodes - layer(system.matrix[: 2 * q, 2 * q : 4 * q], solution.psi)
+    return float(np.max(np.abs(u_int - u_ext)))
 
 
 def eval_oracle_interior(solution, material, z) -> np.ndarray:
