@@ -17,7 +17,9 @@ density's explicit powers. Their coefficients are built once, exactly, from
 the map's kept Grunsky table and summed at every |w| >= gamma by
 loading.boundary_series.
 Interior evaluation uses the Faber sums alone, valid throughout the
-inclusion.
+inclusion. On the boundary circle itself every one of these sums is a
+Laurent polynomial in w, so the interface residuals take them at
+equispaced angles by one inverse FFT (FieldEvaluator._ring_arrays).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import (
+    SINGULAR_DERIVATIVE_TOL,
     ConformalMap,
+    GeometryError,
     eval_map,
     eval_map_derivative,
     exterior_series_orders,
@@ -179,11 +183,11 @@ class FieldEvaluator:
         y = np.convolve(density(xp, xm), kernel)
         # rows (L, Lbar, Cy): L and Lbar as sums of F_m(z), Cy as a sum of F_m'(z)
         self.faber_rows = np.stack([layer(xp[1:]), layer(np.conj(xm[1:])), layer(y[n + 2 :])])
-        # the w^-k terms of L and Lbar beside their Faber sums, y_0, y_-1, ...,
-        # y_-n-1 beside that of Cy, and the log w coefficient of L
+        # the w^-k terms of L and Lbar beside their Faber sums, and y_0, y_-1,
+        # ..., y_-n-1 beside that of Cy; mode 0 of the exterior density is
+        # never kept (system.kept_indices), so L has no log w term
         self.wneg = np.stack([-xm[1:], -np.conj(xp[1:])]) * scale[:n]
         self.yneg = y[n + 1 :: -1]
-        self.x0_log = xm[0]
         self.load_series = LoadingSeries(loading, cmap)
 
         # interior polynomials (transmission mode)
@@ -199,9 +203,8 @@ class FieldEvaluator:
     def tail(self) -> np.ndarray:
         """Rows (f, fbar, C, q) of the exterior layer terms, Laurent series in 1/w.
 
-        Column k of f and fbar is the w^-k coefficient of L and Lbar without
-        their log terms; C and q are w Psi'(w) times Cpsi and Cy, so that
-        the log term contributes x0 to the w^0 slot of C. Every Faber row
+        Column k of f and fbar is the w^-k coefficient of L and Lbar; C and
+        q are w Psi'(w) times Cpsi and Cy, so C = -k f. Every Faber row
         stops at the order n + K, and c_mk = 0 for k > mK, so with
         max(n + 2, (n + K) K) columns the series are exact, not truncated.
         Built on the first exterior evaluation: interior evaluation never
@@ -218,7 +221,6 @@ class FieldEvaluator:
         tail[[0, 1, 3]] = self.faber_rows @ grunsky_rows(self.unit, order, kfar)
         tail[:2, 1 : n + 1] += self.wneg
         tail[2] = -ks * tail[0]
-        tail[2, 0] = self.x0_log
         tail[3] *= -ks
         tail[3, : n + 2] += self.yneg
         return tail
@@ -235,30 +237,35 @@ class FieldEvaluator:
         if np.any(np.abs(w) < self.gamma * (1.0 - 1e-12)):
             raise FieldError("exterior evaluation requires |w| >= gamma")
         z = eval_map(self.cmap, w)
-        omega, zeta = w / self.gamma, z / self.gamma
-        alpha, beta = self.material.alpha, self.material.beta
-        L, Lbar, C, q = boundary_series(np.zeros(1), self.tail, omega)
-        logw = np.log(omega)
+        omega = w / self.gamma
         wdpsi = omega * eval_map_derivative(self.unit, omega)
-        f = beta * (L + self.x0_log * logw)
+        return self._exterior(z, boundary_series(np.zeros(1), self.tail, omega), wdpsi,
+                              self.load_series.potentials(z))
+
+    def _exterior(self, z, tail_sums, wdpsi, load_sums) -> dict:
+        """Exterior arrays from the tail's sums (L, Lbar, C, q), w Psi'(w) of
+        the unit map and the loading's (f, g, f')."""
+        L, Lbar, C, q = tail_sums
+        fH, gH, dfH = load_sums
+        alpha, beta, kappa = self.material.alpha, self.material.beta, self.material.kappa
+        f = beta * L
         fp = beta * (C / wdpsi)
-        g = -alpha * (Lbar + np.conj(self.x0_log) * logw) - beta * (q / wdpsi)
-        fH, gH, dfH = self.load_series.potentials(z)
-        kappa = self.material.kappa
+        g = -alpha * Lbar - beta * (q / wdpsi)
         load = kappa * fH - z * np.conj(dfH) - np.conj(gH)
-        arrays = self._arrays(z, zeta, load, kappa, f, fp, g)
+        arrays = self._arrays(z, load, kappa, f, fp, g)
         arrays["f"] += fH
         arrays["fprime"] += dfH
         arrays["g"] += gH
         return arrays
 
-    def _arrays(self, z, zeta, load, kappa, f, fp, g) -> dict:
+    def _arrays(self, z, load, kappa, f, fp, g) -> dict:
         """The displacement u = load + (kappa f - zeta conj(fp) - conj(g)) / 2.
 
-        f, fp and g are the layer potentials of the unit-radius problem; the
-        returned f, fprime and g are their halves, fprime returned to z by
-        1/gamma.
+        f, fp and g are the layer potentials of the unit-radius problem,
+        zeta = z / gamma its point; the returned f, fprime and g are their
+        halves, fprime returned to z by 1/gamma.
         """
+        zeta = z / self.gamma
         return {
             "z": z,
             "u": load + 0.5 * kappa * f - 0.5 * zeta * np.conj(fp) - 0.5 * np.conj(g),
@@ -266,6 +273,62 @@ class FieldEvaluator:
             "fprime": 0.5 * fp / self.gamma,
             "g": 0.5 * g,
         }
+
+    # -- the boundary ring -------------------------------------------------
+
+    def _ring_arrays(self, count: int) -> tuple[dict, dict | None]:
+        """Exterior arrays, and in transmission interior arrays, on |w| = gamma.
+
+        The points are w_j = gamma omega^j, omega = e^(2 pi i / count),
+        j = 0..count-1. There every sum the arrays need is a Laurent
+        polynomial in omega: Psi and omega Psi' of the unit map, the exterior
+        tail, and each Faber sum sum_m d_m F_m = sum_m d_m omega^m +
+        sum_k (d C)_k omega^-k, C the kept Grunsky table, with the derivative
+        sums as omega Psi' sum_m d_m F_m' = sum_m m d_m omega^m -
+        sum_k k (d C)_k omega^-k. At count equispaced points a power counts
+        only modulo count, so each row's powers are folded into count slots,
+        exactly also when a row has more than count powers, and one inverse
+        FFT sums every row at every point. The pointwise formulas are those
+        of exterior_arrays and interior_arrays_z.
+        """
+        unit, load = self.unit, self.load_series
+        transmission = self.solution.mode == "transmission"
+        order, kfar = exterior_series_orders(unit, max(self.solution.n, load.order))
+        # Faber rows: the loading's f, g, f', then the interior Li, Libar, Ci, Cyi
+        d = np.zeros((3, order + 1), dtype=complex)
+        d[:, : load.rows.shape[1]] = load.rows[[0, 1, 0]]
+        if transmission:
+            d = np.vstack([d, self.faber_values_i, self.faber_derivs_i])
+        deriv = np.isin(np.arange(d.shape[0]), [2, 5, 6])
+
+        # coefficients of the powers -kfar..order, padded in front so that
+        # column 0 holds a power divisible by count, and behind to whole blocks
+        front = -kfar % count
+        zero = front + kfar
+        width = -(-(zero + order + 1) // count) * count
+        coeffs = np.zeros((6 + d.shape[0], width), dtype=complex)
+        pos = coeffs[:, zero : zero + order + 1]
+        neg = coeffs[:, front : zero + 1][:, ::-1]
+        ks, b = np.arange(kfar + 1), unit.a
+        pos[:2, 1] = 1.0  # Psi and omega Psi'
+        neg[0, : b.size] = b
+        neg[1, : b.size] = -ks[: b.size] * b
+        neg[2:6, : self.tail.shape[1]] = self.tail
+        neg[6:] = d @ grunsky_rows(unit, order, kfar)
+        neg[6:][deriv] *= -ks
+        d[deriv] *= np.arange(order + 1)
+        pos[6:] += d
+        folded = coeffs.reshape(coeffs.shape[0], -1, count).sum(axis=1)
+        zeta, wdpsi, *sums = np.fft.ifft(folded, norm="forward")
+        if np.any(np.abs(wdpsi) < SINGULAR_DERIVATIVE_TOL):
+            raise GeometryError("map derivative vanishes at an evaluation point")
+        z = self.gamma * zeta
+        fH, gH, dfH = sums[4:7]
+        outer = self._exterior(z, sums[:4], wdpsi, (fH, gH, dfH / wdpsi / self.gamma))
+        if not transmission:
+            return outer, None
+        sL, sLbar, sC, sCy = sums[7:]
+        return outer, self._interior(z, sL, sLbar, sC / wdpsi, sCy / wdpsi)
 
     # -- interior ----------------------------------------------------------
 
@@ -275,15 +338,19 @@ class FieldEvaluator:
             raise FieldError("cavity solutions have no interior field")
         z = np.asarray(z, dtype=complex)
         zeta = z / self.gamma
-        at, bt, kt = self.material.interior_constants()
         (sL, sLbar), (sC, sCy) = faber_series(
             self.unit, zeta, self.faber_values_i, self.faber_derivs_i
         )
+        return self._interior(z, sL, sLbar, sC, sCy)
+
+    def _interior(self, z, sL, sLbar, sC, sCy) -> dict:
+        """Interior arrays from the Faber sums (Li, Libar) and derivative sums (Ci, Cyi)."""
+        at, bt, kt = self.material.interior_constants()
         f = bt * sL
         fp = bt * sC
         g = -at * sLbar - bt * sCy
         load = np.full_like(z, -0.5 * (bt * self.mean_i))
-        return self._arrays(z, zeta, load, kt, f, fp, g)
+        return self._arrays(z, load, kt, f, fp, g)
 
     def interior_arrays(self, w: np.ndarray) -> dict:
         """Interior evaluation at preimage points in the extension band."""
@@ -307,14 +374,11 @@ def transmission_residual(solution: DensitySolution, loading: LoadingSpec,
     boundary and the largest pairwise spread of the traction-potential
     difference, both evaluated on the boundary w = gamma e^(i theta) at
     angles equispaced angles, from the exterior series and the interior
-    polynomials.
+    polynomials summed there by one inverse FFT.
     """
     if solution.mode != "transmission":
         raise FieldError("transmission residual needs a transmission solution")
-    w = _boundary_ring(cmap, angles)
-    ev = FieldEvaluator(solution, loading, cmap, material)
-    outer = ev.exterior_arrays(w)
-    inner = ev.interior_arrays_z(outer["z"])
+    outer, inner = FieldEvaluator(solution, loading, cmap, material)._ring_arrays(angles)
     r_disp = float(np.max(np.abs(outer["u"] - inner["u"])))
     diff = _traction_arrays(outer, material.mu_ext) - _traction_arrays(inner, material.mu_int)
     r_trac = float(np.max(np.abs(diff[:, None] - diff[None, :])))
@@ -329,15 +393,9 @@ def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
     traction-free cavity this measures how far the solved field is from
     exactly cancelling the loading traction.
     """
-    w = _boundary_ring(cmap, angles)
-    ev = FieldEvaluator(solution, loading, cmap, material)
-    te = _traction_arrays(ev.exterior_arrays(w), material.mu_ext)
+    outer, _ = FieldEvaluator(solution, loading, cmap, material)._ring_arrays(angles)
+    te = _traction_arrays(outer, material.mu_ext)
     return float(np.max(np.abs(te[:, None] - te[None, :])))
-
-
-def _boundary_ring(cmap: ConformalMap, count: int) -> np.ndarray:
-    """count equispaced points on the boundary circle |w| = gamma."""
-    return cmap.gamma * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, count, endpoint=False))
 
 
 # -- physical-plane plumbing -------------------------------------------------

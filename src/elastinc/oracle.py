@@ -94,7 +94,7 @@ class BoundaryMesh:
 
     def __post_init__(self) -> None:
         check_node_count(self.q)
-        if np.min(np.abs(np.roll(self.z, -1) - self.z)) <= 1e-12:
+        if np.min(np.abs(np.roll(self.z, -1) - self.z)) <= 1e-12 * np.max(np.abs(self.z)):
             raise OracleError("mesh nodes are not distinct")
         if np.max(np.abs(np.abs(self.normal) - 1.0)) > 1e-12:
             raise OracleError("normals are not unit length")
@@ -253,8 +253,8 @@ def _chord_frames(mesh: BoundaryMesh) -> _ChordFrames:
 
 
 def _write_single_layer(out: np.ndarray, frames: _ChordFrames, h: np.ndarray,
-                        alpha: float, beta: float, sign: float) -> None:
-    """Write sign times the (2q, 2q) single-layer trace matrix into the view out.
+                        alpha: float, beta: float, factor: float) -> None:
+    """Write factor times the (2q, 2q) single-layer trace matrix into the view out.
 
     Block (a, b) is (alpha / 2 pi) h_j (delta_ab log_part + ratio e_ab),
     ratio = -beta htrap / alpha, formed in out itself with no temporary;
@@ -263,7 +263,7 @@ def _write_single_layer(out: np.ndarray, frames: _ChordFrames, h: np.ndarray,
     q = h.size
     htrap = 2.0 * np.pi / q
     ratio = -beta * htrap / alpha
-    scale = (sign * alpha / (2.0 * np.pi)) * h
+    scale = (factor * alpha / (2.0 * np.pi)) * h
     for blk, chord in ((out[:q, :q], frames.e11), (out[q:, q:], frames.e22)):
         np.multiply(chord, ratio, out=blk)
         blk += frames.log_part
@@ -416,8 +416,11 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
 
     Transmission: displacement rows equate the interior layer to the
     exterior layer plus the loading; traction rows do the same for the
-    one-sided conormal derivatives. Cavity: the exterior conormal rows
-    alone, with a traction-free boundary. The blocks are written into the
+    one-sided conormal derivatives. Displacements scale as gamma and
+    traction potentials as 1, so the displacement rows and their
+    right-hand side are divided by gamma: the matrix's conditioning is then
+    that of the unit-radius problem at every scale. Cavity: the exterior
+    conormal rows alone, with a traction-free boundary. The blocks are written into the
     (N+3, N+3) matrix in place, bordered by the constraint rows and their
     transpose.
     """
@@ -431,13 +434,14 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         n = 4 * q
         matrix = np.zeros((n + 3, n + 3))
         alpha_t, beta_t = material.interior_constants()[:2]
-        _write_single_layer(matrix[: 2 * q, : 2 * q], frames, h, alpha_t, beta_t, 1.0)
+        inv_gamma = 1.0 / mesh.cmap.gamma  # the displacement rows' scale
+        _write_single_layer(matrix[: 2 * q, : 2 * q], frames, h, alpha_t, beta_t, inv_gamma)
         _write_single_layer(matrix[: 2 * q, 2 * q : n], frames, h, material.alpha, material.beta,
-                            -1.0)
+                            -inv_gamma)
         _write_conormal(matrix[2 * q : n, : 2 * q], frames,
                         material.lam_int, material.mu_int, -1.0, 1.0)
         _write_conormal(matrix[2 * q : n, 2 * q : n], frames, lam, mu, 1.0, -1.0)
-        rhs = np.concatenate([_components(h_nodes), _components(dh_nodes)])
+        rhs = np.concatenate([_components(h_nodes) * inv_gamma, _components(dh_nodes)])
     else:
         n = 2 * q
         matrix = np.zeros((n + 3, n + 3))
@@ -477,7 +481,8 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
     psi, phi = sol[n - 2 * q :], None
     material = system.material
     if material.has_interior:
-        u_ext = system.loading_nodes - _complexify(matrix[: 2 * q, 2 * q : n] @ psi)
+        layer = mesh.cmap.gamma * (matrix[: 2 * q, 2 * q : n] @ psi)
+        u_ext = system.loading_nodes - _complexify(layer)
         phi = _complexify(sol[: 2 * q])
     else:
         layer = _single_layer_apply(system.frames, mesh.h, material.alpha, material.beta, psi)

@@ -710,11 +710,12 @@ def trace_gap(system, solution) -> float:
     Both traces are read off the displacement rows of the assembled matrix:
     u_int is the interior single layer of phi, u_ext the loading minus the
     exterior single layer of psi (the block holds it with the minus sign).
+    The rows hold the layers divided by gamma.
     """
     q = system.mesh.q
 
     def layer(block, density):
-        out = block @ np.concatenate([density.real, density.imag])
+        out = system.mesh.cmap.gamma * (block @ np.concatenate([density.real, density.imag]))
         return out[:q] + 1j * out[q:]
 
     u_int = layer(system.matrix[: 2 * q, : 2 * q], solution.phi)

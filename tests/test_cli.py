@@ -438,6 +438,26 @@ def test_oracle_check_passes_at_loading_order_32(tmp_path):
     assert report["exterior_max"] <= 1e-6
 
 
+def test_oracle_check_at_a_tiny_radius(tmp_path):
+    # the four-term map scaled to gamma = 1e-11 at q = 512: its mesh nodes lie
+    # about 1e-13 apart, which an absolute node test refused (exit 4), and its
+    # displacement rows, which scale as gamma, are divided by gamma, so the
+    # Nystrom condition estimate stays that of gamma = 1 (it read 1.4e16)
+    estimates = {}
+    for gamma in (1.0, 1e-11):
+        a = np.array([0.1, 0.25, 0.08 + 0.05j, 0.03]) * gamma ** np.arange(1.0, 5.0)
+        cfg = base_config(truncation=16, oracle={"enabled": False, "q": 512})
+        cfg["map"] = {"gamma": gamma, "a": [[x.real, x.imag] for x in a]}
+        out = tmp_path / f"out{gamma:g}"
+        code = run(write_config(tmp_path, cfg), command="oracle-check", out_dir=str(out),
+                   stream=io.StringIO())
+        assert code == EXIT_OK
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert report["within_tolerance"] is True
+        estimates[gamma] = report["condition_estimate"]
+    assert 0.5 <= estimates[1e-11] / estimates[1.0] <= 2.0
+
+
 def test_reruns_are_deterministic(tmp_path):
     path = write_config(tmp_path, base_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

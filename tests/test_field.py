@@ -23,6 +23,7 @@ from elastinc.field import (
 )
 from elastinc.geometry import (
     ConformalMap,
+    GeometryError,
     build_geometry,
     eval_map,
     eval_map_derivative,
@@ -483,6 +484,72 @@ def test_interface_residual_tracks_truncation():
         sol = solve(assemble_system(TRANS, build_geometry(FOURTERM, n), loading))
         residual[n] = max(transmission_residual(sol, loading, FOURTERM, TRANS, 64))
     assert residual[32] <= 1e-3 * residual[16]
+
+
+RING_SHAPES = {"disk": [0.0], "ellipse": [0.0, 0.3],
+               "fourterm": [0.1, 0.25, 0.08 + 0.05j, 0.03], "elongated": [0.0, 0.9]}
+RING_LOADING = LoadingSpec([0.0, 0.3 - 0.1j, 0.2], [0.0, 1.0, 0.25j])
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("shape", sorted(RING_SHAPES))
+def test_ring_arrays_match_pointwise_evaluation(shape, gamma):
+    # one inverse FFT of the folded Laurent rows gives the exterior and
+    # interior arrays on |w| = gamma; count = 16 at n = 64 folds rows whose
+    # powers run far past the count
+    a = np.asarray(RING_SHAPES[shape], dtype=complex)
+    cmap = ConformalMap(gamma, a * gamma ** np.arange(1.0, a.size + 1.0))
+    for material in (TRANS, CAV):
+        for n, counts in ((8, [64]), (16, [64]), (64, [16, 64])):
+            sol = solve(assemble_system(material, build_geometry(cmap, n), RING_LOADING))
+            ev = FieldEvaluator(sol, RING_LOADING, cmap, material)
+            for count in counts:
+                outer, inner = ev._ring_arrays(count)
+                w = gamma * np.exp(2j * np.pi * np.arange(count) / count)
+                want = ev.exterior_arrays(w)
+                pairs = [(outer, want)]
+                if material.cavity:
+                    assert inner is None
+                else:
+                    pairs.append((inner, ev.interior_arrays_z(want["z"])))
+                for got, ref in pairs:
+                    assert set(got) == set(ref)
+                    scale = np.max(np.abs(ref["u"]))
+                    for key in ("u", "f", "g"):
+                        assert np.max(np.abs(got[key] - ref[key])) <= 1e-12 * scale
+                    fp_scale = np.max(np.abs(ref["fprime"]))
+                    assert np.max(np.abs(got["fprime"] - ref["fprime"])) <= 1e-12 * fp_scale
+                    assert np.max(np.abs(got["z"] - ref["z"])) <= 1e-15 * np.max(np.abs(ref["z"]))
+
+
+def test_residuals_sum_no_series_at_points(monkeypatch):
+    # the residuals read the ring arrays: neither the Faber recurrence on
+    # point values nor the blocked power sums run
+    sol_t = solve(assemble_system(TRANS, build_geometry(FOURTERM, 32), RING_LOADING))
+    sol_c = solve(assemble_system(CAV, build_geometry(FOURTERM, 32), RING_LOADING))
+    want_t = transmission_residual(sol_t, RING_LOADING, FOURTERM, TRANS, 64)
+    want_c = boundary_traction_spread(sol_c, RING_LOADING, FOURTERM, CAV, 64)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series summed at points")
+
+    for target in ("elastinc.geometry.faber_series", "elastinc.loading.faber_series",
+                   "elastinc.field.faber_series", "elastinc.loading.boundary_series",
+                   "elastinc.field.boundary_series", "elastinc.field.eval_map",
+                   "elastinc.field.eval_map_derivative"):
+        monkeypatch.setattr(target, refuse)
+    assert transmission_residual(sol_t, RING_LOADING, FOURTERM, TRANS, 64) == want_t
+    assert boundary_traction_spread(sol_c, RING_LOADING, FOURTERM, CAV, 64) == want_c
+    assert max(want_t) <= BOUNDARY_TOL and want_c <= BOUNDARY_TOL
+
+
+def test_ring_refuses_a_vanishing_map_derivative():
+    # the slit a1 = 1 is refused as a map; unvalidated, its derivative
+    # vanishes at theta = 0 and pi, two of the 16 ring points
+    slit = ConformalMap(1.0, [0.0, 1.0], validate=False)
+    ev = FieldEvaluator(zero_solution(4), single_mode(1, 1.0, 4), slit, CAV)
+    with pytest.raises(GeometryError, match="vanishes"):
+        ev._ring_arrays(16)
 
 
 def test_interior_evaluation_builds_no_tail(monkeypatch):

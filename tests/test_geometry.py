@@ -4,9 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from elastinc.geometry import (
     SIMPLE_CURVE_SAMPLES,
+    SINGULAR_DERIVATIVE_TOL,
     ConformalMap,
     GeometryError,
     boundary_point,
@@ -18,8 +21,10 @@ from elastinc.geometry import (
     faber_series,
     grunsky_rows,
     sweep_pairs,
+    _certified_univalent,
     _grunsky_recurrence,
     _polyline_self_intersects,
+    _validate_boundary,
 )
 from layer_reference import (
     faber_inverse,
@@ -479,12 +484,79 @@ def test_self_intersection_matches_brute_force_on_benchmark_maps(shape, gamma):
 
 
 def test_map_validation_peak_memory():
-    # the all-pairs scan peaked near 51 MB on this map; the sweep needs well under 1 MB
+    # the all-pairs scan peaked near 51 MB on this map; the sweep needs well
+    # under 1 MB. The map is certified, so the sampled test is called itself.
+    cmap = ConformalMap(1.0, [0.0, 0.3], validate=False)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        ConformalMap(1.0, [0.0, 0.3])
+        _validate_boundary(cmap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+# ---------------------------------------------------------------------------
+# the coefficient certificate of univalence
+
+
+def certificate_sum(gamma, a):
+    """s = sum_{k>=1} k |a_k| gamma^(-k-1), summed in Python."""
+    return sum(k * abs(complex(ak)) / gamma ** (k + 1) for k, ak in enumerate(a) if k >= 1)
+
+
+INVALID_FIXTURES = {  # the maps the certificate leaves to the sampled test
+    (1.0, (0.0, 1.0)): "derivative vanishes",
+    (1.0, (0.0, 1.2)): "reversed orientation",
+    (1.0, (0.0, 0.0, 0.0, 0.5)): "not simple",
+}
+
+
+def test_certified_maps_skip_the_sampled_test(monkeypatch):
+    certified = [(g, a) for g, a in FIXTURE_MAPS
+                 if certificate_sum(g, a) <= 1.0 - SINGULAR_DERIVATIVE_TOL]
+    assert len(certified) == len(FIXTURE_MAPS) - 2  # all but the folded and the crossing map
+
+    def refuse(cmap, samples=SIMPLE_CURVE_SAMPLES):
+        raise AssertionError("sampled test ran on a certified map")
+
+    monkeypatch.setattr("elastinc.geometry._validate_boundary", refuse)
+    for gamma, a in certified:
+        ConformalMap(gamma, a)
+    for gamma, a in INVALID_FIXTURES:
+        with pytest.raises(AssertionError, match="sampled test ran"):
+            ConformalMap(gamma, a)
+    monkeypatch.undo()
+    for (gamma, a), message in INVALID_FIXTURES.items():
+        with pytest.raises(GeometryError, match=message):
+            ConformalMap(gamma, a)
+
+
+def test_certificate_overflow_is_not_a_certificate():
+    # gamma^(-k-1) overflows at gamma = 1e-200: s is inf or NaN, with no
+    # warning, and the map goes to the sampled test
+    for a in ([0.0, 1e-300], [0.0, 0.0, 1e-300]):
+        assert not _certified_univalent(ConformalMap(1e-200, a, validate=False))
+
+
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 11),
+       log_gamma=st.floats(-6.0, 6.0), target=st.floats(0.02, 1.25))
+@example(seed=0, depth=1, log_gamma=0.0, target=1.1)  # an ellipse folded onto itself
+@example(seed=1, depth=4, log_gamma=-6.0, target=0.999)
+def test_certified_maps_pass_the_sampled_test(seed, depth, log_gamma, target):
+    # s <= 1 - 1e-12 makes the map univalent on |w| >= gamma, so the sampled
+    # test accepts it; the draws reach past s = 1, where a certificate that
+    # admitted more would pass maps the sampled test refuses
+    rng = np.random.default_rng(seed)
+    gamma = 10.0**log_gamma
+    b = rng.standard_normal(depth + 1) + 1j * rng.standard_normal(depth + 1)
+    k = np.arange(1, depth + 1)
+    b[1:] *= target / np.sum(k * np.abs(b[1:]))
+    cmap = ConformalMap(gamma, b * gamma ** np.arange(1.0, depth + 2.0), validate=False)
+    if _certified_univalent(cmap):
+        _validate_boundary(cmap)
+    threshold = 1.0 - SINGULAR_DERIVATIVE_TOL
+    s = certificate_sum(gamma, cmap.a)
+    if abs(s - threshold) > 1e-13:
+        assert _certified_univalent(cmap) == (s <= threshold)

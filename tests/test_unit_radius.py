@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from elastinc.field import FieldEvaluator, invert_map
-from elastinc.geometry import ConformalMap, build_geometry, eval_map
+from elastinc.geometry import ConformalMap, build_geometry, eval_map, faber_derivative_matrices
 from elastinc.loading import LoadingSpec, eval_loading
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system, solve
@@ -230,3 +230,49 @@ def test_high_contrast_approaches_rigid_limit():
     changes = [np.max(np.abs(b - a)) for a, b in zip(fields, fields[1:])]
     assert all(prev / nxt >= 50.0 for prev, nxt in zip(changes, changes[1:]))
     assert max(errors) <= INTERFACE_TOL
+
+
+# ---------------------------------------------------------------------------
+# the Translation property: moving the inclusion moves the field
+
+
+TRANSLATION_TOL = 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["transmission", "cavity"]),
+       n=st.integers(8, 32))
+@example(seed=3, mode="transmission", n=32)
+@example(seed=4, mode="cavity", n=8)
+def test_translation_property(seed, mode, n):
+    # a0 -> a0 + c moves the inclusion by c, and a loading moved with it has
+    # the potentials f(z - c) and g(z - c) - conj(c) f'(z - c); in the Faber
+    # basis, whose polynomials move with a0, that is B -> B + conj(c) (A Dt).
+    # Its mode-0 part, a constant in g, is left out of a loading: it is the
+    # rigid translation -c conj((A Dt)_0). So u moves to u(z - c) less that
+    # translation, outside the inclusion and inside.
+    rng = np.random.default_rng(seed)
+    cmap = random_map(rng, depth=int(rng.integers(1, 6)))
+    c = complex(*(3.0 * cmap.gamma * rng.standard_normal(2)))
+    material = material_for(mode, rng)
+    loading = loading_for(rng)
+    a = cmap.a.copy()
+    a[0] += c
+    moved = ConformalMap(cmap.gamma, a)
+    derivative_row = loading.A @ faber_derivative_matrices(moved, loading.A.size - 1)
+    B = loading.B + np.conj(c) * derivative_row
+    B[0] = 0.0
+    translation = -c * np.conj(derivative_row[0])
+    _, ev = solved(cmap, material, loading, n)
+    _, ev_moved = solved(moved, material, LoadingSpec(loading.A, B), n)
+
+    gamma = cmap.gamma
+    w = gamma * (1.0 + 2.0 * rng.random(16)) * np.exp(2j * np.pi * rng.random(16))
+    ext, ext_moved = ev.exterior_arrays(w), ev_moved.exterior_arrays(w)
+    assert np.max(np.abs(ext_moved["z"] - c - ext["z"])) <= 1e-14 * (abs(c) + gamma)
+    scale = np.max(np.abs(ext["u"]))
+    assert np.max(np.abs(ext_moved["u"] - translation - ext["u"])) <= TRANSLATION_TOL * scale
+    if mode == "transmission":
+        w_in = 0.95 * gamma * np.exp(2j * np.pi * rng.random(8))
+        inner = ev.interior_arrays(w_in)["u"]
+        inner_moved = ev_moved.interior_arrays(w_in)["u"]
+        assert np.max(np.abs(inner_moved - translation - inner)) <= TRANSLATION_TOL * scale
