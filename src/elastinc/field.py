@@ -8,7 +8,9 @@ driven by a pair of holomorphic functions (f, g):
 
 Sums over the map-adapted (Faber) polynomials in z, the loading's and the
 interior layer terms', run the Faber recurrence on the point values
-(geometry.faber_series), so no monomial coefficients are formed. The layer
+(geometry.faber_series), so no monomial coefficients are formed; a sum of
+derivatives F_m' is the value sum of its row times the derivative matrix
+Dt, since F_m' = sum_j Dt[m, j] F_j exactly. The layer
 terms shift their densities to the conjugate coordinate by one convolution
 with the map coefficients. Outside, the layer terms decay, and for a
 Laurent-polynomial map of depth K they are finite Laurent series in 1/w:
@@ -20,6 +22,12 @@ Interior evaluation uses the Faber sums alone, valid throughout the
 inclusion. On the boundary circle itself every one of these sums is a
 Laurent polynomial in w, so the interface residuals take them at
 equispaced angles by one inverse FFT (FieldEvaluator._ring_arrays).
+
+On a grid of physical points, one sweep over the sampled boundary gives
+both region masks, interior by the even-odd rule and the boundary band by
+segment distance (_regions), and exterior points are inverted by Newton's
+method from the first-order seed w = zeta - a1 / zeta, zeta = z - a0, with
+Psi and Psi' taken in one Horner pass per iteration (invert_map).
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .geometry import (
     eval_map,
     eval_map_derivative,
     exterior_series_orders,
+    faber_derivative_matrices,
     faber_series,
     grunsky_rows,
     sweep_pairs,
@@ -194,10 +203,22 @@ class FieldEvaluator:
         if solution.mode == "transmission":
             xpi, xmi = solution.xi_plus, solution.xi_minus
             yi = np.convolve(density(xpi, xmi), kernel)
-            # rows: (Li, Libar) as sums of F_m(z), (Ci, Cyi) as sums of F_m'(z)
+            # rows: (Li, Libar) as sums of F_m, (Ci, Cyi) as sums of F_m'
             self.faber_values_i = np.stack([layer(xpi[1:]), layer(np.conj(xmi[1:]))])
             self.faber_derivs_i = np.stack([layer(xpi[1:]), layer(yi[n + 2 :])])
             self.mean_i = xmi[0]
+
+    @cached_property
+    def interior_rows(self) -> np.ndarray:
+        """Rows (Li, Libar, Ci Dt, Cyi Dt): every interior sum as a sum of F_m.
+
+        F_m' = sum_j Dt[m, j] F_j exactly, so one value recurrence serves the
+        derivative sums too. Built on the first interior evaluation, so an
+        evaluator that never goes inside does not pay for Dt.
+        """
+        order = self.faber_derivs_i.shape[1] - 1
+        slopes = self.faber_derivs_i @ faber_derivative_matrices(self.unit, order)
+        return np.vstack([self.faber_values_i, slopes])
 
     @cached_property
     def tail(self) -> np.ndarray:
@@ -337,10 +358,7 @@ class FieldEvaluator:
         if self.solution.mode != "transmission":
             raise FieldError("cavity solutions have no interior field")
         z = np.asarray(z, dtype=complex)
-        zeta = z / self.gamma
-        (sL, sLbar), (sC, sCy) = faber_series(
-            self.unit, zeta, self.faber_values_i, self.faber_derivs_i
-        )
+        sL, sLbar, sC, sCy = faber_series(self.unit, z / self.gamma, self.interior_rows)
         return self._interior(z, sL, sLbar, sC, sCy)
 
     def _interior(self, z, sL, sLbar, sC, sCy) -> dict:
@@ -401,20 +419,50 @@ def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
 # -- physical-plane plumbing -------------------------------------------------
 
 
+def _map_and_derivative(cmap: ConformalMap, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Psi(w) and Psi'(w) in one Horner pass over the shared u = 1/w.
+
+    With P(u) = sum_k a_k u^k, Psi = w + P(u) and Psi' = 1 - u^2 P'(u); P
+    and P' run through the coefficients together.
+    """
+    u = 1.0 / w
+    p = np.zeros_like(w)
+    dp = np.zeros_like(w)
+    for ak in cmap.a[::-1]:
+        dp *= u
+        dp += p
+        p *= u
+        p += ak
+    dp *= u * u
+    dpsi = 1.0 - dp
+    if np.any(np.abs(dpsi) < SINGULAR_DERIVATIVE_TOL):
+        raise GeometryError("map derivative vanishes at an evaluation point")
+    return w + p, dpsi
+
+
 def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     """Newton inversion of the exterior map at physical points z.
 
-    Convergence is tracked per point and only unconverged points iterate.
-    A step that would land below |w| = 0.6 gamma is halved until it does
-    not, which keeps every iterate inside the map's evaluation margin. A
-    point stops one Newton step after its residual drops below tolerance;
-    that last step takes the iterate to full precision.
+    The iteration starts from the first-order inverse w = zeta - a1 / zeta,
+    zeta = z - a0 (zeta alone where |zeta| < 1e-12 gamma, so that 1 / zeta
+    neither divides by zero nor overflows), moved out to |w| = 2 gamma when
+    it lies inside the circle. Convergence
+    is tracked per point and only unconverged points iterate, each
+    iteration one Horner pass for Psi and Psi'. A step that would land
+    below |w| = 0.6 gamma is halved until it does not, which keeps every
+    iterate inside the map's evaluation margin. A point stops one Newton
+    step after its residual drops below tolerance; that last step takes the
+    iterate to full precision.
     """
     z = np.asarray(z, dtype=complex)
-    w = z - cmap.coeff(0)
-    w = np.where(np.abs(w) < cmap.gamma, 2.0 * cmap.gamma * np.exp(1j * np.angle(w)), w)
-    shape = w.shape
-    w, zf = w.reshape(-1), z.reshape(-1)
+    shape = z.shape
+    zf = z.reshape(-1)
+    zeta = zf - cmap.coeff(0)
+    inv = np.divide(1.0, zeta, out=np.zeros_like(zeta),
+                    where=np.abs(zeta) >= SINGULAR_DERIVATIVE_TOL * cmap.gamma)
+    w = zeta - cmap.coeff(1) * inv
+    inside = np.abs(w) < cmap.gamma
+    w[inside] = 2.0 * cmap.gamma * np.exp(1j * np.angle(w[inside]))
     tol = NEWTON_TOL * max(cmap.gamma, float(np.max(np.abs(z), initial=0.0)))
     floor = 0.6 * cmap.gamma
     active = np.arange(w.size)
@@ -422,17 +470,61 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
         if active.size == 0:
             break
         wa = w[active]
-        val = eval_map(cmap, wa, margin=0.5) - zf[active]
-        step = val / eval_map_derivative(cmap, wa, margin=0.5)
-        low = np.abs(wa - step) < floor
+        psi, dpsi = _map_and_derivative(cmap, wa)
+        val = psi - zf[active]
+        step = val / dpsi
+        nxt = wa - step
+        low = np.abs(nxt) < floor
         while np.any(low):
             step[low] *= 0.5
-            low = np.abs(wa - step) < floor
-        w[active] = wa - step
+            nxt = wa - step
+            low = np.abs(nxt) < floor
+        w[active] = nxt
         active = active[np.abs(val) >= tol]
     if active.size:
         raise FieldError("map inversion did not converge")
     return w.reshape(shape)
+
+
+def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+    """Interior and boundary-band masks of the points flat, band a fraction of gamma.
+
+    One sweep_pairs over the edges' y-ranges widened by the band yields
+    every (edge, point) pair that can cross or come near. The crossing
+    pairs are those with the point's y in the edge's half-open y-range; a
+    horizontal ray to the right of the point crosses the edge when the
+    crossing lies right of it, and an odd count is interior. Only the pairs
+    whose x also lies within the edge's x-range widened by the band, and
+    by a rounding margin, get the point-to-segment distance.
+    """
+    band = band * cmap.gamma
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
+    p1 = np.roll(p0, -1)
+    d = p1 - p0
+    ylo = np.minimum(p0.imag, p1.imag)
+    yhi = np.maximum(p0.imag, p1.imag)
+    x, y = flat.real, flat.imag
+
+    e, j = sweep_pairs(y, ylo - band, yhi + band)
+    yj = y[j]
+    cross = (ylo[e] <= yj) & (yj < yhi[e])
+    ec, jc = e[cross], j[cross]
+    x_cross = p0.real[ec] + (yj[cross] - p0.imag[ec]) * d.real[ec] / d.imag[ec]
+    interior = np.bincount(jc[x_cross > x[jc]], minlength=flat.size) % 2 == 1
+
+    # the distance's rounding stays below a few ulps of the coordinates
+    reach = band + 16.0 * np.finfo(float).eps * (np.max(np.abs(p0)) + band)
+    xlo = np.minimum(p0.real, p1.real) - reach
+    xhi = np.maximum(p0.real, p1.real) + reach
+    xj = x[j]
+    keep = (xlo[e] <= xj) & (xj <= xhi[e])
+    e, j = e[keep], j[keep]
+    rel = flat[j] - p0[e]
+    t = np.clip((rel * np.conj(d[e])).real / np.maximum(np.abs(d[e]) ** 2, 1e-300), 0.0, 1.0)
+    near = np.zeros(flat.size, dtype=bool)
+    near[j[np.abs(rel - t * d[e]) <= band]] = True
+    return interior, near
 
 
 def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
@@ -442,32 +534,12 @@ def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
     by the even-odd rule against the sampled boundary polyline, and near[i]
     marks points within band * gamma of that polyline: the band is a
     fraction of the map's radius, so a grid scaled with the map flags the
-    same points at every gamma. A horizontal ray to the right of a point
-    crosses an edge when the point's y lies in the edge's half-open y-range
-    and the crossing lies right of it; sweep_pairs finds those (edge, point)
-    pairs from the points sorted by y, so only pairs that can cross (or,
-    with the y-range widened by the band, come near) are formed.
+    same points at every gamma. The masks come from _regions; grid_field
+    reads them directly.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    band = band * cmap.gamma
-    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
-    p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
-    p1 = np.roll(p0, -1)
-    d = p1 - p0
-    ylo = np.minimum(p0.imag, p1.imag)
-    yhi = np.maximum(p0.imag, p1.imag)
-
-    e, j = sweep_pairs(flat.imag, ylo, yhi, closed=False)
-    x_cross = p0.real[e] + (flat.imag[j] - p0.imag[e]) * d.real[e] / d.imag[e]
-    crossings = np.bincount(j[x_cross > flat.real[j]], minlength=flat.size)
-    regions = np.where(crossings % 2 == 1, "interior", "exterior").astype(object)
-
-    e, j = sweep_pairs(flat.imag, ylo - band, yhi + band)
-    rel = flat[j] - p0[e]
-    t = np.clip((rel * np.conj(d[e])).real / np.maximum(np.abs(d[e]) ** 2, 1e-300), 0.0, 1.0)
-    close = np.abs(rel - t * d[e]) <= band
-    near = np.bincount(j[close], minlength=flat.size) > 0
+    interior, near = _regions(cmap, z.reshape(-1), band)
+    regions = np.array(_REGIONS, dtype=object)[interior.astype(np.intp)]
     return regions.reshape(z.shape), near.reshape(z.shape)
 
 
@@ -482,8 +554,7 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, cmap: ConformalM
     """
     ev = FieldEvaluator(solution, loading, cmap, material)
     pts = grid.points()
-    regions, near = classify_points(cmap, pts, band=grid.band)
-    interior = regions == "interior"
+    interior, near = _regions(cmap, pts, grid.band)
     ext = np.flatnonzero(~interior)
     inner = np.flatnonzero(interior)
     nan = complex(np.nan, np.nan)

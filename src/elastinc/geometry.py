@@ -67,10 +67,10 @@ class ConformalMap:
         map object, so the bundle, every FieldEvaluator and LoadingSeries of
         one map share one unit map and with it one kept Grunsky table.
         Validation is scale-invariant, so the rescaled map is not validated
-        again.
+        again. A zero coefficient stays zero where gamma^(-k-1) overflows; a
+        nonzero one that overflows is refused as not finite.
         """
-        k = np.arange(self.a.size)
-        return ConformalMap(1.0, self.a * self.gamma ** -(k + 1.0), validate=False)
+        return ConformalMap(1.0, _unit_coefficients(self), validate=False)
 
     def coeff(self, k: int) -> complex:
         """Laurent coefficient a_k with the conventions a_{-1}=1, a_{-m}=0 (m>=2)."""
@@ -142,6 +142,14 @@ def boundary_point(cmap: ConformalMap, theta):
     return z, h
 
 
+def _unit_coefficients(cmap: ConformalMap) -> np.ndarray:
+    """b_k = a_k gamma^(-k-1), zero where a_k is zero even if gamma^(-k-1) overflows."""
+    k = np.arange(cmap.a.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = cmap.a * cmap.gamma ** -(k + 1.0)
+    return np.where(cmap.a == 0, 0, b)
+
+
 def _certified_univalent(cmap: ConformalMap) -> bool:
     """The coefficient certificate s = sum_{k>=1} k |a_k| gamma^(-k-1) <= 1 - 1e-12.
 
@@ -152,22 +160,31 @@ def _certified_univalent(cmap: ConformalMap) -> bool:
     |Psi'| >= 1 - s there, and the image of the circle is a simple,
     positively oriented curve: everything the sampled test checks, in O(K).
     A map that fails it may still be valid and goes to _validate_boundary,
-    as does one whose gamma^(-k-1) overflows (s is then inf or NaN).
+    as does one whose nonzero a_k gamma^(-k-1) overflows (s is then inf).
+    A zero coefficient counts as zero at every gamma.
     """
-    k = np.arange(1, cmap.a.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.sum(k * np.abs(cmap.a[1:]) * (1.0 / cmap.gamma) ** (k + 1.0))
+    b = _unit_coefficients(cmap)[1:]
+    s = np.sum(np.arange(1, cmap.a.size) * np.abs(b))
     return bool(s <= 1.0 - SINGULAR_DERIVATIVE_TOL)
 
 
 def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) -> None:
+    """Refuse a sampled boundary that is reversed or crosses itself.
+
+    The tests run on the polyline divided by gamma, the boundary of
+    cmap.unit, so its cross products neither underflow at a tiny radius nor
+    overflow at a large one. Coefficients far outside the area theorem's
+    bound (sum_k k |b_k|^2 <= 1) can still overflow them; the area is then
+    NaN, and the map is refused as reversed.
+    """
     theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    # a vanishing scale factor h = gamma |Psi'| is refused by the derivative itself
-    z, _ = boundary_point(cmap, theta)
+    # a vanishing scale factor h = |Psi'| is refused by the derivative itself
+    z, _ = boundary_point(cmap.unit, theta)
     pts = np.column_stack([z.real, z.imag])
     nxt = np.roll(pts, -1, axis=0)
-    signed_area = 0.5 * np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0])
-    if signed_area <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed_area = 0.5 * np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0])
+    if not signed_area > 0.0:
         raise GeometryError("boundary curve has reversed orientation (map folds)")
     if _polyline_self_intersects(pts):
         raise GeometryError("boundary curve is not simple (sampled self-intersection)")
@@ -222,35 +239,31 @@ def _polyline_self_intersects(pts: np.ndarray) -> bool:
 # coefficient matrices
 
 
-def faber_series(cmap: ConformalMap, z, coeffs, deriv_coeffs) -> tuple[np.ndarray, np.ndarray]:
-    """Sums sum_m c_m F_m(z) and sum_m d_m F_m'(z), one per row of coeffs / deriv_coeffs.
+def faber_series(cmap: ConformalMap, z, coeffs) -> np.ndarray:
+    """Sums sum_m c_m F_m(z), one per row of coeffs.
 
-    The Faber recursion and its z-derivative run on the point values, so no
-    monomial coefficients are formed: those grow geometrically with m on
-    elongated boundaries, and summing them cancels away every digit at
-    high order. Only the last K+1 values are kept.
+    The Faber recursion runs on the point values, so no monomial
+    coefficients are formed: those grow geometrically with m on elongated
+    boundaries, and summing them cancels away every digit at high order.
+    Only the last K+1 values are kept. A derivative sum sum_m d_m F_m'(z)
+    is the value sum of the row d Dt (faber_derivative_matrices), since
+    F_m' = sum_j Dt[m, j] F_j exactly.
     """
     z = np.asarray(z, dtype=complex)
     coeffs = np.asarray(coeffs, dtype=complex)
-    deriv_coeffs = np.asarray(deriv_coeffs, dtype=complex)
     a = cmap.a
     keep = max(a.size, 1)
-    F, dF = [np.ones_like(z)], [np.zeros_like(z)]  # newest F_k(z), F_k'(z); F[-1] is F_m
+    F = [np.ones_like(z)]  # newest F_k(z); F[-1] is F_m
     sums = np.multiply.outer(coeffs[:, 0], F[0])
-    dsums = np.zeros(deriv_coeffs.shape[:1] + z.shape, dtype=complex)
     for m in range(coeffs.shape[1] - 1):
         f = z * F[-1]
-        df = F[-1] + z * dF[-1]
         if m < a.size:
             f -= m * a[m]
         for k in range(max(0, m - a.size + 1), m + 1):
             f -= a[m - k] * F[k - m - 1]
-            df -= a[m - k] * dF[k - m - 1]
         F = (F + [f])[-keep:]
-        dF = (dF + [df])[-keep:]
         sums += np.multiply.outer(coeffs[:, m + 1], f)
-        dsums += np.multiply.outer(deriv_coeffs[:, m + 1], df)
-    return sums, dsums
+    return sums
 
 
 def reciprocal_derivative_coefficients(cmap: ConformalMap, n: int) -> np.ndarray:

@@ -6,7 +6,8 @@ Faber polynomials of the inclusion: mode m contributes
     kappa * A_m F_m(z) - z * conj(A_m F_m'(z)) + conj(B_m F_m(z)).
 
 At points, the potentials and their derivatives are summed by one helper,
-LoadingSeries, on the Faber recurrence of geometry.faber_series; the
+LoadingSeries, as value sums on the Faber recurrence of
+geometry.faber_series, a derivative through the derivative matrix; the
 field, the interface diagnostics and the reference solver all read the
 loading through it. On the unit circle of the unit-radius problem the
 loading and its traction potential become two-sided power series in w; their
@@ -18,6 +19,7 @@ two-sided series of conj(f'), one product with GeometryBundle.psi.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,8 +106,10 @@ class LoadingSeries:
     The loading is kappa f - z conj(f') - conj(g), with f = sum_m A_m F_m and
     g = -sum_m B_m F_m. Every sum runs the Faber recurrence on the point
     values (geometry.faber_series) of the unit-radius map at z / gamma, with
-    the unit-radius loading's coefficients (LoadingSpec.unit_radius); each
-    derivative returns to z by a factor 1/gamma, applied to its coefficient
+    the unit-radius loading's coefficients (LoadingSpec.unit_radius). A
+    derivative needs no recurrence of its own: F_m' = sum_j Dt[m, j] F_j
+    exactly, so f' is the value sum of the row A Dt, and f'' that of
+    A Dt Dt; each derivative returns to z by a factor 1/gamma, applied to its
     row. The rows are built once, so an evaluator that sums the loading at
     many point sets pays for them once.
     """
@@ -117,22 +121,23 @@ class LoadingSeries:
         A, B = spec.unit_radius(self.gamma).padded(self.order)
         self.rows = np.stack([A, -B])  # (f, g) at unit radius
 
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """Value rows (A Dt, -B Dt) / gamma of (f', g'), built on the first sum."""
+        return self.rows @ faber_derivative_matrices(self.unit, self.order) / self.gamma
+
     def potentials(self, z):
         """(f, g, f') at points z, what the displacement needs."""
         zeta = np.asarray(z, dtype=complex) / self.gamma
-        (f, g), (fp,) = faber_series(self.unit, zeta, self.rows, self.rows[:1] / self.gamma)
+        f, g, fp = faber_series(self.unit, zeta, np.vstack([self.rows, self.slopes[:1]]))
         return f, g, fp
 
     def derivatives(self, z):
-        """(f', g', f'') at points z, what the traction needs.
-
-        f'' needs no second recurrence: F_m' = sum_j Dt[m, j] F_j exactly, so
-        f'' is the derivative sum of the coefficient row A Dt.
-        """
+        """(f', g', f'') at points z, what the traction needs."""
         Dt = faber_derivative_matrices(self.unit, self.order)
-        derivs = np.vstack([self.rows, self.rows[0] @ Dt / self.gamma]) / self.gamma
+        rows = np.vstack([self.slopes, self.slopes[0] @ Dt / self.gamma])
         zeta = np.asarray(z, dtype=complex) / self.gamma
-        _, (fp, gp, fpp) = faber_series(self.unit, zeta, self.rows[:0], derivs)
+        fp, gp, fpp = faber_series(self.unit, zeta, rows)
         return fp, gp, fpp
 
 
@@ -164,8 +169,8 @@ def _power_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c[..., k] x^k at the points x (one axis), summed in blocks.
 
     With s = ceil(sqrt(D)) for D coefficients, the powers x^0..x^(s-1) come
-    from one cumprod; each block of s coefficients is one matrix product
-    with them, and Horner in x^s runs across the ceil(D / s) blocks
+    from s - 1 in-place multiplications; each block of s coefficients is one
+    matrix product with them, and Horner in x^s runs across the ceil(D / s) blocks
     (Paterson and Stockmeyer, 1973): O(sqrt(D)) array operations where a
     Horner pass takes 2D, on a working set of s rows of points.
     """
@@ -174,7 +179,8 @@ def _power_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     blocks = -(-d // s)
     powers = np.empty((s,) + x.shape, dtype=complex)
     powers[0] = 1.0
-    np.cumprod(np.broadcast_to(x, (s - 1,) + x.shape), axis=0, out=powers[1:])
+    for k in range(1, s):
+        np.multiply(powers[k - 1], x, out=powers[k])
     step = powers[-1] * x  # x^s
     acc = c[..., (blocks - 1) * s :] @ powers[: d - (blocks - 1) * s]
     for j in range(blocks - 2, -1, -1):

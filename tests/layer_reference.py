@@ -6,7 +6,10 @@ per-mode sums over the monomial Faber coefficients, the per-mode Grunsky
 form of the exterior series, and the per-entry dict form of the
 conjugate-coordinate shift, are the routes the tests compare it against.
 The package sums every Faber series by the recurrence on point values
-(geometry.faber_series); the monomial Faber matrices, their inverse, the
+(geometry.faber_series), a derivative sum as the value sum of its row
+times the derivative matrix; faber_recurrence_sums, the recurrence run
+together with its z-derivative, is the reference for those derivative
+sums. The monomial Faber matrices, their inverse, the
 monomial derivative shift and the loading's monomial polynomial pair live
 here only, as references. loading_by_grunsky is the reference for the
 loading and its derivatives on and outside the boundary. The Hankel,
@@ -19,7 +22,9 @@ the cavity mode matrix read off them are the references for the block
 system's layer and coupling matrices on the two-sided window
 (system.layer_matrices). The row-wise grid evaluation and field.csv writer at
 the end are the references for grid_field's columns and the CLI's
-column-wise writer. horner_boundary_series, one Horner pass per sign of the
+column-wise writer. two_sweep_regions, one sweep for the crossings and one
+for the band with every banded pair measured, is the reference for the
+region masks of field._regions. horner_boundary_series, one Horner pass per sign of the
 power, is the reference for loading.boundary_series's blocked power sums.
 split_window gives the per-sign vectors of a right-hand-side window
 (loading.unit_rhs_vectors) that the per-mode matrices and boundary_series
@@ -40,7 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from elastinc.field import FieldEvaluator, FieldSample, classify_points, invert_map
+from elastinc.field import (
+    REGION_SAMPLES,
+    FieldEvaluator,
+    FieldSample,
+    classify_points,
+    invert_map,
+)
 from elastinc.geometry import (
     ConformalMap,
     GeometryError,
@@ -48,6 +59,7 @@ from elastinc.geometry import (
     eval_map_derivative,
     eval_map_second_derivative,
     grunsky_rows,
+    sweep_pairs,
 )
 from elastinc.loading import LoadingSpec, boundary_series
 from elastinc.oracle import (
@@ -164,6 +176,36 @@ def polyder(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.size <= 1:
         return np.zeros(1, dtype=complex)
     return coeffs[1:] * np.arange(1, coeffs.size)
+
+
+def faber_recurrence_sums(cmap: ConformalMap, z, coeffs, deriv_coeffs):
+    """(sum_m c_m F_m(z), sum_m d_m F_m'(z)), one per row of coeffs / deriv_coeffs.
+
+    The Faber recursion and its z-derivative run together on the point
+    values, keeping the last K+1 values of each; both coefficient arrays
+    have the same number of columns.
+    """
+    z = np.asarray(z, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    deriv_coeffs = np.asarray(deriv_coeffs, dtype=complex)
+    a = cmap.a
+    keep = max(a.size, 1)
+    F, dF = [np.ones_like(z)], [np.zeros_like(z)]  # newest F_k(z), F_k'(z); F[-1] is F_m
+    sums = np.multiply.outer(coeffs[:, 0], F[0])
+    dsums = np.zeros(deriv_coeffs.shape[:1] + z.shape, dtype=complex)
+    for m in range(coeffs.shape[1] - 1):
+        f = z * F[-1]
+        df = F[-1] + z * dF[-1]
+        if m < a.size:
+            f -= m * a[m]
+        for k in range(max(0, m - a.size + 1), m + 1):
+            f -= a[m - k] * F[k - m - 1]
+            df -= a[m - k] * dF[k - m - 1]
+        F = (F + [f])[-keep:]
+        dF = (dF + [df])[-keep:]
+        sums += np.multiply.outer(coeffs[:, m + 1], f)
+        dsums += np.multiply.outer(deriv_coeffs[:, m + 1], df)
+    return sums, dsums
 
 
 def loading_pair(spec: LoadingSpec, cmap: ConformalMap) -> tuple[np.ndarray, np.ndarray]:
@@ -535,6 +577,34 @@ def _samples(arrays: dict, w, region: str, near) -> list[FieldSample]:
         FieldSample(wi, z, u, region, f, fp, g, nb)
         for wi, nb, z, u, f, fp, g in zip(w, near, *columns)
     ]
+
+
+def two_sweep_regions(cmap: ConformalMap, z, band: float):
+    """Interior and boundary-band masks of points z, band a fraction of gamma.
+
+    One sweep_pairs finds the (edge, point) pairs of the even-odd crossing
+    count, in the edges' half-open y-ranges; a second, over the y-ranges
+    widened by the band, measures the distance of every pair it finds.
+    """
+    flat = np.asarray(z, dtype=complex).reshape(-1)
+    band = band * cmap.gamma
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
+    p1 = np.roll(p0, -1)
+    d = p1 - p0
+    ylo = np.minimum(p0.imag, p1.imag)
+    yhi = np.maximum(p0.imag, p1.imag)
+
+    e, j = sweep_pairs(flat.imag, ylo, yhi, closed=False)
+    x_cross = p0.real[e] + (flat.imag[j] - p0.imag[e]) * d.real[e] / d.imag[e]
+    interior = np.bincount(j[x_cross > flat.real[j]], minlength=flat.size) % 2 == 1
+
+    e, j = sweep_pairs(flat.imag, ylo - band, yhi + band)
+    rel = flat[j] - p0[e]
+    t = np.clip((rel * np.conj(d[e])).real / np.maximum(np.abs(d[e]) ** 2, 1e-300), 0.0, 1.0)
+    close = np.abs(rel - t * d[e]) <= band
+    near = np.bincount(j[close], minlength=flat.size) > 0
+    return interior, near
 
 
 def grid_rows(solution, loading, cmap: ConformalMap, material, grid) -> list[FieldSample]:

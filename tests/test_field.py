@@ -27,6 +27,7 @@ from elastinc.geometry import (
     build_geometry,
     eval_map,
     eval_map_derivative,
+    faber_derivative_matrices,
     faber_series,
     grunsky_rows,
 )
@@ -39,10 +40,12 @@ from layer_reference import (
     deriv_layer_exterior,
     deriv_layer_interior,
     exterior_tail,
+    faber_recurrence_sums,
     grid_rows,
     log_layer_exterior,
     log_layer_interior,
     split_window,
+    two_sweep_regions,
     write_field_rows,
 )
 
@@ -305,12 +308,12 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
     y = shifted[0]
     terms = [yj * w ** (j - 1) for j, yj in y.items()]
     scale = np.sum(np.abs(terms), axis=0)
-    blank = np.zeros((1, ev.faber_rows.shape[1]))
-    _, (sCy,) = faber_series(unit, eval_map(unit, w), blank, ev.faber_rows[2:])
+    order = ev.faber_rows.shape[1] - 1
+    Dt = faber_derivative_matrices(unit, order)
+    (sCy,) = faber_series(unit, eval_map(unit, w), ev.faber_rows[2:] @ Dt)  # F_m' = Dt[m] F
     got = boundary_series(np.zeros(1), ev.tail[3], w) / w - eval_map_derivative(unit, w) * sCy
     assert np.all(np.abs(got - np.sum(terms, axis=0)) <= EXACT_TOL * scale)
 
-    order = ev.faber_rows.shape[1] - 1
     kfar = max(n + 2, order * unit.depth)
     top = max([j for j in y if j >= 1] + [1])
     Cg = grunsky_rows(unit, top, kfar)
@@ -805,6 +808,145 @@ def test_classify_points_near_band_measures_segments():
     assert near.tolist() == [True, True, True, False]
 
 
+def window_grids(shape, gamma, count, rng, points=81):
+    """Grids over windows centred near boundary points of the shape at radius gamma."""
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    grids = []
+    for _ in range(count):
+        centre = complex(eval_map(cmap, gamma * np.exp(2j * np.pi * rng.random())))
+        centre += 0.1 * gamma * complex(rng.standard_normal(), rng.standard_normal())
+        hx, hy = gamma * (0.6 + 0.6 * rng.random(2))
+        grids.append(GridSpec(centre.real - hx, centre.real + hx, centre.imag - hy,
+                              centre.imag + hy, points, points))
+    return cmap, grids
+
+
+def assert_masks_match(cmap, grid):
+    """grid_field's masks equal classify_points' labels and the two-sweep reference."""
+    out = grid_field(zero_solution(4, "transmission"), single_mode(1, 1.0, 4), cmap, TRANS, grid)
+    regions, near = classify_points(cmap, grid.points(), band=grid.band)
+    interior, ref_near = two_sweep_regions(cmap, grid.points(), grid.band)
+    assert out.interior.dtype == bool and out.near.dtype == bool
+    assert out.interior.tolist() == (regions == "interior").tolist() == interior.tolist()
+    assert out.near.tolist() == near.tolist() == ref_near.tolist()
+    return out
+
+
+@pytest.mark.parametrize("gamma", [1e-9, 1.0, 2.0])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_grid_masks_match_the_labels(shape, gamma):
+    cmap, grids = window_grids(shape, gamma, 3, np.random.default_rng(25))
+    for grid in grids:
+        out = assert_masks_match(cmap, grid)
+        assert 0 < out.interior.sum() < out.interior.size
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_grid_rows_at_vertex_heights_keep_the_half_open_rule(shape):
+    # grid rows exactly at heights of the sampled polygon's vertices: a
+    # crossing counts for ylo <= y < yhi, so a row through a vertex counts
+    # the vertex once, and a row tangent to the curve at a vertex zero or
+    # two times
+    cmap = ConformalMap(1.0, shape)
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, np.exp(1j * theta))
+    x0, x1 = p0.real.min() - 0.3, p0.real.max() + 0.3
+    for k0, k1 in [(0, REGION_SAMPLES // 4), (REGION_SAMPLES // 2, 3 * REGION_SAMPLES // 4),
+                   (5, 700), (1300, 1900)]:
+        y0, y1 = sorted([p0.imag[k0], p0.imag[k1]])
+        assert_masks_match(cmap, GridSpec(x0, x1, y0, y1, 257, 2))
+    if shape == [0.0]:  # rows at sin(-pi/2), sin(0), sin(pi/2): vertex heights too
+        out = assert_masks_match(cmap, GridSpec(-1.5, 1.5, -1.0, 1.0, 301, 3))
+        assert out.interior.reshape(3, 301)[1].sum() > 0
+    z = (np.linspace(x0, x1, 61)[None, :] + 1j * p0.imag[::7, None]).ravel()
+    regions, near = classify_points(cmap, z)
+    interior, ref_near = two_sweep_regions(cmap, z, 1e-3)
+    assert (regions == "interior").tolist() == interior.tolist()
+    assert near.tolist() == ref_near.tolist()
+
+
+@pytest.mark.parametrize("gamma", [1e-9, 1.0, 1e6])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_band_edge_points_beyond_segment_ends(shape, gamma):
+    # points level with a segment's end, at its x-range widened by the band
+    # and one to three ulps beyond: the x pre-filter must keep every pair
+    # the distance test accepts
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, gamma * np.exp(1j * theta))
+    p1 = np.roll(p0, -1)
+    band = 1e-3 * gamma
+    z = []
+    for right in (True, False):
+        x = np.maximum(p0.real, p1.real) + band if right else np.minimum(p0.real, p1.real) - band
+        end = np.where((p0.real >= p1.real) == right, p0, p1)
+        for _ in range(4):
+            z.append(x + 1j * end.imag)
+            x = np.nextafter(x, np.inf if right else -np.inf)
+    z = np.concatenate(z)
+    regions, near = classify_points(cmap, z, band=1e-3)
+    interior, ref_near = two_sweep_regions(cmap, z, 1e-3)
+    assert near.tolist() == ref_near.tolist()
+    assert (regions == "interior").tolist() == interior.tolist()
+    assert near.sum() > REGION_SAMPLES
+
+
+def test_band_edge_where_the_band_cancels_the_coordinate():
+    # the rightmost vertex sits at x = -0.1378 and the band is 0.1586: their
+    # sum 0.0208 carries a rounding error of several of its own ulps, and
+    # points one to three ulps past it are within the band by the distance
+    # test. An x pre-filter widened by the band alone dropped them
+    gamma = 158.63961404823027
+    cmap = ConformalMap(gamma, [-164.85731178616493 - 75.41664493425196j,
+                                -945.9778838131608 - 3233.390817734757j,
+                                93706.23049680513 - 206489.4302588511j,
+                                29261794.009752344 + 20476850.135989945j])
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, gamma * np.exp(1j * theta))
+    k = np.argmax(p0.real)
+    x = [p0.real[k] + 1e-3 * gamma]
+    for _ in range(3):
+        x.append(np.nextafter(x[-1], np.inf))
+    z = np.array(x) + 1j * p0.imag[k]
+    _, near = classify_points(cmap, z, band=1e-3)
+    _, ref_near = two_sweep_regions(cmap, z, 1e-3)
+    assert near.tolist() == ref_near.tolist() == [True] * 4
+
+
+def test_grid_field_builds_no_labels(monkeypatch):
+    cmap = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+    grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 41, 31)
+    want = grid_field(zero_solution(4, "transmission"), single_mode(1, 1.0, 4), cmap, TRANS, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid_field built region labels")
+
+    monkeypatch.setattr("elastinc.field.classify_points", refuse)
+    got = grid_field(zero_solution(4, "transmission"), single_mode(1, 1.0, 4), cmap, TRANS, grid)
+    assert got.interior.tolist() == want.interior.tolist()
+    assert np.array_equal(got.u, want.u, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+@pytest.mark.parametrize("cmap", [ELONGATED, FOURTERM], ids=["elongated", "fourterm"])
+def test_interior_values_match_derivative_recurrence(cmap, n):
+    # interior_arrays_z sums (Ci, Cyi) as values of the rows (Ci Dt, Cyi Dt);
+    # the reference runs the recurrence's z-derivative on (Ci, Cyi)
+    sol = random_solution(np.random.default_rng(n), n)
+    ev = FieldEvaluator(sol, LoadingSpec(np.zeros(2), np.zeros(2)), cmap, TRANS)
+    circle = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False))
+    ring, a0 = eval_map(cmap, circle), cmap.coeff(0)
+    # scaled towards a0, and images of |w| = 0.93 inside the boundary
+    z = np.concatenate([a0 + s * (ring - a0) for s in (0.0, 0.3, 0.7, 0.95)]
+                       + [eval_map(cmap, 0.93 * circle)])
+    (sL, sLbar), (sC, sCy) = faber_recurrence_sums(cmap.unit, z / cmap.gamma,
+                                                   ev.faber_values_i, ev.faber_derivs_i)
+    want = ev._interior(z, sL, sLbar, sC, sCy)
+    got = ev.interior_arrays_z(z)
+    for key in ("u", "f", "fprime", "g"):
+        assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
+
+
 def test_invert_map_elongated_ellipse():
     # undamped Newton stepped below |w| = 0.5 gamma from the first three points
     # and the map evaluation refused
@@ -812,6 +954,32 @@ def test_invert_map_elongated_ellipse():
     w = np.array([1.001, 1.01, 1.05, 1.2, 3.0]) * np.exp(1j * np.array([0.7, 1.1, 1.1, 2.9, 4.0]))
     z = eval_map(cmap, w)
     assert np.allclose(invert_map(cmap, z), w, atol=1e-12)
+
+
+def test_invert_map_seed_at_the_map_centre():
+    # the seed zeta - a1 / zeta is guarded at zeta = z - a0 = 0 (and at a
+    # zeta that would overflow 1 / zeta): no warning, which pytest turns
+    # into an error. Psi(w) = a0 has roots inside the circle that Newton
+    # reaches above the 0.6 gamma floor; for the disk it has none
+    for a in ([0.2 + 0.1j, 0.9j], [0.2 + 0.1j, 0.5 - 0.3j], [0.3, 0.0, 0.4j]):
+        cmap = ConformalMap(1.0, a)
+        w = invert_map(cmap, np.array([cmap.coeff(0)]))
+        assert abs(eval_map(cmap, w, margin=0.5)[0] - cmap.coeff(0)) <= 1e-15
+    cmap = ConformalMap(1.0, [0.0, 0.9j])
+    w = invert_map(cmap, np.array([1e-310, 0.0]))
+    assert np.all(np.abs(eval_map(cmap, w, margin=0.5)) <= 1e-15)
+    with pytest.raises(FieldError, match="did not converge"):
+        invert_map(DISK, np.array([DISK.coeff(0)]))
+
+
+def test_invert_map_without_a1():
+    # a1 = 0: the seed is zeta itself, and the a2 term is left to Newton
+    for gamma in (0.5, 1.0, 3.0):
+        a = np.array([0.1 - 0.2j, 0.0, 0.3 + 0.2j]) * gamma ** np.arange(1, 4)
+        cmap = ConformalMap(gamma, a)
+        r = np.array([1.001, 1.05, 1.3, 2.0, 6.0])
+        w = gamma * r * np.exp(1j * np.array([0.3, 1.9, 3.0, 4.1, 5.5]))
+        assert np.allclose(invert_map(cmap, eval_map(cmap, w)), w, rtol=0.0, atol=1e-12 * gamma)
 
 
 @pytest.mark.parametrize("a", [[0.0, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9]])

@@ -108,7 +108,8 @@ def test_faber_series_matches_monomial_rows():
     c = rng.standard_normal((2, n + 1)) + 1j * rng.standard_normal((2, n + 1))
     d = rng.standard_normal((3, n + 1)) + 1j * rng.standard_normal((3, n + 1))
     z = eval_map(cmap, 1.3 * cmap.gamma * np.exp(1j * np.linspace(0.0, 6.0, 11)))
-    sums, dsums = faber_series(cmap, z, c, d)
+    sums = faber_series(cmap, z, c)
+    dsums = faber_series(cmap, z, d @ faber_derivative_matrices(cmap, n))  # F_m' = Dt[m] F
     want = np.array([sum(row[m] * poly_eval(P[m], z) for m in range(n + 1)) for row in c])
     dwant = np.array([sum(row[m] * poly_eval(dP[m], z) for m in range(n + 1)) for row in d])
     assert np.allclose(sums, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -534,10 +535,60 @@ def test_certified_maps_skip_the_sampled_test(monkeypatch):
 
 
 def test_certificate_overflow_is_not_a_certificate():
-    # gamma^(-k-1) overflows at gamma = 1e-200: s is inf or NaN, with no
-    # warning, and the map goes to the sampled test
+    # gamma^(-k-1) overflows at gamma = 1e-200: s is inf, with no warning,
+    # and the map goes to the sampled test
     for a in ([0.0, 1e-300], [0.0, 0.0, 1e-300]):
         assert not _certified_univalent(ConformalMap(1e-200, a, validate=False))
+
+
+@pytest.mark.parametrize("gamma", [1e-200, 1e-150, 1.0, 1e150])
+def test_zero_coefficients_count_as_zero_at_every_radius(gamma):
+    # at gamma = 1e-200 the factor gamma^(-k-1) overflows; 0 * inf = NaN
+    # made the certificate fail and the sampled test, its cross products
+    # underflowing to 0, refused the identity as "reversed orientation"
+    for a in ([], [0.0], [0.0, 0.0]):
+        cmap = ConformalMap(gamma, a)
+        assert _certified_univalent(cmap)
+        assert np.all(cmap.unit.a == 0)
+    shifted = ConformalMap(gamma, [0.5 * gamma, 0.0])
+    assert shifted.unit.a.tolist() == [0.5, 0.0]
+
+
+def test_unit_coefficients_keep_their_bits():
+    # only a zero coefficient is special-cased; every other b_k is
+    # a_k gamma^(-k-1) bit for bit, as the unit map always formed it
+    rng = np.random.default_rng(5)
+    for gamma in (0.7, 1.3, 3.7e-5, 2.2e8):
+        a = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) * gamma ** np.arange(1.0, 6.0)
+        a[1:] *= 0.05
+        a[2] = 0.0
+        want = a * gamma ** -(np.arange(5) + 1.0)
+        assert ConformalMap(gamma, a).unit.a.tobytes() == want.tobytes()
+
+
+def test_invalid_maps_raise_at_tiny_radii():
+    # the raw coefficients of the invalid fixtures at gamma = 1e-200 give
+    # unit coefficients that overflow, and at 1e-150 unit coefficients of
+    # 1e300 whose polyline's area overflows; a1 = 1e200 at gamma = 1 was
+    # accepted, its area NaN. The sampled test runs at unit radius
+    for gamma in (1e-200, 1e-150):
+        for _, a in INVALID_FIXTURES:
+            with pytest.raises(GeometryError):
+                ConformalMap(gamma, a)
+    with pytest.raises(GeometryError, match="reversed orientation"):
+        ConformalMap(1.0, [0.0, 1e200])
+    for gamma in (1e-150, 1e-100):
+        with pytest.raises(GeometryError, match="derivative vanishes"):
+            ConformalMap(gamma, scaled_coefficients([0.0, 1.0], gamma))
+        with pytest.raises(GeometryError, match="reversed orientation"):
+            ConformalMap(gamma, scaled_coefficients([0.0, 1.2], gamma))
+    # a self-crossing curve whose cross products underflowed at gamma = 1e-100,
+    # so the raw polyline looked simple; an uncertified simple one is accepted
+    for gamma in (1.0, 1e-100):
+        with pytest.raises(GeometryError, match="not simple"):
+            ConformalMap(gamma, scaled_coefficients([0.0, 0.0, 0.6], gamma))
+        assert not _certified_univalent(
+            ConformalMap(gamma, scaled_coefficients([0.0, 0.5, 0.3j], gamma)))
 
 
 @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 11),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from elastinc.geometry import ConformalMap, build_geometry, eval_map
+from elastinc.geometry import ConformalMap, build_geometry, eval_map, faber_derivative_matrices
 from elastinc.loading import (
     LoadingError,
+    LoadingSeries,
     LoadingSpec,
     boundary_series,
     eval_loading,
@@ -14,6 +15,7 @@ from elastinc.loading import (
 from elastinc.materials import MaterialPair
 from elastinc.system import assemble_system
 from layer_reference import (
+    faber_recurrence_sums,
     horner_boundary_series,
     loading_pair,
     poly_eval,
@@ -244,3 +246,30 @@ def test_block_row_layout():
     pos, neg = split_window(unit_rhs_vectors(MAT, bundle, spec)[1], 1.5)
     assert np.allclose(pos * g, tp, rtol=1e-15, atol=0.0)
     assert np.allclose(neg / g, tn, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("a", [[0.0, 0.9], [0.1, 0.25, 0.08 + 0.05j, 0.03]],
+                         ids=["elongated", "fourterm"])
+def test_loading_series_matches_derivative_recurrence(a, gamma):
+    # LoadingSeries sums f' and f'' as values of the rows A Dt and A Dt Dt;
+    # the reference runs the Faber recurrence's z-derivative on A and A Dt
+    rng = np.random.default_rng(32)
+    order = 32
+    A = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    B = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
+    A[0] = B[0] = 0.0
+    cmap = ConformalMap(gamma, np.asarray(a) * gamma ** (np.arange(len(a)) + 1.0))
+    series = LoadingSeries(LoadingSpec(A, B), cmap)
+    unit = cmap.unit
+    rows = np.stack(LoadingSpec(A, B).unit_radius(gamma).padded(order)) * [[1.0], [-1.0]]
+    Dt = faber_derivative_matrices(unit, order)
+    for r in (1.0, 1.5, 4.0):
+        z = eval_map(cmap, r * gamma * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 37)))
+        zeta = z / gamma
+        (f, g), (fp,) = faber_recurrence_sums(unit, zeta, rows, rows[:1] / gamma)
+        derivs = np.vstack([rows, rows[0] @ Dt / gamma]) / gamma
+        _, want_d = faber_recurrence_sums(unit, zeta, rows[:0], derivs)
+        for got, want in zip(series.potentials(z) + series.derivatives(z),
+                             (f, g, fp) + tuple(want_d)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), r
