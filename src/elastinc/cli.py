@@ -8,9 +8,11 @@ Subcommands:
 
 The config file is JSON with a ``schema_version`` field; every complex
 number is a two-element ``[re, im]`` list. The file is the source of
-truth, command-line flags override single fields. Exit codes: 0 success,
-2 config error, 3 assembly error, 4 solve failure, 5 reference-solution
-disagreement beyond tolerance.
+truth, command-line flags override single fields: each flag is written
+into its field of the file's document, which is then validated as a whole
+and echoed as the manifest's ``config``. Exit codes: 0 success, 1 reports
+could not be written, 2 config error, 3 assembly error, 4 solve failure,
+5 reference-solution disagreement beyond tolerance.
 """
 
 import argparse
@@ -58,6 +60,7 @@ from .system import AssemblyError, DensitySolution, assemble_system, one_norm_co
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
+EXIT_WRITE = 1
 EXIT_CONFIG = 2
 EXIT_ASSEMBLY = 3
 EXIT_SOLVE = 4
@@ -85,6 +88,31 @@ class ConfigError(ValueError):
 
 # -- config parsing -----------------------------------------------------------
 
+_KINDS = {  # JSON kind: the Python types that hold it, and its name in messages
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    bool: (bool, "true or false"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "an object"),
+}
+_REQUIRED = object()
+GRID_KEYS = ("x0", "x1", "y0", "y1", "nx", "ny")
+
+
+def _field(block: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """block[key], checked to be of a JSON kind; a missing key gets its default, written in."""
+    if key not in block and default is _REQUIRED:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    value = block.setdefault(key, default)
+    if value is default:  # a filled-in default, or a null where null is the default
+        return value
+    types, name = _KINDS[kind]
+    # a JSON boolean is a Python int, but never a number here
+    if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
+        raise ConfigError(f"{where}.{key}: expected {name}, got {value!r}")
+    return float(value) if kind is float else value
+
 
 def _as_complex(item, where: str) -> complex:
     """Read one [re, im] pair; plain numbers are rejected on purpose."""
@@ -97,33 +125,19 @@ def _as_complex(item, where: str) -> complex:
     return complex(float(item[0]), float(item[1]))
 
 
-def _complex_list(items, where: str) -> list[complex]:
-    if not isinstance(items, list):
-        raise ConfigError(f"{where}: expected a list of [re, im] pairs")
-    return [_as_complex(v, f"{where}[{i}]") for i, v in enumerate(items)]
-
-
-def _get(mapping: dict, key: str, where: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return mapping[key]
-
-
-def _real(value, where: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _complex_list(block: dict, key: str, where: str) -> list[complex]:
+    items = _field(block, key, list, where)
+    return [_as_complex(v, f"{where}.{key}[{i}]") for i, v in enumerate(items)]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run inputs; construction performs all cross-module checks."""
+    """Validated run inputs; construction performs all cross-module checks.
+
+    document is the config in file form as the run used it: the file's
+    JSON with every flag override written into its field and every default
+    filled in. The manifest echoes it, and it loads again unchanged.
+    """
 
     cmap: ConformalMap
     material: MaterialPair
@@ -134,58 +148,23 @@ class RunConfig:
     oracle_nodes: int
     oracle_tolerance: float
     out_dir: Path
-
-    def echo(self) -> dict:
-        """Effective settings after overrides, in config-file form."""
-        material: dict = {"lambda": self.material.lam_ext, "mu": self.material.mu_ext}
-        if self.material.cavity:
-            material["cavity"] = True
-        else:
-            material["lambda_t"] = self.material.lam_int
-            material["mu_t"] = self.material.mu_int
-        grid = None
-        if self.grid is not None:
-            grid = {
-                "x0": self.grid.xmin,
-                "x1": self.grid.xmax,
-                "y0": self.grid.ymin,
-                "y1": self.grid.ymax,
-                "nx": self.grid.nx,
-                "ny": self.grid.ny,
-            }
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "map": {"gamma": self.cmap.gamma, "a": [_pair(v) for v in self.cmap.a]},
-            "material": material,
-            "loading": {
-                "A": [_pair(v) for v in self.loading.A],
-                "B": [_pair(v) for v in self.loading.B],
-            },
-            "truncation": self.truncation,
-            "grid": grid,
-            "oracle": {
-                "enabled": self.oracle_enabled,
-                "q": self.oracle_nodes,
-                "tolerance": self.oracle_tolerance,
-            },
-            "out_dir": str(self.out_dir),
-        }
+    document: dict
 
 
-def parse_grid_text(text: str) -> GridSpec:
-    """Parse the --grid override "x0,x1,y0,y1,nx,ny"."""
+def _grid_fields(text: str) -> dict:
+    """The --grid text "x0,x1,y0,y1,nx,ny" as a config grid block."""
     parts = text.split(",")
     if len(parts) != 6:
         raise ConfigError(f"--grid needs 6 comma-separated values, got {len(parts)}")
     try:
-        x0, x1, y0, y1 = (float(p) for p in parts[:4])
-        nx, ny = (int(p) for p in parts[4:])
+        return dict(zip(GRID_KEYS, [float(p) for p in parts[:4]] + [int(p) for p in parts[4:]]))
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
-    return _make_grid(x0, x1, y0, y1, nx, ny, "--grid")
 
 
-def _make_grid(x0, x1, y0, y1, nx, ny, where: str) -> GridSpec:
+def _grid(block: dict, where: str) -> GridSpec:
+    x0, x1, y0, y1 = (_field(block, key, float, where) for key in GRID_KEYS[:4])
+    nx, ny = (_field(block, key, int, where) for key in GRID_KEYS[4:])
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
         raise ConfigError(f"{where}: grid bounds must be finite")
     if nx < 0 or ny < 0:
@@ -195,16 +174,9 @@ def _make_grid(x0, x1, y0, y1, nx, ny, where: str) -> GridSpec:
     return GridSpec(x0, x1, y0, y1, nx, ny, band=DEFAULT_BOUNDARY_BAND)
 
 
-def _parse_grid_block(block, where: str) -> GridSpec:
-    return _make_grid(
-        _real(_get(block, "x0", where), f"{where}.x0"),
-        _real(_get(block, "x1", where), f"{where}.x1"),
-        _real(_get(block, "y0", where), f"{where}.y0"),
-        _real(_get(block, "y1", where), f"{where}.y1"),
-        _integer(_get(block, "nx", where), f"{where}.nx"),
-        _integer(_get(block, "ny", where), f"{where}.ny"),
-        where,
-    )
+def parse_grid_text(text: str) -> GridSpec:
+    """Parse and validate the --grid override "x0,x1,y0,y1,nx,ny"."""
+    return _grid(_grid_fields(text), "--grid")
 
 
 def load_config(
@@ -215,58 +187,62 @@ def load_config(
     out_dir: str | None = None,
     tolerance: float | None = None,
 ) -> RunConfig:
-    """Read, validate and normalize a config file, applying flag overrides.
+    """Read a config file, write the flag overrides into it, and validate it.
 
-    Every domain object is constructed here, so a config that would fail
-    any module-level invariant (non-injective map, non-elliptic material,
-    constant loading term, loading above the truncation, a truncation above
-    MAX_TRUNCATION, a map so deep that its Grunsky table at the truncation
-    exceeds MAX_GRUNSKY_ENTRIES, a non-finite value, an oracle node count
-    the reference solver refuses) is rejected before a run produces any
-    output, or allocates any of its matrices.
+    A flag value replaces its field (truncation, grid, oracle.enabled,
+    output.dir, tolerances.oracle) before anything is checked, so it must
+    have the type of that field, and the section it lands in must be an
+    object. Every domain object is constructed here, so a config that would
+    fail any module-level invariant (non-injective map, non-elliptic
+    material, constant loading term, loading above the truncation, a
+    truncation above MAX_TRUNCATION, a map so deep that its Grunsky table
+    at the truncation exceeds MAX_GRUNSKY_ENTRIES, a non-finite value, an
+    oracle node count the reference solver refuses) is rejected before a
+    run produces any output, or allocates any of its matrices.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    version = _get(raw, "schema_version", "config")
+    version = _field(doc, "schema_version", int, "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {version!r} is not supported (expected {SCHEMA_VERSION})")
 
-    map_block = _get(raw, "map", "config")
-    material_block = _get(raw, "material", "config")
-    loading_block = _get(raw, "loading", "config")
+    map_block, material_block, loading_block = (
+        _field(doc, key, dict, "config") for key in ("map", "material", "loading"))
+    oracle_block, tol_block, output_block = (
+        _field(doc, key, dict, "config", {}) for key in ("oracle", "tolerances", "output"))
+    for block, key, value in (
+        (doc, "truncation", truncation),
+        (doc, "grid", None if grid_text is None else _grid_fields(grid_text)),
+        (oracle_block, "enabled", force_oracle or None),
+        (output_block, "dir", out_dir),
+        (tol_block, "oracle", tolerance),
+    ):
+        if value is not None:
+            block[key] = value
 
     try:
-        cmap = ConformalMap(
-            _real(_get(map_block, "gamma", "map"), "map.gamma"),
-            _complex_list(_get(map_block, "a", "map"), "map.a"),
-        )
-        lam = _real(_get(material_block, "lambda", "material"), "material.lambda")
-        mu = _real(_get(material_block, "mu", "material"), "material.mu")
-        if material_block.get("cavity", False):
+        cmap = ConformalMap(_field(map_block, "gamma", float, "map"),
+                            _complex_list(map_block, "a", "map"))
+        lam = _field(material_block, "lambda", float, "material")
+        mu = _field(material_block, "mu", float, "material")
+        if _field(material_block, "cavity", bool, "material", False):
             material = MaterialPair(lam, mu, cavity=True)
         else:
-            material = MaterialPair(
-                lam,
-                mu,
-                _real(_get(material_block, "lambda_t", "material"), "material.lambda_t"),
-                _real(_get(material_block, "mu_t", "material"), "material.mu_t"),
-            )
-        loading = LoadingSpec(
-            A=_complex_list(_get(loading_block, "A", "loading"), "loading.A") or [0.0],
-            B=_complex_list(_get(loading_block, "B", "loading"), "loading.B") or [0.0],
-        )
+            material = MaterialPair(lam, mu, _field(material_block, "lambda_t", float, "material"),
+                                    _field(material_block, "mu_t", float, "material"))
+        loading = LoadingSpec(A=_complex_list(loading_block, "A", "loading") or [0.0],
+                              B=_complex_list(loading_block, "B", "loading") or [0.0])
     except (GeometryError, MaterialError, LoadingError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    n = truncation if truncation is not None else raw.get("truncation", DEFAULT_TRUNCATION)
-    n = _integer(n, "truncation")
+    n = _field(doc, "truncation", int, "config", DEFAULT_TRUNCATION)
     if not 1 <= n <= MAX_TRUNCATION:
         raise ConfigError(f"truncation must be in 1..{MAX_TRUNCATION}, got {n}")
     entries = grunsky_table_entries(cmap, n)
@@ -278,51 +254,19 @@ def load_config(
     if loading.order > n:
         raise ConfigError(f"loading mode {loading.order} exceeds truncation order {n}")
 
-    if grid_text is not None:
-        grid = parse_grid_text(grid_text)
-    elif "grid" in raw and raw["grid"] is not None:
-        grid = _parse_grid_block(raw["grid"], "grid")
-    else:
-        grid = None
-
-    oracle_block = raw.get("oracle", {})
-    if not isinstance(oracle_block, dict):
-        raise ConfigError("oracle: expected an object")
-    enabled = force_oracle or bool(oracle_block.get("enabled", False))
-    q = _integer(oracle_block.get("q", DEFAULT_ORACLE_NODES), "oracle.q")
+    grid_block = _field(doc, "grid", dict, "config", None)
+    grid = None if grid_block is None else _grid(grid_block, "grid")
+    enabled = _field(oracle_block, "enabled", bool, "oracle", False)
+    q = _field(oracle_block, "q", int, "oracle", DEFAULT_ORACLE_NODES)
     try:
         check_node_count(q)
     except OracleError as exc:
         raise ConfigError(f"oracle.q: {exc}") from exc
-    tol_block = raw.get("tolerances", {})
-    if not isinstance(tol_block, dict):
-        raise ConfigError("tolerances: expected an object")
-    if tolerance is not None:
-        oracle_tol = float(tolerance)
-    else:
-        oracle_tol = _real(tol_block.get("oracle", DEFAULT_ORACLE_TOLERANCE), "tolerances.oracle")
-    if not 0.0 < oracle_tol < math.inf:
-        raise ConfigError(f"oracle tolerance must be positive and finite, got {oracle_tol}")
-
-    if out_dir is not None:
-        out = Path(out_dir)
-    else:
-        output_block = raw.get("output", {})
-        if not isinstance(output_block, dict):
-            raise ConfigError("output: expected an object")
-        out = Path(output_block.get("dir", "."))
-
-    return RunConfig(
-        cmap=cmap,
-        material=material,
-        loading=loading,
-        truncation=n,
-        grid=grid,
-        oracle_enabled=enabled,
-        oracle_nodes=q,
-        oracle_tolerance=oracle_tol,
-        out_dir=out,
-    )
+    tol = _field(tol_block, "oracle", float, "tolerances", DEFAULT_ORACLE_TOLERANCE)
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"oracle tolerance must be positive and finite, got {tol}")
+    out = Path(_field(output_block, "dir", str, "output", "."))
+    return RunConfig(cmap, material, loading, n, grid, enabled, q, tol, out, doc)
 
 
 # -- orchestration ------------------------------------------------------------
@@ -508,10 +452,10 @@ def _summary_text(results: RunResults) -> str:
 def emit_reports(results: RunResults, out_dir) -> list[Path]:
     """Write every report for a finished run; returns the paths written.
 
-    The manifest echoes the effective config so a run can be reproduced
-    from its own output directory; apart from the manifest timestamp and
-    timings.json (seconds per stage) the outputs are deterministic
-    functions of the config.
+    The manifest's config is the run's config document (RunConfig.document),
+    so a run can be repeated from its own output directory; apart from the
+    manifest timestamp and timings.json (seconds per stage) the outputs are
+    deterministic functions of the config.
     """
     out = Path(out_dir)
     try:
@@ -562,7 +506,7 @@ def emit_reports(results: RunResults, out_dir) -> list[Path]:
         {
             "schema_version": SCHEMA_VERSION,
             "command": results.command,
-            "config": results.config.echo(),
+            "config": results.config.document,
             "versions": {"elastinc": __version__, "numpy": np.__version__},
             "files": [p.name for p in written],
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -581,32 +525,15 @@ def oracle_within_tolerance(results: RunResults) -> bool:
 # -- entry point --------------------------------------------------------------
 
 
-def run(
-    config_path,
-    command: str = "solve",
-    truncation: int | None = None,
-    grid_text: str | None = None,
-    force_oracle: bool = False,
-    out_dir: str | None = None,
-    tolerance: float | None = None,
-    stream=None,
-) -> int:
-    """Full run for one subcommand; returns the process exit code."""
+def run(config_path, command: str = "solve", stream=None, **overrides) -> int:
+    """Full run for one subcommand; returns the process exit code.
+
+    overrides are load_config's flag keywords (truncation, grid_text,
+    force_oracle, out_dir, tolerance).
+    """
     stream = stream if stream is not None else sys.stderr
     try:
-        config = load_config(
-            config_path,
-            truncation=truncation,
-            grid_text=grid_text,
-            force_oracle=force_oracle,
-            out_dir=out_dir,
-            tolerance=tolerance,
-        )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=stream)
-        return EXIT_CONFIG
-
-    try:
+        config = load_config(config_path, **overrides)
         results = orchestrate(config, command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=stream)
@@ -622,7 +549,7 @@ def run(
         written = emit_reports(results, config.out_dir)
     except OSError as exc:
         print(str(exc), file=stream)
-        return 1
+        return EXIT_WRITE
 
     for path in written:
         print(f"wrote {path}", file=stream)
@@ -742,9 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--truncation", type=int, default=None, help="override truncation order")
-        p.add_argument("--grid", default=None, metavar="X0,X1,Y0,Y1,NX,NY",
+        p.add_argument("--grid", default=None, dest="grid_text", metavar="X0,X1,Y0,Y1,NX,NY",
                        help="override the evaluation grid")
-        p.add_argument("--oracle", action="store_true",
+        p.add_argument("--oracle", action="store_true", dest="force_oracle",
                        help="force the reference comparison on")
         p.add_argument("--out-dir", default=None, help="override the output directory")
         p.add_argument("--tolerance", type=float, default=None,
@@ -754,18 +681,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "self-test":
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    if command == "self-test":
         return self_test()
-    return run(
-        args.config,
-        command=args.command,
-        truncation=args.truncation,
-        grid_text=args.grid,
-        force_oracle=args.oracle,
-        out_dir=args.out_dir,
-        tolerance=args.tolerance,
-    )
+    return run(args.pop("config"), command, **args)
 
 
 if __name__ == "__main__":

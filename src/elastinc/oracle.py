@@ -453,6 +453,9 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
     for row, r in zip(constraints, rigid_fields(mesh.z)):
         row[n - 2 * q : n - q] = wq * r.real
         row[n - q :] = wq * r.imag
+        # the rotation row scales as gamma^2: divided first by the power of two
+        # just above its max (exact), its norm neither overflows nor underflows
+        row /= np.ldexp(1.0, np.frexp(np.max(np.abs(row)))[1])
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T
     return NystromSystem(matrix, rhs, constraints, mesh, material, h_nodes,

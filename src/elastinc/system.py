@@ -229,9 +229,12 @@ def solve(system: BlockSystem) -> DensitySolution:
     """
     matrix, rhs = system.matrix, system.rhs
     sol = np.linalg.solve(matrix, rhs)
-    scale = np.linalg.norm(rhs)
+    # both norms of vectors divided by the power of two just above max|rhs|:
+    # exact, and free of the overflow (underflow) of squaring a huge (tiny) rhs
+    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(rhs)))[1])
+    scale = np.linalg.norm(rhs / unit)
     # a non-finite rhs gives a NaN residual, which never counts as converged
-    residual = float(np.linalg.norm(matrix @ sol - rhs) / scale) if scale != 0 else 0.0
+    residual = float(np.linalg.norm((matrix @ sol - rhs) / unit) / scale) if scale != 0 else 0.0
 
     # the kept modes of both sides onto the window; mode 0 is a minus entry
     n = system.bundle.n

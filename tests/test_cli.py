@@ -1,5 +1,6 @@
 """Config parsing, run orchestration, and report serialization."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -81,7 +82,7 @@ def test_flag_overrides_beat_config(tmp_path):
     assert cfg.oracle_enabled
     assert cfg.oracle_tolerance == 1e-5
     assert str(cfg.out_dir) == "elsewhere"
-    assert cfg.echo()["truncation"] == 20
+    assert cfg.document["truncation"] == 20
 
 
 def test_grid_text_rejects_malformed():
@@ -245,9 +246,15 @@ def _set(block, **values):
     (_set("oracle", q=3), "oracle-check", []),
     (_set("oracle", q=7), "oracle-check", []),
     (_set("oracle", q=-4), "oracle-check", []),
+    # a JSON string is not a boolean: "false" once solved a cavity, and ran the oracle
+    (_set("material", cavity="false"), "solve", []),
+    (_set("oracle", enabled="false"), "solve", []),
+    (_set("tolerances", oracle=True), "oracle-check", []),
+    (lambda cfg: cfg.update(output="x"), "solve", []),
 ], ids=["map-nan", "map-inf", "loading-B-nan", "loading-A-inf", "mu_t-inf", "grid-x0-nan",
         "grid-y1-inf", "grid-flag-nan", "tolerance-flag-nan", "tolerance-nan", "tolerance-inf",
-        "q-0", "q-3", "q-7", "q-minus-4"])
+        "q-0", "q-3", "q-7", "q-minus-4", "cavity-string", "enabled-string", "tolerance-bool",
+        "output-not-object"])
 def test_invalid_input_exits_config_before_output(tmp_path, edit, command, flags):
     cfg = base_config()
     if edit is not None:
@@ -256,6 +263,35 @@ def test_invalid_input_exits_config_before_output(tmp_path, edit, command, flags
     argv = [command, "--config", write_config(tmp_path, cfg), "--out-dir", str(out), *flags]
     assert main(argv) == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, overrides", [
+    (lambda cfg: cfg.update(output={"dir": 5}), {}),  # once a raw TypeError from Path(5)
+    (None, {"tolerance": "abc"}),  # once a raw ValueError from float("abc")
+    (None, {"tolerance": True}),  # once accepted as 1.0
+    (None, {"out_dir": 5}),
+    (None, {"truncation": 12.0}),
+    (None, {"force_oracle": "yes"}),
+], ids=["output-dir-number", "tolerance-text", "tolerance-bool", "out-dir-number",
+        "truncation-float", "force-oracle-text"])
+def test_override_values_take_their_field_type(tmp_path, edit, overrides):
+    cfg = base_config()
+    if edit is not None:
+        edit(cfg)
+    with pytest.raises(ConfigError):
+        load_config(write_config(tmp_path, cfg), **overrides)
+
+
+def test_unwritable_out_dir_exits_1(tmp_path):
+    # --out-dir naming an existing file: the reports cannot be written
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    stream = io.StringIO()
+    argv = ["solve", "--config", write_config(tmp_path, base_config()), "--out-dir", str(blocker)]
+    with contextlib.redirect_stderr(stream):
+        assert main(argv) == cli.EXIT_WRITE == 1
+    assert "cannot create output directory" in stream.getvalue()
+    assert blocker.read_text() == "not a directory"
 
 
 @pytest.mark.parametrize("truncation", [cli.MAX_TRUNCATION + 1, 100000])
@@ -469,8 +505,40 @@ def test_reruns_are_deterministic(tmp_path):
     mb = json.loads((out_b / "manifest.json").read_text())
     # only the timestamp and the requested output location may differ
     ma.pop("timestamp"), mb.pop("timestamp")
-    ma["config"].pop("out_dir"), mb["config"].pop("out_dir")
+    ma["config"]["output"].pop("dir"), mb["config"]["output"].pop("dir")
     assert ma == mb
+
+
+def test_manifest_config_reruns_the_same_run(tmp_path):
+    # the manifest's config is the effective config in file form: every flag
+    # written into its field, every default filled in; loaded again it gives
+    # the same settings, and a run from it writes the same reports
+    cfg = base_config()
+    cfg["map"] = {"gamma": 1.0, "a": [[0.5, 0.0]]}
+    cfg["material"] = {"lambda": 2.0, "mu": 1.0, "cavity": True}
+    del cfg["oracle"], cfg["tolerances"]
+    out = tmp_path / "out"
+    flags = ["--truncation", "10", "--grid", "0,1,0,1,2,2", "--oracle", "--out-dir", str(out),
+             "--tolerance", "1e-7"]
+    assert main(["oracle-check", "--config", write_config(tmp_path, cfg), *flags]) == EXIT_OK
+    document = json.loads((out / "manifest.json").read_text())["config"]
+    assert document["truncation"] == 10
+    assert document["grid"] == {"x0": 0.0, "x1": 1.0, "y0": 0.0, "y1": 1.0, "nx": 2, "ny": 2}
+    assert document["oracle"] == {"enabled": True, "q": cli.DEFAULT_ORACLE_NODES}
+    assert document["tolerances"] == {"oracle": 1e-7}
+    assert document["output"] == {"dir": str(out)}
+
+    rerun_path = tmp_path / "rerun.json"
+    rerun_path.write_text(json.dumps(document))
+    again = load_config(rerun_path)
+    assert again.document == document
+    assert (again.truncation, again.oracle_enabled, again.oracle_nodes) == (10, True, 256)
+    assert again.oracle_tolerance == 1e-7 and again.out_dir == out
+    assert again.grid == parse_grid_text("0,1,0,1,2,2")
+    names = ("solution.json", "summary.txt", "oracle_report.json")
+    first = {name: (out / name).read_bytes() for name in names}
+    assert run(rerun_path, command="oracle-check", stream=io.StringIO()) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in names} == first
 
 
 def test_main_dispatches_with_grid_override(tmp_path):

@@ -480,6 +480,21 @@ def test_order_32_loading_oracle_agrees_with_series(material):
     assert report.boundary_max <= 1e-11 * np.max(np.abs(oracle_sol.u_boundary))
 
 
+@pytest.mark.parametrize("gamma", [1.0, 1e-90, 1e120])
+def test_rigid_motion_rows_at_extreme_radii(gamma):
+    # the rotation row scales as gamma^2: its norm once overflowed from about
+    # gamma = 1e77 and underflowed below about 1e-80, and the bordered matrix
+    # was singular (oracle-check exit 4)
+    cmap = ConformalMap(gamma, [0.1 * gamma, 0.3 * gamma**2])
+    system = assemble_nystrom(build_mesh(cmap, 64), TRANS, B1)
+    assert np.allclose(np.linalg.norm(system.constraints, axis=1), 1.0, rtol=1e-14)
+    oracle_sol = solve_nystrom(system)
+    series_sol = solve(assemble_system(TRANS, build_geometry(cmap, 16), B1))
+    report = compare(oracle_sol, series_sol, cmap, TRANS, B1)
+    # 1.32e-11 at every radius, as at gamma = 1
+    assert report.boundary_max <= 2e-11 * np.max(np.abs(oracle_sol.u_boundary))
+
+
 def test_oracle_interior_field_matches_series():
     bundle = build_geometry(ELLIPSE, 16)
     series_sol = solve(assemble_system(TRANS, bundle, B1))

@@ -487,6 +487,33 @@ def test_transmission_solve_converges_and_decouples():
         assert np.max(np.abs(vec[mask])) <= 1e-9
 
 
+def _two_term_solve(gamma, b1):
+    cmap = ConformalMap(gamma, [0.1 * gamma, 0.3 * gamma**2])
+    return solve(assemble_system(TRANS, build_geometry(cmap, 16), LoadingSpec([0.0], [0.0, b1])))
+
+
+# ||rhs|| once overflowed (underflowed) and the residual read 0.0, converged,
+# with an overflow warning: the suite turns that warning into an error
+@pytest.mark.parametrize("gamma, b1", [(1.0, 2.0**530), (2.0**511, 1.0), (1.0, 2.0**-530)],
+                         ids=["huge-loading", "huge-radius", "tiny-loading"])
+def test_residual_of_a_power_of_two_rescaled_rhs_is_unchanged(gamma, b1):
+    # the unit-radius system is the same and its rhs is scaled by a power of
+    # two, so the relative residual keeps every bit
+    sol = _two_term_solve(gamma, b1)
+    unit = _two_term_solve(1.0, 1.0)
+    assert sol.converged and 0.0 < sol.residual == unit.residual
+
+
+@pytest.mark.parametrize("cmap, b1", [
+    (ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03]), 1e160),
+    (ConformalMap(1e154, [0.1e154, 0.3e308]), 1.0),
+    (ConformalMap(2.0**-511, [0.1 * 2.0**-511, 0.3 * 2.0**-1022]), 1.0),
+], ids=["four-term-huge-loading", "huge-radius", "tiny-radius"])
+def test_residual_is_measured_at_extreme_scales(cmap, b1):
+    sol = solve(assemble_system(TRANS, build_geometry(cmap, 16), LoadingSpec([0.0], [0.0, b1])))
+    assert sol.converged and 0.0 < sol.residual <= 1e-14
+
+
 # -- one factorization per solve; the condition estimate is a call of its own --
 
 
