@@ -98,6 +98,17 @@ _KINDS = {  # JSON kind: the Python types that hold it, and its name in messages
 }
 _REQUIRED = object()
 GRID_KEYS = ("x0", "x1", "y0", "y1", "nx", "ny")
+SCHEMA_KEYS = {  # every key each section may hold; any other is a config error
+    "config": ("schema_version", "map", "material", "loading", "truncation", "grid", "oracle",
+               "tolerances", "output"),
+    "map": ("gamma", "a"),
+    "material": ("lambda", "mu", "lambda_t", "mu_t", "cavity"),
+    "loading": ("A", "B"),
+    "grid": GRID_KEYS,
+    "oracle": ("enabled", "q"),
+    "tolerances": ("oracle",),
+    "output": ("dir",),
+}
 
 
 def _field(block: dict, key: str, kind: type, where: str, default=_REQUIRED):
@@ -112,6 +123,14 @@ def _field(block: dict, key: str, kind: type, where: str, default=_REQUIRED):
     if not isinstance(value, types) or isinstance(value, bool) is not (kind is bool):
         raise ConfigError(f"{where}.{key}: expected {name}, got {value!r}")
     return float(value) if kind is float else value
+
+
+def _known_keys(block: dict, where: str) -> None:
+    """Refuse a key outside the section's schema: a misspelt key would otherwise
+    leave its field at the default without a word."""
+    for key in block:
+        if key not in SCHEMA_KEYS[where]:
+            raise ConfigError(f"{where}: unknown key {key!r}")
 
 
 def _as_complex(item, where: str) -> complex:
@@ -163,6 +182,7 @@ def _grid_fields(text: str) -> dict:
 
 
 def _grid(block: dict, where: str) -> GridSpec:
+    _known_keys(block, "grid")
     x0, x1, y0, y1 = (_field(block, key, float, where) for key in GRID_KEYS[:4])
     nx, ny = (_field(block, key, int, where) for key in GRID_KEYS[4:])
     if not all(math.isfinite(v) for v in (x0, x1, y0, y1)):
@@ -192,7 +212,9 @@ def load_config(
     A flag value replaces its field (truncation, grid, oracle.enabled,
     output.dir, tolerances.oracle) before anything is checked, so it must
     have the type of that field, and the section it lands in must be an
-    object. Every domain object is constructed here, so a config that would
+    object. A key outside SCHEMA_KEYS is refused, so a misspelt key, or one
+    an older version wrote, is an error and not a silent default. Every
+    domain object is constructed here, so a config that would
     fail any module-level invariant (non-injective map, non-elliptic
     material, constant loading term, loading above the truncation, a
     truncation above MAX_TRUNCATION, a map so deep that its Grunsky table
@@ -213,10 +235,15 @@ def load_config(
     if version != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version {version!r} is not supported (expected {SCHEMA_VERSION})")
 
+    _known_keys(doc, "config")
     map_block, material_block, loading_block = (
         _field(doc, key, dict, "config") for key in ("map", "material", "loading"))
     oracle_block, tol_block, output_block = (
         _field(doc, key, dict, "config", {}) for key in ("oracle", "tolerances", "output"))
+    for block, where in ((map_block, "map"), (material_block, "material"),
+                         (loading_block, "loading"), (oracle_block, "oracle"),
+                         (tol_block, "tolerances"), (output_block, "output")):
+        _known_keys(block, where)
     for block, key, value in (
         (doc, "truncation", truncation),
         (doc, "grid", None if grid_text is None else _grid_fields(grid_text)),

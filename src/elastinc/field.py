@@ -22,12 +22,17 @@ Interior evaluation uses the Faber sums alone, valid throughout the
 inclusion. On the boundary circle itself every one of these sums is a
 Laurent polynomial in w, so the interface residuals take them at
 equispaced angles by one inverse FFT (FieldEvaluator._ring_arrays).
+The tables stay exact; evaluation reads each one cut after its last
+column of more than rounding mass (_cut), so a decaying series costs as
+many columns as it has digits.
 
-On a grid of physical points, one sweep over the sampled boundary gives
-both region masks, interior by the even-odd rule and the boundary band by
-segment distance (_regions), and exterior points are inverted by Newton's
-method from the first-order seed w = zeta - a1 / zeta, zeta = z - a0, with
-Psi and Psi' taken in one Horner pass per iteration (invert_map).
+On a grid of physical points, one sweep of the sampled boundary over the
+grid's row heights gives both region masks, interior by the even-odd rule
+and the boundary band by segment distance (_grid_regions; _regions is the
+same sweep over scattered points), and exterior points are inverted by
+Newton's method from the first-order seed w = zeta - a1 / zeta,
+zeta = z - a0, with Psi and Psi' taken in one Horner pass per iteration
+(invert_map).
 """
 
 from __future__ import annotations
@@ -57,6 +62,9 @@ DEFAULT_BOUNDARY_BAND = 1e-3
 NEWTON_MAX_ITER = 60
 NEWTON_TOL = 1e-13
 REGION_SAMPLES = 2048
+# a series is cut where its remaining columns sum to at most this many eps
+# of its row's largest entry (_cut)
+SERIES_CUT = 1.0
 _REGIONS = ("exterior", "interior")  # indexed by the interior flag
 
 
@@ -107,8 +115,7 @@ class GridSpec:
     def points(self) -> np.ndarray:
         xs = np.linspace(self.xmin, self.xmax, self.nx)
         ys = np.linspace(self.ymin, self.ymax, self.ny)
-        X, Y = np.meshgrid(xs, ys)
-        return (X + 1j * Y).ravel()
+        return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +159,24 @@ class FieldGrid:
             yield FieldSample(w, z, u, region, f, fp, g, nb)
 
 
+def _cut(rows: np.ndarray, bound=1.0, least: int = 1) -> np.ndarray:
+    """rows without the trailing columns that sum below rounding.
+
+    Column m of a row multiplies a term of modulus at most bound[m] where
+    the row is summed (1 for a power of 1/w at |w| >= gamma). Row by row,
+    the columns from k on can go when their |entries| times bound sum to at
+    most SERIES_CUT eps times the row's largest such product; the rows keep
+    the widest of their kept prefixes, and at least least columns. A row's
+    sum then moves by at most the mass it drops. A series that does not
+    decay keeps every column, and so does a row that is not finite.
+    """
+    mag = np.abs(rows) * bound
+    mass = mag[:, ::-1].cumsum(axis=1)  # mass[:, j]: the last j + 1 columns
+    limit = SERIES_CUT * np.finfo(float).eps * mag.max(axis=1, keepdims=True)
+    spare = int((mass <= limit).sum(axis=1).min())
+    return rows[:, : max(mag.shape[1] - spare, least)]
+
+
 class FieldEvaluator:
     """Precomputed series data for evaluating one solved configuration.
 
@@ -160,8 +185,9 @@ class FieldEvaluator:
     and z / gamma; since z = gamma zeta, f and g keep their values and f'
     is divided by gamma on output. The exterior layer terms are one exact
     Laurent series in 1/w at every |w| >= gamma (tail, built on the first
-    exterior evaluation); the interior layer terms are Faber sums in z, and
-    the loading is summed the same way by a loading.LoadingSeries.
+    exterior evaluation, and summed as tail_cut); the interior layer terms
+    are Faber sums in z (interior_rows), and the loading is summed the same
+    way by a loading.LoadingSeries.
     """
 
     def __init__(self, solution: DensitySolution, loading: LoadingSpec,
@@ -210,15 +236,20 @@ class FieldEvaluator:
 
     @cached_property
     def interior_rows(self) -> np.ndarray:
-        """Rows (Li, Libar, Ci Dt, Cyi Dt): every interior sum as a sum of F_m.
+        """Rows (Li, Libar, Ci Dt, Cyi Dt): every interior sum as a sum of F_m, cut.
 
         F_m' = sum_j Dt[m, j] F_j exactly, so one value recurrence serves the
-        derivative sums too. Built on the first interior evaluation, so an
-        evaluator that never goes inside does not pay for Dt.
+        derivative sums too. The rows are cut at rounding (_cut), so the
+        recurrence runs only as deep as the densities carry digits. The cut
+        takes each |F_m| inside as 1: its bound, 1 + sum_k |c_mk| on the
+        boundary, needs the Grunsky table, which interior evaluation does not
+        build (1.4 at most on the four-term map, 1 + 0.9^m on a1 = 0.9). Built
+        on the first interior evaluation, so an evaluator that never goes
+        inside does not pay for Dt.
         """
         order = self.faber_derivs_i.shape[1] - 1
         slopes = self.faber_derivs_i @ faber_derivative_matrices(self.unit, order)
-        return np.vstack([self.faber_values_i, slopes])
+        return _cut(np.vstack([self.faber_values_i, slopes]))
 
     @cached_property
     def tail(self) -> np.ndarray:
@@ -233,7 +264,7 @@ class FieldEvaluator:
         map (geometry.grunsky_rows), which build_geometry at the same
         truncation fills at this shape; every evaluator of that map, the
         residuals' own among them, pays one matrix product here, not a
-        recurrence.
+        recurrence. The table is exact; evaluation reads its cut, tail_cut.
         """
         n = self.solution.n
         order, kfar = exterior_series_orders(self.unit, n)
@@ -245,6 +276,16 @@ class FieldEvaluator:
         tail[3] *= -ks
         tail[3, : n + 2] += self.yneg
         return tail
+
+    @cached_property
+    def tail_cut(self) -> np.ndarray:
+        """The tail cut at rounding (_cut): the columns exterior evaluation sums.
+
+        At |w| >= gamma every power of 1/w is at most 1 in modulus, so each
+        row's sum moves by at most the mass of its dropped columns, at most
+        SERIES_CUT eps times the row's largest coefficient.
+        """
+        return _cut(self.tail)
 
     # -- exterior ----------------------------------------------------------
 
@@ -258,42 +299,59 @@ class FieldEvaluator:
         if np.any(np.abs(w) < self.gamma * (1.0 - 1e-12)):
             raise FieldError("exterior evaluation requires |w| >= gamma")
         z = eval_map(self.cmap, w)
+        load = self.load_series.potentials(z)
         omega = w / self.gamma
         wdpsi = omega * eval_map_derivative(self.unit, omega)
-        return self._exterior(z, boundary_series(np.zeros(1), self.tail, omega), wdpsi,
-                              self.load_series.potentials(z))
+        sums = boundary_series(np.zeros(1), self.tail_cut, omega)
+        del omega  # fewer arrays alive at once: fresh memory is what a large call pays for
+        return self._exterior(z, sums, wdpsi, load)
 
     def _exterior(self, z, tail_sums, wdpsi, load_sums) -> dict:
         """Exterior arrays from the tail's sums (L, Lbar, C, q), w Psi'(w) of
-        the unit map and the loading's (f, g, f')."""
+        the unit map and the loading's (f, g, f').
+
+        The layer potentials are formed in the rows of tail_sums, which this
+        overwrites, and the displacement starts from the loading's own,
+        kappa f - z conj(f') - conj(g), summed apart as a reference solver
+        sums it.
+        """
         L, Lbar, C, q = tail_sums
         fH, gH, dfH = load_sums
         alpha, beta, kappa = self.material.alpha, self.material.beta, self.material.kappa
-        f = beta * L
-        fp = beta * (C / wdpsi)
-        g = -alpha * Lbar - beta * (q / wdpsi)
-        load = kappa * fH - z * np.conj(dfH) - np.conj(gH)
-        arrays = self._arrays(z, load, kappa, f, fp, g)
+        L *= beta
+        C /= wdpsi
+        C *= beta
+        q /= wdpsi
+        q *= beta
+        Lbar *= -alpha
+        Lbar -= q
+        u = kappa * fH
+        u -= np.multiply(z, np.conjugate(dfH, out=q), out=q)
+        u -= np.conjugate(gH, out=q)
+        arrays = self._arrays(z, u, kappa, L, C, Lbar, q)
         arrays["f"] += fH
         arrays["fprime"] += dfH
         arrays["g"] += gH
         return arrays
 
-    def _arrays(self, z, load, kappa, f, fp, g) -> dict:
-        """The displacement u = load + (kappa f - zeta conj(fp) - conj(g)) / 2.
+    def _arrays(self, z, u, kappa, f, fp, g, spare) -> dict:
+        """Add (kappa f - zeta conj(fp) - conj(g)) / 2 to the displacement u.
 
         f, fp and g are the layer potentials of the unit-radius problem,
-        zeta = z / gamma its point; the returned f, fprime and g are their
-        halves, fprime returned to z by 1/gamma.
+        zeta = z / gamma its point; they are returned as their halves, fp
+        returned to z by 1/gamma. Every array is updated in place, and
+        spare, of their shape, is overwritten.
         """
-        zeta = z / self.gamma
-        return {
-            "z": z,
-            "u": load + 0.5 * kappa * f - 0.5 * zeta * np.conj(fp) - 0.5 * np.conj(g),
-            "f": 0.5 * f,
-            "fprime": 0.5 * fp / self.gamma,
-            "g": 0.5 * g,
-        }
+        u += np.multiply(f, 0.5 * kappa, out=spare)
+        half_zeta = np.divide(z, self.gamma)
+        half_zeta *= 0.5
+        u -= np.multiply(half_zeta, np.conjugate(fp, out=spare), out=spare)
+        u -= np.multiply(np.conjugate(g, out=spare), 0.5, out=spare)
+        f *= 0.5
+        fp *= 0.5
+        fp /= self.gamma
+        g *= 0.5
+        return {"z": z, "u": u, "f": f, "fprime": fp, "g": g}
 
     # -- the boundary ring -------------------------------------------------
 
@@ -309,18 +367,30 @@ class FieldEvaluator:
         sum_k k (d C)_k omega^-k. At count equispaced points a power counts
         only modulo count, so each row's powers are folded into count slots,
         exactly also when a row has more than count powers, and one inverse
-        FFT sums every row at every point. The pointwise formulas are those
-        of exterior_arrays and interior_arrays_z.
+        FFT sums every row at every point. The rows are cut at rounding
+        first: the tail is read as tail_cut, and each Faber column is weighed
+        by the largest modulus of its term on the circle. The pointwise
+        formulas are those of exterior_arrays and interior_arrays_z.
         """
         unit, load = self.unit, self.load_series
         transmission = self.solution.mode == "transmission"
-        order, kfar = exterior_series_orders(unit, max(self.solution.n, load.order))
+        order, _ = exterior_series_orders(unit, max(self.solution.n, load.order))
         # Faber rows: the loading's f, g, f', then the interior Li, Libar, Ci, Cyi
         d = np.zeros((3, order + 1), dtype=complex)
         d[:, : load.rows.shape[1]] = load.rows[[0, 1, 0]]
         if transmission:
             d = np.vstack([d, self.faber_values_i, self.faber_derivs_i])
-        deriv = np.isin(np.arange(d.shape[0]), [2, 5, 6])
+        deriv = np.array([False, False, True, False, False, True, True])[: d.shape[0]]
+        # cut at rounding; on |omega| = 1, where c_mk = 0 for k > mK,
+        # |F_m| <= 1 + sum_k |c_mk| and |omega Psi' F_m'| <= m + sum_k k |c_mk|
+        grunsky = grunsky_rows(unit, order, order * unit.depth)
+        size = np.abs(grunsky)
+        bound = np.where(deriv[:, None], np.arange(order + 1) + size @ np.arange(size.shape[1]),
+                         1.0 + size.sum(axis=1))
+        d = _cut(d, bound, least=2)
+        order = d.shape[1] - 1
+        tail = self.tail_cut
+        kfar = max(order * unit.depth, tail.shape[1] - 1)
 
         # coefficients of the powers -kfar..order, padded in front so that
         # column 0 holds a power divisible by count, and behind to whole blocks
@@ -334,8 +404,8 @@ class FieldEvaluator:
         pos[:2, 1] = 1.0  # Psi and omega Psi'
         neg[0, : b.size] = b
         neg[1, : b.size] = -ks[: b.size] * b
-        neg[2:6, : self.tail.shape[1]] = self.tail
-        neg[6:] = d @ grunsky_rows(unit, order, kfar)
+        neg[2:6, : tail.shape[1]] = tail
+        neg[6:, : order * unit.depth + 1] = d @ grunsky[: order + 1, : order * unit.depth + 1]
         neg[6:][deriv] *= -ks
         d[deriv] *= np.arange(order + 1)
         pos[6:] += d
@@ -362,13 +432,20 @@ class FieldEvaluator:
         return self._interior(z, sL, sLbar, sC, sCy)
 
     def _interior(self, z, sL, sLbar, sC, sCy) -> dict:
-        """Interior arrays from the Faber sums (Li, Libar) and derivative sums (Ci, Cyi)."""
+        """Interior arrays from the Faber sums (Li, Libar) and derivative sums (Ci, Cyi).
+
+        The layer potentials are formed in the sums' arrays, which this
+        overwrites; the displacement starts from the constant of the mode-0
+        density.
+        """
         at, bt, kt = self.material.interior_constants()
-        f = bt * sL
-        fp = bt * sC
-        g = -at * sLbar - bt * sCy
-        load = np.full_like(z, -0.5 * (bt * self.mean_i))
-        return self._arrays(z, load, kt, f, fp, g)
+        sL *= bt
+        sC *= bt
+        sCy *= bt
+        sLbar *= -at
+        sLbar -= sCy
+        u = np.full_like(z, -0.5 * (bt * self.mean_i))
+        return self._arrays(z, u, kt, sL, sC, sLbar, sCy)
 
     def interior_arrays(self, w: np.ndarray) -> dict:
         """Interior evaluation at preimage points in the extension band."""
@@ -423,7 +500,7 @@ def _map_and_derivative(cmap: ConformalMap, w: np.ndarray) -> tuple[np.ndarray, 
     """Psi(w) and Psi'(w) in one Horner pass over the shared u = 1/w.
 
     With P(u) = sum_k a_k u^k, Psi = w + P(u) and Psi' = 1 - u^2 P'(u); P
-    and P' run through the coefficients together.
+    and P' run through the coefficients together, in place.
     """
     u = 1.0 / w
     p = np.zeros_like(w)
@@ -433,11 +510,11 @@ def _map_and_derivative(cmap: ConformalMap, w: np.ndarray) -> tuple[np.ndarray, 
         dp += p
         p *= u
         p += ak
-    dp *= u * u
-    dpsi = 1.0 - dp
+    dp *= np.multiply(u, u, out=u)
+    dpsi = np.subtract(1.0, dp, out=dp)
     if np.any(np.abs(dpsi) < SINGULAR_DERIVATIVE_TOL):
         raise GeometryError("map derivative vanishes at an evaluation point")
-    return w + p, dpsi
+    return np.add(w, p, out=p), dpsi
 
 
 def invert_map(cmap: ConformalMap, z) -> np.ndarray:
@@ -471,8 +548,8 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
             break
         wa = w[active]
         psi, dpsi = _map_and_derivative(cmap, wa)
-        val = psi - zf[active]
-        step = val / dpsi
+        val = np.subtract(psi, zf[active], out=psi)
+        step = np.divide(val, dpsi, out=dpsi)
         nxt = wa - step
         low = np.abs(nxt) < floor
         while np.any(low):
@@ -486,6 +563,54 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     return w.reshape(shape)
 
 
+def _unit_scale(gamma: float) -> float:
+    """The power of two just above gamma: dividing by it is exact."""
+    return float(np.ldexp(1.0, np.frexp(gamma)[1]))
+
+
+class _Polyline:
+    """The sampled boundary and the band, both divided by scale, the power of
+    two just above gamma; the points tested against them are divided by it too.
+
+    The division is exact, so every comparison below gives the bits it
+    would give on raw coordinates, while neither the squared edge lengths
+    nor the crossings overflow at huge gamma. The two enumerations,
+    _regions over scattered points and _grid_regions over a grid's rows,
+    share the polyline, its half-open crossing rule and its distance test.
+    """
+
+    def __init__(self, cmap: ConformalMap, band: float):
+        self.scale = scale = _unit_scale(cmap.gamma)
+        theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+        p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta)) / scale
+        p1 = np.roll(p0, -1)
+        self.p0, self.d = p0, p1 - p0
+        self.band = band * cmap.gamma / scale
+        self.ylo = np.minimum(p0.imag, p1.imag)
+        self.yhi = np.maximum(p0.imag, p1.imag)
+        # the distance's rounding stays below a few ulps of the coordinates
+        reach = self.band + 16.0 * np.finfo(float).eps * (np.max(np.abs(p0)) + self.band)
+        self.xlo = np.minimum(p0.real, p1.real) - reach
+        self.xhi = np.maximum(p0.real, p1.real) + reach
+
+    def pairs(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(edge, j) pairs with y[j] in the edge's y-range widened by the band."""
+        return sweep_pairs(y, self.ylo - self.band, self.yhi + self.band)
+
+    def crossings(self, e: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which pairs (e, y) cross, y in edge e's half-open y-range, and the crossings' x."""
+        cross = (self.ylo[e] <= y) & (y < self.yhi[e])
+        e, y = e[cross], y[cross]
+        return cross, self.p0.real[e] + (y - self.p0.imag[e]) * self.d.real[e] / self.d.imag[e]
+
+    def near(self, e: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """Whether each point pts lies within the band of its edge e."""
+        rel = pts - self.p0[e]
+        d = self.d[e]
+        t = np.clip((rel * np.conj(d)).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+        return np.abs(rel - t * d) <= self.band
+
+
 def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
     """Interior and boundary-band masks of the points flat, band a fraction of gamma.
 
@@ -495,36 +620,55 @@ def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndar
     horizontal ray to the right of the point crosses the edge when the
     crossing lies right of it, and an odd count is interior. Only the pairs
     whose x also lies within the edge's x-range widened by the band, and
-    by a rounding margin, get the point-to-segment distance.
+    by a rounding margin, get the point-to-segment distance. Coordinates
+    are divided by the power of two just above gamma (_Polyline).
     """
-    band = band * cmap.gamma
-    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
-    p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta))
-    p1 = np.roll(p0, -1)
-    d = p1 - p0
-    ylo = np.minimum(p0.imag, p1.imag)
-    yhi = np.maximum(p0.imag, p1.imag)
-    x, y = flat.real, flat.imag
-
-    e, j = sweep_pairs(y, ylo - band, yhi + band)
-    yj = y[j]
-    cross = (ylo[e] <= yj) & (yj < yhi[e])
-    ec, jc = e[cross], j[cross]
-    x_cross = p0.real[ec] + (yj[cross] - p0.imag[ec]) * d.real[ec] / d.imag[ec]
+    line = _Polyline(cmap, band)
+    x, y = flat.real / line.scale, flat.imag / line.scale
+    e, j = line.pairs(y)
+    cross, x_cross = line.crossings(e, y[j])
+    jc = j[cross]
     interior = np.bincount(jc[x_cross > x[jc]], minlength=flat.size) % 2 == 1
 
-    # the distance's rounding stays below a few ulps of the coordinates
-    reach = band + 16.0 * np.finfo(float).eps * (np.max(np.abs(p0)) + band)
-    xlo = np.minimum(p0.real, p1.real) - reach
-    xhi = np.maximum(p0.real, p1.real) + reach
     xj = x[j]
-    keep = (xlo[e] <= xj) & (xj <= xhi[e])
+    keep = (line.xlo[e] <= xj) & (xj <= line.xhi[e])
     e, j = e[keep], j[keep]
-    rel = flat[j] - p0[e]
-    t = np.clip((rel * np.conj(d[e])).real / np.maximum(np.abs(d[e]) ** 2, 1e-300), 0.0, 1.0)
     near = np.zeros(flat.size, dtype=bool)
-    near[j[np.abs(rel - t * d[e]) <= band]] = True
+    near[j[line.near(e, x[j] + 1j * y[j])]] = True
     return interior, near
+
+
+def _grid_regions(cmap: ConformalMap, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The masks of _regions for the points of grid, in row-major order, row by row.
+
+    A grid's points share ny heights, so the sweep pairs edges with rows,
+    not with points. Each crossing (edge, row) pair adds one to the counts
+    of the columns left of its crossing, found by searchsorted on the
+    sorted x axis, and a cumulative sum along the row gives every count.
+    The band candidates of an (edge, row) pair are the columns within the
+    edge's widened x-range, a second sweep over the x axis. Point, rule
+    and distance are those of _regions, so the masks are the same bits.
+    """
+    line = _Polyline(cmap, grid.band)
+    xs = np.linspace(grid.xmin, grid.xmax, grid.nx) / line.scale
+    ys = np.linspace(grid.ymin, grid.ymax, grid.ny) / line.scale
+    e, r = line.pairs(ys)
+    cross, x_cross = line.crossings(e, ys[r])
+    # sorted column p lies left of a crossing when p < k
+    order = np.argsort(xs, kind="stable")
+    k = np.searchsorted(xs[order], x_cross, side="left")
+    width = grid.nx + 1
+    hits = np.bincount(r[cross] * width + k, minlength=grid.ny * width).reshape(grid.ny, width)
+    right = np.cumsum(hits[:, :0:-1], axis=1)[:, ::-1]  # crossings right of sorted column p
+    interior = np.empty((grid.ny, grid.nx), dtype=bool)
+    interior[:, order] = right % 2 == 1
+
+    i, c = sweep_pairs(xs, line.xlo[e], line.xhi[e])
+    e, r = e[i], r[i]
+    close = line.near(e, xs[c] + 1j * ys[r])
+    near = np.zeros((grid.ny, grid.nx), dtype=bool)
+    near[r[close], c[close]] = True
+    return interior.reshape(-1), near.reshape(-1)
 
 
 def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
@@ -534,8 +678,9 @@ def classify_points(cmap: ConformalMap, z, band: float = DEFAULT_BOUNDARY_BAND):
     by the even-odd rule against the sampled boundary polyline, and near[i]
     marks points within band * gamma of that polyline: the band is a
     fraction of the map's radius, so a grid scaled with the map flags the
-    same points at every gamma. The masks come from _regions; grid_field
-    reads them directly.
+    same points at every gamma. The masks come from the point sweep
+    _regions; grid_field takes the same masks from its rows (_grid_regions)
+    and builds no labels.
     """
     z = np.asarray(z, dtype=complex)
     interior, near = _regions(cmap, z.reshape(-1), band)
@@ -550,30 +695,38 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, cmap: ConformalM
     Exterior points are inverted through the map; interior points use the
     polynomial forms directly (preimage recorded as NaN). Interior points
     of a cavity get NaN displacement. Points inside the boundary band are
-    flagged, not skipped.
+    flagged, not skipped. The region masks come from the grid's own axes
+    (_grid_regions), and the series are summed as cut at rounding.
     """
     ev = FieldEvaluator(solution, loading, cmap, material)
     pts = grid.points()
-    interior, near = _regions(cmap, pts, grid.band)
+    interior, near = _grid_regions(cmap, grid)
     ext = np.flatnonzero(~interior)
     inner = np.flatnonzero(interior)
-    nan = complex(np.nan, np.nan)
-    w = np.full(pts.size, nan)
-    z = pts.copy()
-    values = {key: np.full(pts.size, nan) for key in ("u", "f", "fprime", "g")}
+    w_ext, outside, inside = np.zeros(0, dtype=complex), {}, {}
     if ext.size:
         w_ext = invert_map(cmap, pts[ext])
-        # points the inversion pushed to the boundary circle are band cases
-        w_ext = np.where(
-            np.abs(w_ext) <= cmap.gamma, cmap.gamma * (1.0 + 1e-9) * w_ext / np.abs(w_ext), w_ext
-        )
-        arrays = ev.exterior_arrays(w_ext)
-        w[ext] = w_ext
-        z[ext] = arrays["z"]
-        for key, col in values.items():
-            col[ext] = arrays[key]
+        # points the inversion pushed to the boundary circle are band cases:
+        # gamma (1 + 1e-9) w / |w|, grouped by the power of two above gamma so
+        # that gamma w does not overflow (exact, so the bits are those of the
+        # ungrouped product)
+        pushed = np.abs(w_ext) <= cmap.gamma
+        if np.any(pushed):
+            wp, scale = w_ext[pushed], _unit_scale(cmap.gamma)
+            w_ext[pushed] = cmap.gamma * (1.0 + 1e-9) / scale * wp / np.abs(wp) * scale
+        outside = ev.exterior_arrays(w_ext)
     if inner.size and solution.mode == "transmission":
-        arrays = ev.interior_arrays_z(pts[inner])
-        for key, col in values.items():
-            col[inner] = arrays[key]
-    return FieldGrid(w=w, z=z, interior=interior, near=near, **values)
+        inside = ev.interior_arrays_z(pts[inner])
+    # the columns are filled from the regions' arrays once these are done,
+    # each array let go once it is in its column; the rest is NaN
+    nan = complex(np.nan, np.nan)
+    z = pts  # exterior points take the map's value at their preimage
+    z[ext] = outside.pop("z", nan)
+    columns = {"w": np.empty_like(pts)}
+    columns["w"][ext] = w_ext
+    columns["w"][inner] = nan
+    for key in ("u", "f", "fprime", "g"):
+        col = columns[key] = np.empty_like(pts)
+        col[ext] = outside.pop(key, nan)
+        col[inner] = inside.pop(key, nan)
+    return FieldGrid(z=z, interior=interior, near=near, **columns)

@@ -103,9 +103,12 @@ def eval_map(cmap: ConformalMap, w, margin: float | None = None):
     out = w + 0.0j
     winv = 1.0 / w
     acc = np.zeros_like(out)
-    for ak in cmap.a[::-1]:
-        acc = (acc + ak) * winv
-    return out + acc * w  # Horner in 1/w starting at a0*w^0
+    for ak in cmap.a[::-1]:  # Horner in 1/w starting at a0*w^0, in place
+        acc += ak
+        acc *= winv
+    acc *= w
+    out += acc
+    return out[()]  # a scalar for a scalar w
 
 
 def eval_map_derivative(cmap: ConformalMap, w, margin: float | None = None):
@@ -114,11 +117,13 @@ def eval_map_derivative(cmap: ConformalMap, w, margin: float | None = None):
     winv = 1.0 / w
     acc = np.zeros_like(w)
     for k in range(cmap.a.size - 1, 0, -1):
-        acc = (acc + k * cmap.a[k]) * winv
-    out = 1.0 - acc * winv
+        acc += k * cmap.a[k]
+        acc *= winv
+    acc *= winv
+    out = np.subtract(1.0, acc, out=acc)
     if np.any(np.abs(out) < SINGULAR_DERIVATIVE_TOL):
         raise GeometryError("map derivative vanishes at an evaluation point")
-    return out
+    return out[()]
 
 
 def eval_map_second_derivative(cmap: ConformalMap, w, margin: float | None = None):
@@ -245,9 +250,10 @@ def faber_series(cmap: ConformalMap, z, coeffs) -> np.ndarray:
     The Faber recursion runs on the point values, so no monomial
     coefficients are formed: those grow geometrically with m on elongated
     boundaries, and summing them cancels away every digit at high order.
-    Only the last K+1 values are kept. A derivative sum sum_m d_m F_m'(z)
-    is the value sum of the row d Dt (faber_derivative_matrices), since
-    F_m' = sum_j Dt[m, j] F_j exactly.
+    Only the last K+1 values are needed, and the value before them holds
+    the next one, so the recurrence runs in place. A derivative sum
+    sum_m d_m F_m'(z) is the value sum of the row d Dt
+    (faber_derivative_matrices), since F_m' = sum_j Dt[m, j] F_j exactly.
     """
     z = np.asarray(z, dtype=complex)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -255,14 +261,15 @@ def faber_series(cmap: ConformalMap, z, coeffs) -> np.ndarray:
     keep = max(a.size, 1)
     F = [np.ones_like(z)]  # newest F_k(z); F[-1] is F_m
     sums = np.multiply.outer(coeffs[:, 0], F[0])
+    term, spare = np.empty_like(sums), np.empty_like(z)
     for m in range(coeffs.shape[1] - 1):
-        f = z * F[-1]
+        f = np.multiply(z, F[-1], out=F[0] if len(F) == keep + 1 else None)
         if m < a.size:
             f -= m * a[m]
         for k in range(max(0, m - a.size + 1), m + 1):
-            f -= a[m - k] * F[k - m - 1]
-        F = (F + [f])[-keep:]
-        sums += np.multiply.outer(coeffs[:, m + 1], f)
+            f -= np.multiply(a[m - k], F[k - m - 1], out=spare)
+        F = (F + [f])[-keep - 1 :]
+        sums += np.multiply.outer(coeffs[:, m + 1], f, out=term)
     return sums
 
 

@@ -158,32 +158,24 @@ def boundary_series(pos: np.ndarray, neg: np.ndarray, w):
     w = np.asarray(w, dtype=complex)
     pos, neg = np.asarray(pos), np.asarray(neg)
     x = w.reshape(-1)
-    out = np.zeros(np.broadcast_shapes(pos.shape[:-1], neg.shape[:-1]) + x.shape, dtype=complex)
-    out += _power_sum(neg, 1.0 / x)
+    rows = np.broadcast_shapes(pos.shape[:-1], neg.shape[:-1])
+    out = _power_sum(np.broadcast_to(neg, rows + neg.shape[-1:]), 1.0 / x)
     if pos.shape[-1] > 1:
         out += x * _power_sum(pos[..., 1:], x)
-    return out.reshape(out.shape[:-1] + w.shape)
+    return out.reshape(rows + w.shape)
 
 
 def _power_sum(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k c[..., k] x^k at the points x (one axis), summed in blocks.
+    """sum_k c[..., k] x^k at the points x (one axis), by Horner's rule in place.
 
-    With s = ceil(sqrt(D)) for D coefficients, the powers x^0..x^(s-1) come
-    from s - 1 in-place multiplications; each block of s coefficients is one
-    matrix product with them, and Horner in x^s runs across the ceil(D / s) blocks
-    (Paterson and Stockmeyer, 1973): O(sqrt(D)) array operations where a
-    Horner pass takes 2D, on a working set of s rows of points.
+    The result's own array carries the sum, one multiplication and one
+    addition per coefficient, and nothing else is allocated: at many points
+    a working set of powers costs more in fresh memory than the array
+    operations it saves.
     """
-    d = c.shape[-1]
-    s = max(int(np.ceil(np.sqrt(d))), 1)
-    blocks = -(-d // s)
-    powers = np.empty((s,) + x.shape, dtype=complex)
-    powers[0] = 1.0
-    for k in range(1, s):
-        np.multiply(powers[k - 1], x, out=powers[k])
-    step = powers[-1] * x  # x^s
-    acc = c[..., (blocks - 1) * s :] @ powers[: d - (blocks - 1) * s]
-    for j in range(blocks - 2, -1, -1):
-        acc *= step
-        acc += c[..., j * s : (j + 1) * s] @ powers
+    acc = np.empty(c.shape[:-1] + x.shape, dtype=complex)
+    acc[...] = c[..., -1:]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc *= x
+        acc += c[..., k : k + 1]
     return acc

@@ -249,13 +249,15 @@ def solve(system: BlockSystem) -> DensitySolution:
     if cavity:
         xi_plus = xi_minus = None
 
+    # gamma xe_plus[1] + sum_l conj(a_l) gamma^-l xe_minus[l], with gamma
+    # factored out (conj(a_l) gamma^-l = gamma conj(b_l), b the unit map's
+    # coefficients), so that no term overflows where the projection does not
     cmap = system.bundle.cmap
-    gamma = cmap.gamma
-    proj = gamma * xe_plus[1] if n > 0 else 0.0
-    for l in range(cmap.a.size):
-        if l <= n:
-            proj = proj + np.conj(cmap.coeff(l)) * gamma ** (-l) * xe_minus[l]
-    rotation_projection = float(-2.0 * np.pi * np.imag(proj))
+    b = cmap.unit.a
+    proj = xe_plus[1] if n > 0 else 0.0
+    for l in range(min(b.size, n + 1)):
+        proj = proj + np.conj(b[l]) * xe_minus[l]
+    rotation_projection = float(-2.0 * np.pi * cmap.gamma * np.imag(proj))
 
     return DensitySolution(
         xe_plus=xe_plus,

@@ -24,8 +24,9 @@ system's layer and coupling matrices on the two-sided window
 the end are the references for grid_field's columns and the CLI's
 column-wise writer. two_sweep_regions, one sweep for the crossings and one
 for the band with every banded pair measured, is the reference for the
-region masks of field._regions. horner_boundary_series, one Horner pass per sign of the
-power, is the reference for loading.boundary_series's blocked power sums.
+region masks of field._regions and field._grid_regions. horner_boundary_series, one
+Horner pass per sign of the power over the coefficients moved to the leading axis,
+is the reference for loading.boundary_series's power sums.
 split_window gives the per-sign vectors of a right-hand-side window
 (loading.unit_rhs_vectors) that the per-mode matrices and boundary_series
 read. dense_chord_frames, dense_single_layer_blocks and

@@ -265,6 +265,42 @@ def test_invalid_input_exits_config_before_output(tmp_path, edit, command, flags
     assert not out.exists()
 
 
+def _parent_manifest(cfg):
+    # the config a manifest echoed before the config was one document: the
+    # tolerance under oracle and the output dir at the top level
+    del cfg["tolerances"]
+    cfg["oracle"] = {"enabled": False, "q": 64, "tolerance": 1e-7}
+    cfg["out_dir"] = "elsewhere"
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda cfg: cfg.update(tolerance={"oracle": 1e-7}), "config: unknown key 'tolerance'"),
+    (_set("material", lamda=2.0), "material: unknown key 'lamda'"),
+    (lambda cfg: cfg.update(grid=dict(GRID, nz=3)), "grid: unknown key 'nz'"),
+    (_parent_manifest, "config: unknown key 'out_dir'"),
+], ids=["top-level-typo", "nested-typo", "grid-typo", "parent-manifest"])
+def test_unknown_keys_exit_config(tmp_path, edit, key):
+    # a key outside the schema once loaded silently, its field left at the
+    # default: a run with tolerance 1e-3 and output in "." exited 0
+    cfg = base_config()
+    edit(cfg)
+    out, stream = tmp_path / "out", io.StringIO()
+    assert run(write_config(tmp_path, cfg), command="field", out_dir=str(out), stream=stream) == EXIT_CONFIG
+    assert key in stream.getvalue()
+    assert not out.exists()
+
+
+def test_every_schema_key_loads(tmp_path):
+    # every key of every section at once, the README config's and the
+    # benchmark's among them
+    cfg = base_config(grid=dict(GRID), output={"dir": str(tmp_path / "out")}, truncation=12)
+    cfg["material"]["cavity"] = False
+    document = load_config(write_config(tmp_path, cfg)).document
+    for section, keys in cli.SCHEMA_KEYS.items():
+        block = document if section == "config" else document[section]
+        assert set(block) == set(keys), section
+
+
 @pytest.mark.parametrize("edit, overrides", [
     (lambda cfg: cfg.update(output={"dir": 5}), {}),  # once a raw TypeError from Path(5)
     (None, {"tolerance": "abc"}),  # once a raw ValueError from float("abc")

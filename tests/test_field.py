@@ -7,6 +7,8 @@ circular cavity, and against the solved system's own interface conditions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastinc.field import (
     FieldError,
@@ -19,6 +21,7 @@ from elastinc.field import (
     invert_map,
     transmission_residual,
     REGION_SAMPLES,
+    _grid_regions,
     _traction_arrays,
 )
 from elastinc.geometry import (
@@ -48,6 +51,7 @@ from layer_reference import (
     two_sweep_regions,
     write_field_rows,
 )
+from test_geometry import random_map
 
 EXACT_TOL = 1e-12
 SERIES_TOL = 1e-8
@@ -269,6 +273,61 @@ def test_exterior_series_has_no_seam_beyond_64_modes():
         sides.append(arrays["u"])
     inside, outside = sides
     assert np.allclose(inside, outside, rtol=0.0, atol=1e-8 * np.max(np.abs(outside)))
+
+
+def exact_interior_rows(ev):
+    """The interior rows (Li, Libar, Ci Dt, Cyi Dt) before the cut."""
+    order = ev.faber_derivs_i.shape[1] - 1
+    slopes = ev.faber_derivs_i @ faber_derivative_matrices(ev.unit, order)
+    return np.vstack([ev.faber_values_i, slopes])
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+@pytest.mark.parametrize("cmap", [DISK, ELLIPSE, FOURTERM, ELONGATED],
+                         ids=["disk", "ellipse", "fourterm", "elongated"])
+def test_series_cut_drops_only_rounding(cmap, material, n):
+    # evaluation reads the exact tables cut after their last column of
+    # significant mass: each row drops at most 1e-15 of its largest entry,
+    # and at |w| >= gamma, where no power of 1/w exceeds 1, the dropped
+    # columns move the tail's sums by at most the sum of their moduli
+    sol = solve(assemble_system(material, build_geometry(cmap, n), RING_LOADING))
+    ev = FieldEvaluator(sol, RING_LOADING, cmap, material)
+    tables = [(ev.tail, ev.tail_cut)]
+    if not material.cavity:
+        tables.append((exact_interior_rows(ev), ev.interior_rows))
+    for exact, cut in tables:
+        width = cut.shape[1]
+        assert np.array_equal(cut, exact[:, :width])
+        mass = np.sum(np.abs(exact[:, width:]), axis=1)
+        assert np.all(mass <= 1e-15 * np.max(np.abs(exact), axis=1))
+    dropped = ev.tail.copy()
+    dropped[:, : ev.tail_cut.shape[1]] = 0.0
+    mass = np.sum(np.abs(dropped), axis=1)
+    theta = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+    omega = np.concatenate([r * np.exp(1j * theta) for r in (1.0, 1.2, 3.0)])
+    change = np.abs(boundary_series(np.zeros(1), dropped, omega))
+    assert np.all(change <= mass[:, None] * (1.0 + 1e-12))
+    # the decaying four-term series drops columns; the ellipses' tails end
+    # at their last nonzero column, which the cut keeps
+    if cmap is FOURTERM and n == 64:
+        assert ev.tail_cut.shape[1] < ev.tail.shape[1] // 2
+
+
+def test_series_that_does_not_decay_keeps_every_column():
+    # an order-32 loading at n = 40 on the elongated ellipse: every density
+    # mode up to 32 is of order one and c_mm = 0.9^m, so no nonzero column is
+    # below rounding and the cut stops at the last nonzero one
+    A, B = np.zeros(33, dtype=complex), np.zeros(33, dtype=complex)
+    A[32], B[32] = 1.0, 0.5j
+    loading = LoadingSpec(A, B)
+    sol = solve(assemble_system(TRANS, build_geometry(ELONGATED, 40), loading))
+    ev = FieldEvaluator(sol, loading, ELONGATED, TRANS)
+    for exact, cut in ((ev.tail, ev.tail_cut), (exact_interior_rows(ev), ev.interior_rows)):
+        last = np.flatnonzero(np.any(exact != 0.0, axis=0))[-1]
+        assert last >= 32
+        assert cut.shape[1] == last + 1
+        assert np.array_equal(cut, exact[:, : last + 1])
 
 
 @pytest.mark.parametrize("seed, gamma, depth, n", [
@@ -523,6 +582,29 @@ def test_ring_arrays_match_pointwise_evaluation(shape, gamma):
                     fp_scale = np.max(np.abs(ref["fprime"]))
                     assert np.max(np.abs(got["fprime"] - ref["fprime"])) <= 1e-12 * fp_scale
                     assert np.max(np.abs(got["z"] - ref["z"])) <= 1e-15 * np.max(np.abs(ref["z"]))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("material", [TRANS, CAV], ids=["transmission", "cavity"])
+def test_ring_cut_moves_the_ring_arrays_by_rounding(monkeypatch, material, n):
+    # the ring cuts its Faber rows with each column weighed by the largest
+    # value of its term on |w| = gamma, 1 + sum_k |c_mk| for F_m and
+    # m + sum_k k |c_mk| for omega Psi' F_m'; against the rows cut only where
+    # they are exactly zero, every array moves by a few eps of its largest
+    # value (an unweighted cut moved them by up to 9 eps)
+    for gamma in (0.5, 2.0):
+        cmap = ConformalMap(gamma, FOURTERM.a * gamma ** np.arange(1.0, 5.0))
+        sol = solve(assemble_system(material, build_geometry(cmap, n), RING_LOADING))
+        cut = FieldEvaluator(sol, RING_LOADING, cmap, material)._ring_arrays(64)
+        monkeypatch.setattr("elastinc.field.SERIES_CUT", 0.0)
+        full = FieldEvaluator(sol, RING_LOADING, cmap, material)._ring_arrays(64)
+        monkeypatch.undo()
+        for got, want in zip(cut, full):
+            if want is None:
+                continue
+            for key in ("u", "f", "fprime", "g"):
+                scale = np.max(np.abs(want[key]))
+                assert np.max(np.abs(got[key] - want[key])) <= 4 * np.finfo(float).eps * scale
 
 
 def test_residuals_sum_no_series_at_points(monkeypatch):
@@ -911,6 +993,116 @@ def test_band_edge_where_the_band_cancels_the_coordinate():
     _, near = classify_points(cmap, z, band=1e-3)
     _, ref_near = two_sweep_regions(cmap, z, 1e-3)
     assert near.tolist() == ref_near.tolist() == [True] * 4
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 5), log_gamma=st.floats(-3.0, 3.0),
+       nx=st.integers(0, 41), ny=st.integers(0, 41), flip_x=st.booleans(), flip_y=st.booleans())
+def test_grid_masks_match_the_labels_on_drawn_maps(seed, depth, log_gamma, nx, ny, flip_x, flip_y):
+    # windows about a drawn boundary point, either axis possibly descending
+    rng = np.random.default_rng(seed)
+    gamma = 10.0**log_gamma
+    cmap = random_map(rng, depth=depth, gamma=gamma)
+    centre = complex(eval_map(cmap, gamma * np.exp(2j * np.pi * rng.random())))
+    centre += 0.1 * gamma * complex(rng.standard_normal(), rng.standard_normal())
+    hx, hy = gamma * (0.2 + 1.3 * rng.random(2))
+    xs = (centre.real + hx, centre.real - hx) if flip_x else (centre.real - hx, centre.real + hx)
+    ys = (centre.imag + hy, centre.imag - hy) if flip_y else (centre.imag - hy, centre.imag + hy)
+    assert_masks_match(cmap, GridSpec(*xs, *ys, nx, ny))
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_grid_masks_on_degenerate_and_descending_axes(shape):
+    # the library takes descending axes, single rows and columns, empty
+    # grids, and equal bounds, whose columns (or rows) repeat one value
+    cmap = ConformalMap(1.0, shape)
+    for bounds, nx, ny in [((2.0, -2.0, 1.5, -1.5), 41, 31), ((2.0, -2.0, -1.5, 1.5), 17, 23),
+                           ((-2.0, 2.0, 1.5, -1.5), 23, 17),
+                           ((-2.0, 2.0, -1.5, 1.5), 0, 9), ((-2.0, 2.0, -1.5, 1.5), 9, 0),
+                           ((-2.0, 2.0, -1.5, 1.5), 1, 21), ((-2.0, 2.0, -1.5, 1.5), 21, 1),
+                           ((0.3, 0.3, -1.5, 1.5), 1, 1), ((0.3, 0.3, -1.5, 1.5), 5, 31),
+                           ((-2.0, 2.0, 0.1, 0.1), 31, 4)]:
+        out = assert_masks_match(cmap, GridSpec(*bounds, nx, ny))
+        assert out.interior.size == nx * ny
+    out = assert_masks_match(cmap, GridSpec(0.3, 0.3, -1.5, 1.5, 5, 31))
+    assert 0 < out.interior.sum() < out.interior.size  # the column crosses the boundary
+
+
+@pytest.mark.parametrize("gamma", [1e-9, 1.0, 1e6])
+@pytest.mark.parametrize("shape", BENCH_SHAPES)
+def test_grid_band_edge_columns_beyond_segment_ends(shape, gamma):
+    # the grid form of test_band_edge_points_beyond_segment_ends: for a
+    # sample of segments, a grid row level with the segment's end, its
+    # columns at the segment's x-range widened by the band and one to three
+    # ulps beyond; the column search must keep every pair the distance test
+    # accepts
+    cmap = ConformalMap(gamma, np.asarray(shape) * gamma ** (np.arange(len(shape)) + 1.0))
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, gamma * np.exp(1j * theta))
+    p1 = np.roll(p0, -1)
+    band = 1e-3 * gamma
+    flagged = 0
+    for e in range(0, REGION_SAMPLES, 32):
+        for right in (True, False):
+            x = max(p0[e].real, p1[e].real) + band if right else min(p0[e].real, p1[e].real) - band
+            end = p0[e] if (p0[e].real >= p1[e].real) == right else p1[e]
+            far = x
+            for _ in range(3):
+                far = np.nextafter(far, np.inf if right else -np.inf)
+            grid = GridSpec(x, far, end.imag, end.imag, 4, 1, band=1e-3)
+            interior, near = _grid_regions(cmap, grid)
+            regions, ref_near = classify_points(cmap, grid.points(), band=1e-3)
+            ref_interior, two_sweep_near = two_sweep_regions(cmap, grid.points(), 1e-3)
+            assert near.tolist() == ref_near.tolist() == two_sweep_near.tolist()
+            assert interior.tolist() == (regions == "interior").tolist() == ref_interior.tolist()
+            flagged += near.sum()
+    assert flagged > REGION_SAMPLES // 32
+
+
+def test_grid_band_edge_where_the_band_cancels_the_coordinate():
+    # the grid form of test_band_edge_where_the_band_cancels_the_coordinate:
+    # one row through the rightmost vertex, its columns one to three ulps
+    # past the vertex's x plus the band, all within the band by the
+    # distance test; a column search widened by the band alone drops them
+    gamma = 158.63961404823027
+    cmap = ConformalMap(gamma, [-164.85731178616493 - 75.41664493425196j,
+                                -945.9778838131608 - 3233.390817734757j,
+                                93706.23049680513 - 206489.4302588511j,
+                                29261794.009752344 + 20476850.135989945j])
+    theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
+    p0 = eval_map(cmap, gamma * np.exp(1j * theta))
+    k = np.argmax(p0.real)
+    x = p0.real[k] + 1e-3 * gamma
+    far = x
+    for _ in range(3):
+        far = np.nextafter(far, np.inf)
+    grid = GridSpec(x, far, p0.imag[k], p0.imag[k], 4, 1, band=1e-3)
+    assert grid.points().real.tolist() == [x, np.nextafter(x, np.inf),
+                                           np.nextafter(np.nextafter(x, np.inf), np.inf), far]
+    _, near = _grid_regions(cmap, grid)
+    _, ref_near = two_sweep_regions(cmap, grid.points(), 1e-3)
+    assert near.tolist() == ref_near.tolist() == [True] * 4
+
+
+def test_grid_at_a_huge_radius_is_the_unit_grid_scaled():
+    # the map [0.1 gamma] at gamma = 2^600 on [-3 gamma, 3 gamma]^2: both
+    # region sweeps and the band clamp work on coordinates divided by a
+    # power of two, so nothing overflows (warnings are errors here), the
+    # masks are those of gamma = 1, and the fields scale bit for bit
+    loading = LoadingSpec([0.0], [0.0, 1.0])
+    grids = []
+    for gamma in (1.0, 2.0**600):
+        cmap = ConformalMap(gamma, [0.1 * gamma])
+        sol = solve(assemble_system(TRANS, build_geometry(cmap, 8), loading))
+        grid = GridSpec(-3.0 * gamma, 3.0 * gamma, -3.0 * gamma, 3.0 * gamma, 41, 41)
+        grids.append(grid_field(sol, loading, cmap, TRANS, grid))
+    unit, huge = grids
+    assert unit.interior.sum() == 140
+    assert np.array_equal(huge.interior, unit.interior)
+    assert np.array_equal(huge.near, unit.near)
+    for name in ("w", "z", "u", "f", "g"):
+        assert np.array_equal(getattr(huge, name) / 2.0**600, getattr(unit, name), equal_nan=True)
+    assert np.array_equal(huge.fprime, unit.fprime, equal_nan=True)
 
 
 def test_grid_field_builds_no_labels(monkeypatch):

@@ -514,6 +514,21 @@ def test_residual_is_measured_at_extreme_scales(cmap, b1):
     assert sol.converged and 0.0 < sol.residual <= 1e-14
 
 
+# gamma xe_plus[1] overflowed at gamma = 2^511 in cavity mode, with a warning,
+# and the projection read -0.0; gamma is now factored out of every term
+@pytest.mark.parametrize("a1, b1", [(0.3, 1.0), (0.3 + 0.2j, 1.0 + 0.3j)], ids=["real", "complex"])
+@pytest.mark.parametrize("material", [CAV, TRANS], ids=["cavity", "transmission"])
+def test_rotation_projection_scales_as_gamma_squared(material, a1, b1):
+    def projection(gamma):
+        cmap = ConformalMap(gamma, [0.1 * gamma, a1 * gamma**2])
+        loading = LoadingSpec([0.0], [0.0, b1])
+        return solve(assemble_system(material, build_geometry(cmap, 16), loading)).rotation_projection
+
+    unit = projection(1.0)
+    for k in (10, 300, 500, 511, -300):
+        assert projection(2.0**k) / 2.0 ** (2 * k) == unit
+
+
 # -- one factorization per solve; the condition estimate is a call of its own --
 
 
