@@ -32,7 +32,7 @@ and the boundary band by segment distance (_grid_regions; _regions is the
 same sweep over scattered points), and exterior points are inverted by
 Newton's method from the first-order seed w = zeta - a1 / zeta,
 zeta = z - a0, with Psi and Psi' taken in one Horner pass per iteration
-(invert_map).
+(geometry.map_jet, in invert_map).
 """
 
 from __future__ import annotations
@@ -47,11 +47,12 @@ from .geometry import (
     ConformalMap,
     GeometryError,
     eval_map,
-    eval_map_derivative,
     exterior_series_orders,
     faber_derivative_matrices,
     faber_series,
     grunsky_rows,
+    map_jet,
+    pow2_floor,
     sweep_pairs,
 )
 from .loading import LoadingSeries, LoadingSpec, boundary_series
@@ -301,7 +302,7 @@ class FieldEvaluator:
         z = eval_map(self.cmap, w)
         load = self.load_series.potentials(z)
         omega = w / self.gamma
-        wdpsi = omega * eval_map_derivative(self.unit, omega)
+        wdpsi = omega * map_jet(self.unit, omega, 1)[1]
         sums = boundary_series(np.zeros(1), self.tail_cut, omega)
         del omega  # fewer arrays alive at once: fresh memory is what a large call pays for
         return self._exterior(z, sums, wdpsi, load)
@@ -496,40 +497,18 @@ def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
 # -- physical-plane plumbing -------------------------------------------------
 
 
-def _map_and_derivative(cmap: ConformalMap, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Psi(w) and Psi'(w) in one Horner pass over the shared u = 1/w.
-
-    With P(u) = sum_k a_k u^k, Psi = w + P(u) and Psi' = 1 - u^2 P'(u); P
-    and P' run through the coefficients together, in place.
-    """
-    u = 1.0 / w
-    p = np.zeros_like(w)
-    dp = np.zeros_like(w)
-    for ak in cmap.a[::-1]:
-        dp *= u
-        dp += p
-        p *= u
-        p += ak
-    dp *= np.multiply(u, u, out=u)
-    dpsi = np.subtract(1.0, dp, out=dp)
-    if np.any(np.abs(dpsi) < SINGULAR_DERIVATIVE_TOL):
-        raise GeometryError("map derivative vanishes at an evaluation point")
-    return np.add(w, p, out=p), dpsi
-
-
 def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     """Newton inversion of the exterior map at physical points z.
 
     The iteration starts from the first-order inverse w = zeta - a1 / zeta,
     zeta = z - a0 (zeta alone where |zeta| < 1e-12 gamma, so that 1 / zeta
     neither divides by zero nor overflows), moved out to |w| = 2 gamma when
-    it lies inside the circle. Convergence
-    is tracked per point and only unconverged points iterate, each
-    iteration one Horner pass for Psi and Psi'. A step that would land
-    below |w| = 0.6 gamma is halved until it does not, which keeps every
-    iterate inside the map's evaluation margin. A point stops one Newton
-    step after its residual drops below tolerance; that last step takes the
-    iterate to full precision.
+    it lies inside the circle. Convergence is tracked per point and only
+    unconverged points iterate, each iteration one Horner pass for Psi and
+    Psi' (geometry.map_jet). A step that would land below |w| = 0.6 gamma is
+    halved until it does not, which keeps every iterate away from the map's
+    pole at w = 0. A point stops one Newton step after its residual drops
+    below tolerance; that last step takes the iterate to full precision.
     """
     z = np.asarray(z, dtype=complex)
     shape = z.shape
@@ -547,7 +526,7 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
         if active.size == 0:
             break
         wa = w[active]
-        psi, dpsi = _map_and_derivative(cmap, wa)
+        psi, dpsi = map_jet(cmap, wa, 1)
         val = np.subtract(psi, zf[active], out=psi)
         step = np.divide(val, dpsi, out=dpsi)
         nxt = wa - step
@@ -563,14 +542,10 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     return w.reshape(shape)
 
 
-def _unit_scale(gamma: float) -> float:
-    """The power of two just above gamma: dividing by it is exact."""
-    return float(np.ldexp(1.0, np.frexp(gamma)[1]))
-
-
 class _Polyline:
     """The sampled boundary and the band, both divided by scale, the power of
-    two just above gamma; the points tested against them are divided by it too.
+    two at or below gamma (pow2_floor); the points tested against them are
+    divided by it too.
 
     The division is exact, so every comparison below gives the bits it
     would give on raw coordinates, while neither the squared edge lengths
@@ -580,7 +555,7 @@ class _Polyline:
     """
 
     def __init__(self, cmap: ConformalMap, band: float):
-        self.scale = scale = _unit_scale(cmap.gamma)
+        self.scale = scale = pow2_floor(cmap.gamma)
         theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
         p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta)) / scale
         p1 = np.roll(p0, -1)
@@ -621,7 +596,7 @@ def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndar
     crossing lies right of it, and an odd count is interior. Only the pairs
     whose x also lies within the edge's x-range widened by the band, and
     by a rounding margin, get the point-to-segment distance. Coordinates
-    are divided by the power of two just above gamma (_Polyline).
+    are divided by the power of two at or below gamma (_Polyline).
     """
     line = _Polyline(cmap, band)
     x, y = flat.real / line.scale, flat.imag / line.scale
@@ -712,7 +687,7 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, cmap: ConformalM
         # ungrouped product)
         pushed = np.abs(w_ext) <= cmap.gamma
         if np.any(pushed):
-            wp, scale = w_ext[pushed], _unit_scale(cmap.gamma)
+            wp, scale = w_ext[pushed], pow2_floor(cmap.gamma)
             w_ext[pushed] = cmap.gamma * (1.0 + 1e-9) / scale * wp / np.abs(wp) * scale
         outside = ev.exterior_arrays(w_ext)
     if inner.size and solution.mode == "transmission":

@@ -31,7 +31,7 @@ class GeometryError(ValueError):
     """Invalid map data or evaluation outside the allowed domain."""
 
 
-DEFAULT_EXTENSION_MARGIN = 0.1  # fraction of gamma the map may be evaluated inside
+EXTENSION_MARGIN = 0.1  # fraction of gamma eval_map may be evaluated inside
 SINGULAR_DERIVATIVE_TOL = 1e-12
 SIMPLE_CURVE_SAMPLES = 1024
 
@@ -81,70 +81,66 @@ class ConformalMap:
         return 0.0 + 0.0j
 
 
-def _extension_points(cmap: ConformalMap, w, margin: float | None, what: str) -> np.ndarray:
-    """w as a complex array, refused below |w| = gamma*(1 - margin), default margin 0.1.
+def map_jet(cmap: ConformalMap, w, order: int) -> list[np.ndarray]:
+    """[Psi(w), Psi'(w), Psi''(w)][: order + 1] from one Horner pass over u = 1/w.
+
+    With P(u) = sum_k a_k u^k, Psi = w + P(u), Psi' = 1 - u^2 P'(u) and
+    Psi'' = 2 u^3 (P'(u) + u P''(u) / 2); P, P' and P''/2 run through the
+    coefficients together, in place. Powers of u are applied one factor at
+    a time, never formed on their own, so that each product stays in the
+    range of the result and nothing underflows at a huge radius. A
+    vanishing Psi' is refused when order >= 1. No extension check: that is
+    eval_map's.
+    """
+    w = np.asarray(w, dtype=complex)
+    u = 1.0 / w
+    jet = [np.zeros_like(w) for _ in range(order + 1)]  # P, P', P''/2
+    for ak in cmap.a[::-1]:
+        for j in range(order, 0, -1):
+            jet[j] *= u
+            jet[j] += jet[j - 1]
+        jet[0] *= u
+        jet[0] += ak
+    jet[0] += w
+    if order >= 2:
+        jet[2] *= u
+        jet[2] += jet[1]
+        for _ in range(3):
+            jet[2] *= u
+        jet[2] *= 2.0
+    if order >= 1:
+        jet[1] *= u
+        jet[1] *= u
+        np.subtract(1.0, jet[1], out=jet[1])
+        if np.any(np.abs(jet[1]) < SINGULAR_DERIVATIVE_TOL):
+            raise GeometryError("map derivative vanishes at an evaluation point")
+    return jet
+
+
+def eval_map(cmap: ConformalMap, w):
+    """Psi(w), allowed for |w| >= gamma (1 - EXTENSION_MARGIN); a scalar for a scalar w.
 
     The slack of 1e-15 is relative to gamma, so the refusal does not depend
     on the map's scale.
     """
     w = np.asarray(w, dtype=complex)
-    frac = DEFAULT_EXTENSION_MARGIN if margin is None else float(margin)
-    if np.any(np.abs(w) < cmap.gamma * (1.0 - frac - 1e-15)):
+    if np.any(np.abs(w) < cmap.gamma * (1.0 - EXTENSION_MARGIN - 1e-15)):
         raise GeometryError(
-            f"{what} evaluated below the analytic-extension radius "
-            f"gamma*(1-{frac}) = {cmap.gamma * (1.0 - frac):g}"
+            "map evaluated below the analytic-extension radius "
+            f"gamma*(1-{EXTENSION_MARGIN}) = {cmap.gamma * (1.0 - EXTENSION_MARGIN):g}"
         )
-    return w
+    return map_jet(cmap, w, 0)[0][()]
 
 
-def eval_map(cmap: ConformalMap, w, margin: float | None = None):
-    """Psi(w); allowed for |w| >= gamma*(1 - margin), default margin 0.1."""
-    w = _extension_points(cmap, w, margin, "map")
-    out = w + 0.0j
-    winv = 1.0 / w
-    acc = np.zeros_like(out)
-    for ak in cmap.a[::-1]:  # Horner in 1/w starting at a0*w^0, in place
-        acc += ak
-        acc *= winv
-    acc *= w
-    out += acc
-    return out[()]  # a scalar for a scalar w
+def pow2_floor(m: float) -> float:
+    """The power of two at or below m > 0, 2^(e-1) for m = f 2^e, 1/2 <= f < 1.
 
-
-def eval_map_derivative(cmap: ConformalMap, w, margin: float | None = None):
-    """Psi'(w) = 1 - sum_k k a_k w^(-k-1); errors near a zero of the derivative."""
-    w = _extension_points(cmap, w, margin, "map derivative")
-    winv = 1.0 / w
-    acc = np.zeros_like(w)
-    for k in range(cmap.a.size - 1, 0, -1):
-        acc += k * cmap.a[k]
-        acc *= winv
-    acc *= winv
-    out = np.subtract(1.0, acc, out=acc)
-    if np.any(np.abs(out) < SINGULAR_DERIVATIVE_TOL):
-        raise GeometryError("map derivative vanishes at an evaluation point")
-    return out[()]
-
-
-def eval_map_second_derivative(cmap: ConformalMap, w, margin: float | None = None):
-    """Psi''(w) = sum_k k (k+1) a_k w^(-k-2)."""
-    w = _extension_points(cmap, w, margin, "map second derivative")
-    winv = 1.0 / w
-    acc = np.zeros_like(w)
-    for k in range(cmap.a.size - 1, 0, -1):
-        acc = (acc + k * (k + 1) * cmap.a[k]) * winv
-    return acc * winv * winv
-
-
-def boundary_point(cmap: ConformalMap, theta):
-    """Return (z, h): boundary point Psi(gamma e^{i theta}) and scale factor.
-
-    h is |w Psi'(w)| on |w| = gamma, the arclength density dsigma = h dtheta.
+    Dividing by it is exact, and it is finite for every finite m, so a set
+    of values divided by the pow2_floor of their largest modulus lies in
+    [0, 2) with its bits kept, and its squares neither overflow nor
+    underflow.
     """
-    w = cmap.gamma * np.exp(1j * np.asarray(theta, dtype=float))
-    z = eval_map(cmap, w)
-    h = np.abs(w * eval_map_derivative(cmap, w))
-    return z, h
+    return float(np.ldexp(1.0, np.frexp(m)[1] - 1))
 
 
 def _unit_coefficients(cmap: ConformalMap) -> np.ndarray:
@@ -173,7 +169,7 @@ def _certified_univalent(cmap: ConformalMap) -> bool:
     return bool(s <= 1.0 - SINGULAR_DERIVATIVE_TOL)
 
 
-def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) -> None:
+def _validate_boundary(cmap: ConformalMap) -> None:
     """Refuse a sampled boundary that is reversed or crosses itself.
 
     The tests run on the polyline divided by gamma, the boundary of
@@ -182,9 +178,9 @@ def _validate_boundary(cmap: ConformalMap, samples: int = SIMPLE_CURVE_SAMPLES) 
     bound (sum_k k |b_k|^2 <= 1) can still overflow them; the area is then
     NaN, and the map is refused as reversed.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    # a vanishing scale factor h = |Psi'| is refused by the derivative itself
-    z, _ = boundary_point(cmap.unit, theta)
+    w = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, SIMPLE_CURVE_SAMPLES, endpoint=False))
+    # a vanishing Psi' is refused by the jet itself
+    z, _ = map_jet(cmap.unit, w, 1)
     pts = np.column_stack([z.real, z.imag])
     nxt = np.roll(pts, -1, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,13 +327,14 @@ def _grunsky_recurrence(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
 
         G_{m+1} = Psi G_m - m a_m - sum_{k=max(0,m-K)}^{m} a_{m-k} G_k,
 
-    run here for the unit-radius map (coefficients a_k gamma^{-k-1}) on the
-    powers -(rows + kmax)..rows; the radius returns as
-    c_{mk}(gamma) = gamma^{m+k} c_{mk}(1). Powers dropped below the window
+    run here for the unit-radius map (coefficients a_k gamma^{-k-1},
+    _unit_coefficients) on the powers -(rows + kmax)..rows; the radius
+    returns as c_{mk}(gamma) = gamma^{m+k} c_{mk}(1), a zero entry staying
+    zero where the power overflows. Powers dropped below the window
     climb at most one power per multiplication by Psi, so after rows steps
     every power down to -kmax is exact.
     """
-    b = cmap.a * cmap.gamma ** -(np.arange(cmap.a.size) + 1.0)
+    b = _unit_coefficients(cmap)
     b = b if b.size else np.zeros(1)  # Psi(w) = w, written with a0 = 0
     psi = np.append(b[::-1], 1.0)  # Psi's coefficients, powers -K..1
     zero = rows + kmax  # column of w^0
@@ -352,7 +349,10 @@ def _grunsky_recurrence(cmap: ConformalMap, rows: int, kmax: int) -> np.ndarray:
         G[m + 1] = g
     C = G[:, zero - kmax : zero + 1][:, ::-1].copy()
     C[:, 0] = 0.0
-    C *= cmap.gamma ** np.add.outer(np.arange(rows + 1), np.arange(kmax + 1))
+    # a zero entry stays zero where gamma^(m+k) overflows
+    with np.errstate(over="ignore"):
+        scale = cmap.gamma ** np.add.outer(np.arange(rows + 1), np.arange(kmax + 1))
+        np.multiply(C, scale, out=C, where=C != 0)
     return C
 
 

@@ -47,12 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .field import FieldEvaluator
-from .geometry import (
-    ConformalMap,
-    eval_map,
-    eval_map_derivative,
-    eval_map_second_derivative,
-)
+from .geometry import ConformalMap, eval_map, map_jet, pow2_floor
 from .loading import LoadingSeries, LoadingSpec, eval_loading
 from .materials import MaterialPair
 
@@ -110,12 +105,13 @@ class BoundaryMesh:
 
 
 def build_mesh(cmap: ConformalMap, q: int) -> BoundaryMesh:
-    """Boundary mesh with q equispaced angles on |w| = gamma."""
+    """Boundary mesh with q equispaced angles on |w| = gamma.
+
+    Psi, Psi' and Psi'' at the nodes come from one Horner pass (map_jet).
+    """
     theta = 2.0 * np.pi * np.arange(q) / q
     w = cmap.gamma * np.exp(1j * theta)
-    dpsi = eval_map_derivative(cmap, w)
-    d2psi = eval_map_second_derivative(cmap, w)
-    z = eval_map(cmap, w)
+    z, dpsi, d2psi = map_jet(cmap, w, 2)
     zprime = 1j * w * dpsi
     zsecond = -w * dpsi - w * w * d2psi
     h = np.abs(zprime)
@@ -454,8 +450,8 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         row[n - 2 * q : n - q] = wq * r.real
         row[n - q :] = wq * r.imag
         # the rotation row scales as gamma^2: divided first by the power of two
-        # just above its max (exact), its norm neither overflows nor underflows
-        row /= np.ldexp(1.0, np.frexp(np.max(np.abs(row)))[1])
+        # at or below its max (exact), its norm neither overflows nor underflows
+        row /= pow2_floor(np.max(np.abs(row)))
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T
     return NystromSystem(matrix, rhs, constraints, mesh, material, h_nodes,
@@ -479,7 +475,9 @@ def solve_nystrom(system: NystromSystem) -> OracleSolution:
         sol = np.linalg.solve(matrix, rhs)[:n]
     except np.linalg.LinAlgError as exc:
         raise OracleError(f"singular reference system ({size}x{size} bordered matrix)") from exc
-    residual = float(np.linalg.norm(matrix[:, :n] @ sol - rhs))
+    gap = matrix[:, :n] @ sol - rhs
+    unit = pow2_floor(np.max(np.abs(gap)))  # exact; the squares neither overflow nor underflow
+    residual = float(np.linalg.norm(gap / unit) * unit)
 
     psi, phi = sol[n - 2 * q :], None
     material = system.material
@@ -543,9 +541,16 @@ def eval_oracle_exterior(solution: OracleSolution, material: MaterialPair,
 
 
 def discrepancy(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
-    """Max and root-mean-square absolute difference of two sample sets."""
+    """Max and root-mean-square absolute difference of two sample sets.
+
+    The rms is taken of the differences divided by the power of two at or
+    below their max, then multiplied back: exact, and the squares neither
+    overflow nor underflow.
+    """
     diff = np.abs(np.asarray(a) - np.asarray(b))
-    return float(np.max(diff)), float(np.sqrt(np.mean(diff**2)))
+    top = np.max(diff)
+    unit = pow2_floor(top)
+    return float(top), float(np.sqrt(np.mean((diff / unit) ** 2)) * unit)
 
 
 @dataclass(frozen=True)

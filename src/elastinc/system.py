@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryBundle
+from .geometry import GeometryBundle, pow2_floor
 from .loading import LoadingSpec, unit_rhs_vectors
 from .materials import MaterialPair
 
@@ -229,9 +229,9 @@ def solve(system: BlockSystem) -> DensitySolution:
     """
     matrix, rhs = system.matrix, system.rhs
     sol = np.linalg.solve(matrix, rhs)
-    # both norms of vectors divided by the power of two just above max|rhs|:
+    # both norms of vectors divided by the power of two at or below max|rhs|:
     # exact, and free of the overflow (underflow) of squaring a huge (tiny) rhs
-    unit = np.ldexp(1.0, np.frexp(np.max(np.abs(rhs)))[1])
+    unit = pow2_floor(np.max(np.abs(rhs)))
     scale = np.linalg.norm(rhs / unit)
     # a non-finite rhs gives a NaN residual, which never counts as converged
     residual = float(np.linalg.norm((matrix @ sol - rhs) / unit) / scale) if scale != 0 else 0.0

@@ -57,9 +57,8 @@ from elastinc.geometry import (
     ConformalMap,
     GeometryError,
     eval_map,
-    eval_map_derivative,
-    eval_map_second_derivative,
     grunsky_rows,
+    map_jet,
     sweep_pairs,
 )
 from elastinc.loading import LoadingSpec, boundary_series
@@ -242,8 +241,8 @@ def loading_by_grunsky(spec: LoadingSpec, cmap: ConformalMap, w):
     S = boundary_series(pos, neg, w)
     dS = boundary_series(kp * pos, -kn * neg, w) / w
     d2S = boundary_series(kp * (kp - 1) * pos, kn * (kn + 1) * neg, w) / w**2
-    dpsi = eval_map_derivative(cmap, w)
-    d2psi = eval_map_second_derivative(cmap, w)
+    dpsi = map_jet(cmap, w, 1)[1]
+    d2psi = map_jet(cmap, w, 2)[2]
     first = dS / dpsi
     fpp = (d2S[0] - first[0] * d2psi) / dpsi**2
     return S[0], S[1], first[0], first[1], fpp
@@ -539,7 +538,7 @@ def deriv_layer_exterior(cmap: ConformalMap, plus: np.ndarray, minus: np.ndarray
     w = np.asarray(w, dtype=complex)
     gamma = cmap.gamma
     z = eval_map(cmap, w)
-    dpsi = eval_map_derivative(cmap, w)
+    dpsi = map_jet(cmap, w, 1)[1]
     order = max(plus.size - 1, 1)
     P = faber_matrix(cmap, order)
     dP = P @ monomial_derivative_matrix(order)

@@ -492,6 +492,25 @@ def test_oracle_mismatch_exit_code(tmp_path):
     assert report["within_tolerance"] is False
 
 
+def test_oracle_report_is_strict_json_at_a_huge_loading(tmp_path):
+    # B1 = 1e300 on the four-term map: the report's rms values were Infinity,
+    # which strict JSON refuses; they are finite now. The verdict itself is
+    # not yet scale-free (ROADMAP item 4), so the exit code is not pinned here
+    cfg = base_config()
+    cfg["map"] = {"gamma": 1.0, "a": [[0.1, 0.0], [0.25, 0.0], [0.08, 0.05], [0.03, 0.0]]}
+    cfg["loading"] = {"A": [[0.0, 0.0]], "B": [[0.0, 0.0], [1e300, 0.0]]}
+    out = tmp_path / "out"
+    run(write_config(tmp_path, cfg), command="oracle-check", out_dir=str(out),
+        stream=io.StringIO())
+
+    def refuse(name):
+        raise ValueError(f"oracle_report.json holds {name}")
+
+    report = json.loads((out / "oracle_report.json").read_text(), parse_constant=refuse)
+    for key in ("boundary_max", "boundary_rms", "exterior_max", "exterior_rms"):
+        assert 0.0 < report[key] < np.inf
+
+
 def test_oracle_check_passes_at_loading_order_32(tmp_path):
     # ellipse [0.5, 0.3], A_32 = 1, B_32 = 0.5i, n = 48, q = 256, under the
     # default tolerance: the reference solver sums the loading on the Faber

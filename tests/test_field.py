@@ -29,10 +29,10 @@ from elastinc.geometry import (
     GeometryError,
     build_geometry,
     eval_map,
-    eval_map_derivative,
     faber_derivative_matrices,
     faber_series,
     grunsky_rows,
+    map_jet,
 )
 from elastinc.loading import LoadingSpec, boundary_series, unit_rhs_vectors
 from elastinc.materials import MaterialPair
@@ -209,7 +209,7 @@ def scattered_part(rows, x0, material, cmap, w):
     ks = np.arange(rows.shape[1])[:, None]
     L, Lbar, C, q = rows @ omega ** -ks
     logw = np.log(omega)
-    wdpsi = omega * eval_map_derivative(cmap.unit, omega)
+    wdpsi = omega * map_jet(cmap.unit, omega, 1)[1]
     alpha, beta = material.alpha, material.beta
     f = beta * (L + x0 * logw)
     fp = beta * C / wdpsi
@@ -370,7 +370,7 @@ def test_shift_convolution_matches_dict_reference(seed, gamma, depth, n):
     order = ev.faber_rows.shape[1] - 1
     Dt = faber_derivative_matrices(unit, order)
     (sCy,) = faber_series(unit, eval_map(unit, w), ev.faber_rows[2:] @ Dt)  # F_m' = Dt[m] F
-    got = boundary_series(np.zeros(1), ev.tail[3], w) / w - eval_map_derivative(unit, w) * sCy
+    got = boundary_series(np.zeros(1), ev.tail[3], w) / w - map_jet(unit, w, 1)[1] * sCy
     assert np.all(np.abs(got - np.sum(terms, axis=0)) <= EXACT_TOL * scale)
 
     kfar = max(n + 2, order * unit.depth)
@@ -408,7 +408,7 @@ def test_high_order_loading_matches_grunsky_series(shape, gamma):
     ks = np.arange(c.size)[:, None]
     F = w**M + np.sum(c[:, None] * w ** -ks, axis=0)
     dF = (M * w ** (M - 1) - np.sum(ks * c[:, None] * w ** (-ks - 1), axis=0)) / (
-        eval_map_derivative(cmap, w)
+        map_jet(cmap, w, 1)[1]
     )
     z = eval_map(cmap, w)
     want = TRANS.kappa * A[M] * F - z * np.conj(A[M] * dF) + np.conj(B[M] * F)
@@ -621,7 +621,7 @@ def test_residuals_sum_no_series_at_points(monkeypatch):
     for target in ("elastinc.geometry.faber_series", "elastinc.loading.faber_series",
                    "elastinc.field.faber_series", "elastinc.loading.boundary_series",
                    "elastinc.field.boundary_series", "elastinc.field.eval_map",
-                   "elastinc.field.eval_map_derivative"):
+                   "elastinc.field.map_jet"):
         monkeypatch.setattr(target, refuse)
     assert transmission_residual(sol_t, RING_LOADING, FOURTERM, TRANS, 64) == want_t
     assert boundary_traction_spread(sol_c, RING_LOADING, FOURTERM, CAV, 64) == want_c
@@ -786,7 +786,7 @@ def test_continuous_transform_part_matches_inside_and_outside():
 
         def cont_out(r):
             w_out = gamma * r * ring
-            jump = gamma ** (-k) * w_out ** (k - 1) / eval_map_derivative(cmap, w_out)
+            jump = gamma ** (-k) * w_out ** (k - 1) / map_jet(cmap, w_out, 1)[1]
             return deriv_layer_exterior(cmap, plus, minus, w_out) - jump
 
         def cont_in(r):
@@ -1105,6 +1105,28 @@ def test_grid_at_a_huge_radius_is_the_unit_grid_scaled():
     assert np.array_equal(huge.fprime, unit.fprime, equal_nan=True)
 
 
+@pytest.mark.parametrize("k", [400, 505, 510, 511])
+def test_grid_of_a_two_term_map_at_a_huge_radius_is_the_unit_grid_scaled(k):
+    # [0.1 gamma, 0.3 gamma^2], where Psi' is not 1: the inversion's Horner
+    # pass formed u^2 = w^-2 on its own, whose complex parts go subnormal
+    # from about gamma = 2^510, and w / gamma at 2^511 differed from the
+    # gamma = 1 column by 2.5e-16; u is now applied one factor at a time
+    loading = LoadingSpec([0.0], [0.0, 1.0])
+    grids = []
+    for gamma in (1.0, 2.0**k):
+        cmap = ConformalMap(gamma, [0.1 * gamma, 0.3 * gamma**2])
+        sol = solve(assemble_system(TRANS, build_geometry(cmap, 12), loading))
+        grid = GridSpec(-3.0 * gamma, 3.0 * gamma, -3.0 * gamma, 3.0 * gamma, 41, 41)
+        grids.append(grid_field(sol, loading, cmap, TRANS, grid))
+    unit, huge = grids
+    assert 0 < unit.interior.sum() < unit.interior.size
+    assert np.array_equal(huge.interior, unit.interior)
+    assert np.array_equal(huge.near, unit.near)
+    for name in ("w", "z", "u", "f", "g"):
+        assert np.array_equal(getattr(huge, name) / 2.0**k, getattr(unit, name), equal_nan=True)
+    assert np.array_equal(huge.fprime, unit.fprime, equal_nan=True)
+
+
 def test_grid_field_builds_no_labels(monkeypatch):
     cmap = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
     grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 41, 31)
@@ -1156,10 +1178,10 @@ def test_invert_map_seed_at_the_map_centre():
     for a in ([0.2 + 0.1j, 0.9j], [0.2 + 0.1j, 0.5 - 0.3j], [0.3, 0.0, 0.4j]):
         cmap = ConformalMap(1.0, a)
         w = invert_map(cmap, np.array([cmap.coeff(0)]))
-        assert abs(eval_map(cmap, w, margin=0.5)[0] - cmap.coeff(0)) <= 1e-15
+        assert abs(map_jet(cmap, w, 0)[0][0] - cmap.coeff(0)) <= 1e-15
     cmap = ConformalMap(1.0, [0.0, 0.9j])
     w = invert_map(cmap, np.array([1e-310, 0.0]))
-    assert np.all(np.abs(eval_map(cmap, w, margin=0.5)) <= 1e-15)
+    assert np.all(np.abs(map_jet(cmap, w, 0)[0]) <= 1e-15)
     with pytest.raises(FieldError, match="did not converge"):
         invert_map(DISK, np.array([DISK.coeff(0)]))
 

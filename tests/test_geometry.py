@@ -12,14 +12,12 @@ from elastinc.geometry import (
     SINGULAR_DERIVATIVE_TOL,
     ConformalMap,
     GeometryError,
-    boundary_point,
     build_geometry,
     eval_map,
-    eval_map_derivative,
-    eval_map_second_derivative,
     faber_derivative_matrices,
     faber_series,
     grunsky_rows,
+    map_jet,
     sweep_pairs,
     _certified_univalent,
     _grunsky_recurrence,
@@ -95,7 +93,7 @@ def test_faber_generating_relation():
     z = eval_map(cmap, cmap.gamma * np.exp(1j * np.array([0.4, 1.7, 2.9])))
     for zj in z:
         series = sum(poly_eval(P[m], zj) * w ** (-m) for m in range(n + 1))
-        target = w * eval_map_derivative(cmap, w) / (eval_map(cmap, w) - zj)
+        target = w * map_jet(cmap, w, 1)[1] / (eval_map(cmap, w) - zj)
         assert np.allclose(series, target, atol=SERIES_TOL * np.max(np.abs(target)))
 
 
@@ -186,6 +184,22 @@ def test_grunsky_scales_with_radius(gamma):
     assert np.allclose(Cg, powers * C1, rtol=1e-12, atol=0.0)
 
 
+def test_grunsky_tables_at_extreme_radii_keep_their_zeros():
+    # the recurrence formed a_k gamma^(-k-1) and the rescale gamma^(m+k)
+    # without the zero guard of _unit_coefficients: a zero entry times an
+    # overflowing power gave 9 and 13 NaNs in these exactly zero tables
+    for cmap in (ConformalMap(1e-200, [0.0, 0.0]), ConformalMap(1e200, [0.5e200])):
+        np.testing.assert_array_equal(grunsky_rows(cmap, 3, 3), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("k", [100, -100])
+def test_grunsky_scales_exactly_by_powers_of_two(k):
+    gamma, a = 2.0**k, np.array([0.5, 0.3])
+    unit = grunsky_rows(ConformalMap(1.0, a), 4, 4)
+    table = grunsky_rows(ConformalMap(gamma, a * gamma ** np.arange(1.0, 3.0)), 4, 4)
+    np.testing.assert_array_equal(table, gamma ** np.add.outer(np.arange(5), np.arange(5)) * unit)
+
+
 # unit-radius shapes: disk, ellipse, four-term, a1 = 0.9 and a seeded depth-5 map
 TABLE_MAPS = [[0.5], [0.5, 0.3], [0.1, 0.25, 0.08 + 0.05j, 0.03], [0.0, 0.9],
               np.array([1.0, 1.0j]) @ np.random.default_rng(5).standard_normal((2, 6)) * 0.02]
@@ -257,23 +271,23 @@ def test_eval_map_domain_and_values():
 
 
 @pytest.mark.parametrize("gamma", SCALES)
-@pytest.mark.parametrize("evaluate", [eval_map, eval_map_derivative, eval_map_second_derivative])
+@pytest.mark.parametrize("evaluate", [eval_map])
 def test_extension_margin_is_relative_to_gamma(evaluate, gamma):
     # an absolute slack of 1e-15 let |w| = 0.895 gamma through at gamma = 1e-13
     cmap = ConformalMap(gamma, scaled_coefficients([0.5, 0.3], gamma))
     evaluate(cmap, 0.9 * gamma)
-    evaluate(cmap, 0.55 * gamma, margin=0.5)
-    for w, margin in ((0.895 * gamma, None), (0.49 * gamma, 0.5)):
-        with pytest.raises(GeometryError, match="analytic-extension radius"):
-            evaluate(cmap, w, margin=margin)
+    with pytest.raises(GeometryError, match="analytic-extension radius"):
+        evaluate(cmap, 0.895 * gamma)
 
 
 def test_boundary_point_scale_matches_numeric_derivative():
+    # the arclength density h = |w Psi'(w)| on |w| = gamma is |dz / dtheta|
     theta = np.linspace(0.0, 2 * np.pi, 17, endpoint=False)
-    z, h = boundary_point(ELLIPSE, theta)
+    w = ELLIPSE.gamma * np.exp(1j * theta)
+    h = np.abs(w * map_jet(ELLIPSE, w, 1)[1])
     eps = 1e-6
-    zp, _ = boundary_point(ELLIPSE, theta + eps)
-    zm, _ = boundary_point(ELLIPSE, theta - eps)
+    zp = eval_map(ELLIPSE, w * np.exp(1j * eps))
+    zm = eval_map(ELLIPSE, w * np.exp(-1j * eps))
     dz = (zp - zm) / (2 * eps)
     assert np.allclose(h, np.abs(dz), atol=1e-7)
 
@@ -371,7 +385,8 @@ def brute_self_intersects(pts: np.ndarray) -> bool:
 
 def sampled_boundary(cmap, samples=SIMPLE_CURVE_SAMPLES):
     """The polyline ConformalMap validation tests, as an (S, 2) array."""
-    z, _ = boundary_point(cmap, np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    w = cmap.gamma * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    z, _ = map_jet(cmap, w, 1)
     return np.column_stack([z.real, z.imag])
 
 
@@ -519,7 +534,7 @@ def test_certified_maps_skip_the_sampled_test(monkeypatch):
                  if certificate_sum(g, a) <= 1.0 - SINGULAR_DERIVATIVE_TOL]
     assert len(certified) == len(FIXTURE_MAPS) - 2  # all but the folded and the crossing map
 
-    def refuse(cmap, samples=SIMPLE_CURVE_SAMPLES):
+    def refuse(cmap):
         raise AssertionError("sampled test ran on a certified map")
 
     monkeypatch.setattr("elastinc.geometry._validate_boundary", refuse)

@@ -7,6 +7,7 @@ different computational route), and the full solve against the
 coefficient-space solver on disk and ellipse configurations.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,7 @@ from elastinc.geometry import (
     ConformalMap,
     build_geometry,
     eval_map,
-    eval_map_derivative,
-    eval_map_second_derivative,
+    map_jet,
 )
 from elastinc.loading import LoadingSpec, eval_loading
 from elastinc.materials import MaterialError, MaterialPair
@@ -186,10 +186,10 @@ def test_mesh_geometry_invariants():
 def test_mesh_second_derivative_matches_finite_difference():
     w = ELLIPSE.gamma * np.exp(1j * np.array([0.3, 1.1, 2.9, 4.2]))
     step = 1e-6
-    fd = (eval_map_derivative(ELLIPSE, w + step) - eval_map_derivative(ELLIPSE, w - step)) / (
+    fd = (map_jet(ELLIPSE, w + step, 1)[1] - map_jet(ELLIPSE, w - step, 1)[1]) / (
         2.0 * step
     )
-    assert np.max(np.abs(fd - eval_map_second_derivative(ELLIPSE, w))) <= 1e-8
+    assert np.max(np.abs(fd - map_jet(ELLIPSE, w, 2)[2])) <= 1e-8
 
 
 def test_mesh_node_count_guards():
@@ -607,6 +607,19 @@ def test_singular_bordered_system_raises():
 def test_discrepancy_of_identical_samples_is_zero():
     x = np.array([1.0 + 2.0j, -0.5j, 3.0])
     assert discrepancy(x, x) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [900, -900])
+def test_discrepancy_scales_by_powers_of_two(k):
+    # the rms once squared the raw differences: at 2^900 it read inf, which
+    # oracle_report.json wrote as Infinity, and at 2^-900 the squares underflowed
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    b = a + 1e-3 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    scale = 2.0**k
+    got = discrepancy(scale * a, scale * b)
+    assert got == tuple(scale * x for x in discrepancy(a, b))
+    json.dumps({"max": got[0], "rms": got[1]}, allow_nan=False)
 
 
 # -- the in-place assembly against the dense block reference -------------------

@@ -37,7 +37,8 @@ REMOVED = ("faber_matrix", "faber_inverse", "monomial_derivative_matrix", "poly_
            "conormal_matrix", "_lame_constants", "eval_oracle_interior", "self_convergence",
            "cavity_limit", "_single_layer_blocks", "_conormal_blocks", "_as_map", "_as_angles",
            "_kelvin_constants", "psi_complex", "phi_complex", "_mode_angles", "rigid_moments",
-           "trace_gap")
+           "trace_gap", "eval_map_derivative", "eval_map_second_derivative", "boundary_point",
+           "_extension_points", "_map_and_derivative", "_unit_scale", "DEFAULT_EXTENSION_MARGIN")
 
 PUBLIC = ["BlockSystem", "BoundaryMesh", "ComparisonReport", "ConformalMap", "DensitySolution",
           "FieldEvaluator", "FieldGrid", "FieldSample", "GeometryBundle", "GridSpec",

@@ -10,12 +10,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastinc.geometry import (
     ConformalMap,
     build_geometry,
     eval_map,
-    eval_map_derivative,
+    map_jet,
 )
 from elastinc.loading import LoadingSpec, unit_rhs_vectors
 from elastinc.materials import MaterialPair
@@ -178,7 +180,7 @@ def test_jump_part_cancellation_decays_linearly():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 
     def c2(k, w):
-        return gamma ** (-k) * w ** (k - 1) / eval_map_derivative(ELLIPSE, w)
+        return gamma ** (-k) * w ** (k - 1) / map_jet(ELLIPSE, w, 1)[1]
 
     maxima = []
     for j in range(1, 11):
@@ -425,6 +427,41 @@ def test_ellipse_cavity_truncation_exactness():
     assert abs(sol8.xe_minus[1] - sol16.xe_minus[1]) < 1e-10
 
 
+# relative to the largest coefficient: 2900 seeded draws of the property
+# below read at most 1.0e-13 above mode N and 2.0e-14 between the two
+# truncations, the largest on cavities (99% of draws below 2.1e-15)
+ELLIPSE_TOL = 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.5, 1.0, 1.7, 3.0]),
+       order=st.integers(1, 8), cavity=st.booleans())
+def test_ellipse_densities_have_finite_support(seed, gamma, order, cavity):
+    # Psi = w + a0 + a1/w has a diagonal Grunsky matrix, so the system
+    # decouples by |mode|: a loading of order N puts densities on modes <= N
+    # only, whatever the truncation n > N. A coupling error between modes
+    # shows as coefficients above N and as a dependence on n.
+    rng = np.random.default_rng(seed)
+    a0 = gamma * complex(*rng.uniform(-1.0, 1.0, 2))
+    a1 = gamma**2 * rng.uniform(0.0, 0.9) * np.exp(2j * np.pi * rng.random())
+    if cavity:
+        material = MaterialPair(*rng.uniform(0.5, 4.0, 2), cavity=True)
+    else:
+        material = MaterialPair(*rng.uniform(0.2, 5.0, 4))
+    A, B = np.zeros((2, order + 1), dtype=complex)
+    A[1:], B[1:] = rng.standard_normal((2, order, 2)) @ np.array([1.0, 1.0j])
+    cmap, loading = ConformalMap(gamma, [a0, a1]), LoadingSpec(A, B)
+    coeffs = []
+    for n in (order + 2, 24):
+        sol = solve(assemble_system(material, build_geometry(cmap, n), loading))
+        sides = (sol.xe_plus, sol.xe_minus) + (() if cavity else (sol.xi_plus, sol.xi_minus))
+        coeffs.append(np.stack(sides))
+    top = max(np.max(np.abs(c)) for c in coeffs)
+    for c in coeffs:
+        assert np.max(np.abs(c[:, order + 1 :])) <= ELLIPSE_TOL * top
+    low, high = (c[:, : order + 1] for c in coeffs)
+    assert np.max(np.abs(low - high)) <= ELLIPSE_TOL * top
+
+
 def test_ellipse_cavity_mode_matrix_entries():
     lam, mu = 2.0, 1.0
     mat = MaterialPair(lam, mu, cavity=True)
@@ -504,14 +541,36 @@ def test_residual_of_a_power_of_two_rescaled_rhs_is_unchanged(gamma, b1):
     assert sol.converged and 0.0 < sol.residual == unit.residual
 
 
-@pytest.mark.parametrize("cmap, b1", [
-    (ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03]), 1e160),
-    (ConformalMap(1e154, [0.1e154, 0.3e308]), 1.0),
-    (ConformalMap(2.0**-511, [0.1 * 2.0**-511, 0.3 * 2.0**-1022]), 1.0),
-], ids=["four-term-huge-loading", "huge-radius", "tiny-radius"])
-def test_residual_is_measured_at_extreme_scales(cmap, b1):
-    sol = solve(assemble_system(TRANS, build_geometry(cmap, 16), LoadingSpec([0.0], [0.0, b1])))
+# the top binade: a softer inclusion under A1 = i 2^1021, B1 = 2^1021 puts
+# max|rhs| at 1.33 * 2^1023 with a solution below it; the power of two just
+# above max|rhs| overflowed there, and the residual read 0.0 with a warning
+SOFTER = MaterialPair(2.0, 1.0, lam_int=1.0, mu_int=0.5)
+
+
+@pytest.mark.parametrize("cmap, material, loading", [
+    (ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03]), TRANS, LoadingSpec([0.0], [0.0, 1e160])),
+    (ConformalMap(1e154, [0.1e154, 0.3e308]), TRANS, LoadingSpec([0.0], [0.0, 1.0])),
+    (ConformalMap(2.0**-511, [0.1 * 2.0**-511, 0.3 * 2.0**-1022]), TRANS,
+     LoadingSpec([0.0], [0.0, 1.0])),
+    (ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03]), SOFTER,
+     LoadingSpec([0.0, 1j * 2.0**1021], [0.0, 2.0**1021])),
+], ids=["four-term-huge-loading", "huge-radius", "tiny-radius", "four-term-top-binade"])
+def test_residual_is_measured_at_extreme_scales(cmap, material, loading):
+    system = assemble_system(material, build_geometry(cmap, 16), loading)
+    assert np.all(np.isfinite(system.rhs))
+    sol = solve(system)
     assert sol.converged and 0.0 < sol.residual <= 1e-14
+
+
+def test_overflowing_solution_is_not_converged():
+    # max|rhs| = 1.5 * 2^1023 on the four-term map: the densities, about twice
+    # max|rhs|, overflow, and the residual is NaN. The power of two just above
+    # max|rhs| overflowed to inf, and this read residual 0.0, converged
+    cmap = ConformalMap(1.0, [0.1, 0.25, 0.08 + 0.05j, 0.03])
+    system = assemble_system(TRANS, build_geometry(cmap, 16), LoadingSpec([0.0], [0.0, 1.5 * 2.0**1022]))
+    assert np.max(np.abs(system.rhs)) == 1.5 * 2.0**1023
+    sol = solve(system)
+    assert np.isnan(sol.residual) and not sol.converged
 
 
 # gamma xe_plus[1] overflowed at gamma = 2^511 in cavity mode, with a warning,
