@@ -26,13 +26,20 @@ The tables stay exact; evaluation reads each one cut after its last
 column of more than rounding mass (_cut), so a decaying series costs as
 many columns as it has digits.
 
+A solved problem is a fixed set of these tables, so its evaluator is built
+once: FieldEvaluator(solution, loading, cmap, material) returns the one kept
+on the solution for those objects, and the grid, compare and both residuals
+go through it, each table built on its first use.
+
 On a grid of physical points, one sweep of the sampled boundary over the
 grid's row heights gives both region masks, interior by the even-odd rule
 and the boundary band by segment distance (_grid_regions; _regions is the
-same sweep over scattered points), and exterior points are inverted by
-Newton's method from the first-order seed w = zeta - a1 / zeta,
-zeta = z - a0, with Psi and Psi' taken in one Horner pass per iteration
-(geometry.map_jet, in invert_map).
+same sweep over scattered points). The sampled boundary belongs to the map
+and is kept on it (_Polyline.of). Exterior points are inverted by
+Newton's method, with Psi and Psi' taken in one Horner pass per iteration
+(geometry.map_jet, in invert_map). On a map of depth one the seed
+w = zeta (1 + sqrt(1 - 4 a1 / zeta^2)) / 2, zeta = z - a0, is its exact
+inverse; a deeper map starts from the first-order inverse zeta - a1 / zeta.
 """
 
 from __future__ import annotations
@@ -189,17 +196,36 @@ class FieldEvaluator:
     exterior evaluation, and summed as tail_cut); the interior layer terms
     are Faber sums in z (interior_rows), and the loading is summed the same
     way by a loading.LoadingSeries.
+
+    One evaluator serves a solved problem. The constructor returns the
+    evaluator kept on the solution when it was built for the same loading
+    and map objects, an equal material and the solution's present
+    coefficients (a solution's arrays can be changed in place), and builds
+    and keeps a new one otherwise; so grid_field, compare and the residuals
+    reuse one evaluator and every table it has built. The evaluator holds
+    the solution's n and mode, not the solution, so the kept evaluator
+    makes no reference cycle and dies with its solution.
     """
 
-    def __init__(self, solution: DensitySolution, loading: LoadingSpec,
-                 cmap: ConformalMap, material: MaterialPair):
+    def __new__(cls, solution: DensitySolution, loading: LoadingSpec,
+                cmap: ConformalMap, material: MaterialPair):
+        densities = (solution.xe_plus, solution.xe_minus, solution.xi_plus, solution.xi_minus)
+        key = (loading, cmap, material, b"".join(x.tobytes() for x in densities if x is not None))
+        kept = solution.__dict__.get("_evaluator")
+        if kept is None or kept[0] != key:
+            kept = key, super().__new__(cls)._build(solution, loading, cmap, material)
+            object.__setattr__(solution, "_evaluator", kept)
+        return kept[1]
+
+    def _build(self, solution: DensitySolution, loading: LoadingSpec,
+               cmap: ConformalMap, material: MaterialPair) -> "FieldEvaluator":
         self.cmap = cmap
         self.material = material
-        self.solution = solution
+        self.n = n = solution.n
+        self.mode = solution.mode
         self.gamma = cmap.gamma
         unit = cmap.unit
         self.unit = unit
-        n = solution.n
         order, _ = exterior_series_orders(unit, n)
         scale = 1.0 / np.arange(1, order + 1)
         kernel = np.conj(np.concatenate([[1.0], unit.a]))  # conj(a_l), l = -1..K
@@ -227,13 +253,14 @@ class FieldEvaluator:
         self.load_series = LoadingSeries(loading, cmap)
 
         # interior polynomials (transmission mode)
-        if solution.mode == "transmission":
+        if self.mode == "transmission":
             xpi, xmi = solution.xi_plus, solution.xi_minus
             yi = np.convolve(density(xpi, xmi), kernel)
             # rows: (Li, Libar) as sums of F_m, (Ci, Cyi) as sums of F_m'
             self.faber_values_i = np.stack([layer(xpi[1:]), layer(np.conj(xmi[1:]))])
             self.faber_derivs_i = np.stack([layer(xpi[1:]), layer(yi[n + 2 :])])
             self.mean_i = xmi[0]
+        return self
 
     @cached_property
     def interior_rows(self) -> np.ndarray:
@@ -263,11 +290,12 @@ class FieldEvaluator:
         Built on the first exterior evaluation: interior evaluation never
         needs it. The Grunsky rows are a view of the table kept on the unit
         map (geometry.grunsky_rows), which build_geometry at the same
-        truncation fills at this shape; every evaluator of that map, the
-        residuals' own among them, pays one matrix product here, not a
-        recurrence. The table is exact; evaluation reads its cut, tail_cut.
+        truncation fills at this shape; an evaluator pays one matrix product
+        here, not a recurrence, and the residuals read the tail of the
+        evaluator kept on the solution. The table is exact; evaluation reads
+        its cut, tail_cut.
         """
-        n = self.solution.n
+        n = self.n
         order, kfar = exterior_series_orders(self.unit, n)
         ks = np.arange(kfar + 1)
         tail = np.zeros((4, kfar + 1), dtype=complex)
@@ -374,8 +402,8 @@ class FieldEvaluator:
         formulas are those of exterior_arrays and interior_arrays_z.
         """
         unit, load = self.unit, self.load_series
-        transmission = self.solution.mode == "transmission"
-        order, _ = exterior_series_orders(unit, max(self.solution.n, load.order))
+        transmission = self.mode == "transmission"
+        order, _ = exterior_series_orders(unit, max(self.n, load.order))
         # Faber rows: the loading's f, g, f', then the interior Li, Libar, Ci, Cyi
         d = np.zeros((3, order + 1), dtype=complex)
         d[:, : load.rows.shape[1]] = load.rows[[0, 1, 0]]
@@ -426,7 +454,7 @@ class FieldEvaluator:
 
     def interior_arrays_z(self, z: np.ndarray) -> dict:
         """Vectorized interior evaluation at physical points z."""
-        if self.solution.mode != "transmission":
+        if self.mode != "transmission":
             raise FieldError("cavity solutions have no interior field")
         z = np.asarray(z, dtype=complex)
         sL, sLbar, sC, sCy = faber_series(self.unit, z / self.gamma, self.interior_rows)
@@ -500,12 +528,20 @@ def boundary_traction_spread(solution: DensitySolution, loading: LoadingSpec,
 def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     """Newton inversion of the exterior map at physical points z.
 
-    The iteration starts from the first-order inverse w = zeta - a1 / zeta,
-    zeta = z - a0 (zeta alone where |zeta| < 1e-12 gamma, so that 1 / zeta
-    neither divides by zero nor overflows), moved out to |w| = 2 gamma when
-    it lies inside the circle. Convergence is tracked per point and only
-    unconverged points iterate, each iteration one Horner pass for Psi and
-    Psi' (geometry.map_jet). A step that would land below |w| = 0.6 gamma is
+    On a map of depth one, w + a0 + a1 / w, the iteration starts from its
+    exact inverse w = zeta (1 + sqrt(1 - 4 a1 / zeta^2)) / 2, zeta = z - a0,
+    the root of larger modulus (the principal square root has a nonnegative
+    real part). The ratio is formed as (a1 / zeta) / zeta, so it neither
+    overflows at a huge radius nor loses the exact scaling by a power-of-two
+    gamma; where a1 = 0 the seed is zeta itself, with no square root. On a
+    deeper map the square root would save no step, and the iteration starts
+    from the first-order inverse w = zeta - a1 / zeta. Either ratio is taken
+    as 0 where |zeta| < 1e-12 gamma, so that it neither divides by zero nor
+    overflows. A seed inside the circle is moved out to |w| = 2 gamma. Disks
+    and ellipses then need
+    one Newton step. Convergence is tracked per point and only unconverged
+    points iterate, each iteration one Horner pass for Psi and Psi'
+    (geometry.map_jet). A step that would land below |w| = 0.6 gamma is
     halved until it does not, which keeps every iterate away from the map's
     pole at w = 0. A point stops one Newton step after its residual drops
     below tolerance; that last step takes the iterate to full precision.
@@ -514,9 +550,23 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
     shape = z.shape
     zf = z.reshape(-1)
     zeta = zf - cmap.coeff(0)
-    inv = np.divide(1.0, zeta, out=np.zeros_like(zeta),
-                    where=np.abs(zeta) >= SINGULAR_DERIVATIVE_TOL * cmap.gamma)
-    w = zeta - cmap.coeff(1) * inv
+    a1 = cmap.coeff(1)
+    if cmap.depth > 1:
+        inv = np.divide(1.0, zeta, out=np.zeros_like(zeta),
+                        where=np.abs(zeta) >= SINGULAR_DERIVATIVE_TOL * cmap.gamma)
+        w = zeta - a1 * inv
+    elif a1 != 0.0:
+        wide = np.abs(zeta) >= SINGULAR_DERIVATIVE_TOL * cmap.gamma
+        root = np.divide(a1, zeta, out=np.zeros_like(zeta), where=wide)
+        np.divide(root, zeta, out=root, where=wide)
+        root *= -4.0
+        root += 1.0
+        np.sqrt(root, out=root)
+        root += 1.0
+        root *= 0.5
+        w = zeta * root
+    else:
+        w = zeta
     inside = np.abs(w) < cmap.gamma
     w[inside] = 2.0 * cmap.gamma * np.exp(1j * np.angle(w[inside]))
     tol = NEWTON_TOL * max(cmap.gamma, float(np.max(np.abs(z), initial=0.0)))
@@ -543,34 +593,55 @@ def invert_map(cmap: ConformalMap, z) -> np.ndarray:
 
 
 class _Polyline:
-    """The sampled boundary and the band, both divided by scale, the power of
-    two at or below gamma (pow2_floor); the points tested against them are
-    divided by it too.
+    """The sampled boundary of one map, divided by scale, the power of two at
+    or below gamma (pow2_floor); the band and the points tested against it
+    are divided by it too.
 
     The division is exact, so every comparison below gives the bits it
     would give on raw coordinates, while neither the squared edge lengths
-    nor the crossings overflow at huge gamma. The two enumerations,
-    _regions over scattered points and _grid_regions over a grid's rows,
-    share the polyline, its half-open crossing rule and its distance test.
+    nor the crossings overflow at huge gamma. The samples, the edges and
+    their ranges depend on the map alone, so one polyline is built per map
+    and kept on it (of); the band's widening is worked out per call. The two
+    enumerations, _regions over scattered points and _grid_regions over a
+    grid's rows, share the polyline, its half-open crossing rule and its
+    distance test.
     """
 
-    def __init__(self, cmap: ConformalMap, band: float):
+    def __init__(self, cmap: ConformalMap):
+        self.gamma = cmap.gamma
         self.scale = scale = pow2_floor(cmap.gamma)
         theta = np.linspace(0.0, 2.0 * np.pi, REGION_SAMPLES, endpoint=False)
         p0 = eval_map(cmap, cmap.gamma * np.exp(1j * theta)) / scale
         p1 = np.roll(p0, -1)
         self.p0, self.d = p0, p1 - p0
-        self.band = band * cmap.gamma / scale
         self.ylo = np.minimum(p0.imag, p1.imag)
         self.yhi = np.maximum(p0.imag, p1.imag)
-        # the distance's rounding stays below a few ulps of the coordinates
-        reach = self.band + 16.0 * np.finfo(float).eps * (np.max(np.abs(p0)) + self.band)
-        self.xlo = np.minimum(p0.real, p1.real) - reach
-        self.xhi = np.maximum(p0.real, p1.real) + reach
+        self.xlo = np.minimum(p0.real, p1.real)
+        self.xhi = np.maximum(p0.real, p1.real)
+        self.top = np.max(np.abs(p0))
 
-    def pairs(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def of(cmap: ConformalMap) -> "_Polyline":
+        """The polyline kept on cmap, built on the first request."""
+        kept = cmap.__dict__.get("_polyline")
+        if kept is None:
+            kept = _Polyline(cmap)
+            object.__setattr__(cmap, "_polyline", kept)
+        return kept
+
+    def band(self, band: float) -> float:
+        """The band, a fraction of gamma, in the polyline's coordinates."""
+        return band * self.gamma / self.scale
+
+    def x_ranges(self, band: float) -> tuple[np.ndarray, np.ndarray]:
+        """The edges' x-ranges widened by the band and a rounding margin."""
+        # the distance's rounding stays below a few ulps of the coordinates
+        reach = band + 16.0 * np.finfo(float).eps * (self.top + band)
+        return self.xlo - reach, self.xhi + reach
+
+    def pairs(self, y: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
         """(edge, j) pairs with y[j] in the edge's y-range widened by the band."""
-        return sweep_pairs(y, self.ylo - self.band, self.yhi + self.band)
+        return sweep_pairs(y, self.ylo - band, self.yhi + band)
 
     def crossings(self, e: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Which pairs (e, y) cross, y in edge e's half-open y-range, and the crossings' x."""
@@ -578,12 +649,12 @@ class _Polyline:
         e, y = e[cross], y[cross]
         return cross, self.p0.real[e] + (y - self.p0.imag[e]) * self.d.real[e] / self.d.imag[e]
 
-    def near(self, e: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    def near(self, e: np.ndarray, pts: np.ndarray, band: float) -> np.ndarray:
         """Whether each point pts lies within the band of its edge e."""
         rel = pts - self.p0[e]
         d = self.d[e]
         t = np.clip((rel * np.conj(d)).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
-        return np.abs(rel - t * d) <= self.band
+        return np.abs(rel - t * d) <= band
 
 
 def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
@@ -598,18 +669,20 @@ def _regions(cmap: ConformalMap, flat: np.ndarray, band: float) -> tuple[np.ndar
     by a rounding margin, get the point-to-segment distance. Coordinates
     are divided by the power of two at or below gamma (_Polyline).
     """
-    line = _Polyline(cmap, band)
+    line = _Polyline.of(cmap)
+    band = line.band(band)
     x, y = flat.real / line.scale, flat.imag / line.scale
-    e, j = line.pairs(y)
+    e, j = line.pairs(y, band)
     cross, x_cross = line.crossings(e, y[j])
     jc = j[cross]
     interior = np.bincount(jc[x_cross > x[jc]], minlength=flat.size) % 2 == 1
 
+    xlo, xhi = line.x_ranges(band)
     xj = x[j]
-    keep = (line.xlo[e] <= xj) & (xj <= line.xhi[e])
+    keep = (xlo[e] <= xj) & (xj <= xhi[e])
     e, j = e[keep], j[keep]
     near = np.zeros(flat.size, dtype=bool)
-    near[j[line.near(e, x[j] + 1j * y[j])]] = True
+    near[j[line.near(e, x[j] + 1j * y[j], band)]] = True
     return interior, near
 
 
@@ -624,10 +697,11 @@ def _grid_regions(cmap: ConformalMap, grid: GridSpec) -> tuple[np.ndarray, np.nd
     edge's widened x-range, a second sweep over the x axis. Point, rule
     and distance are those of _regions, so the masks are the same bits.
     """
-    line = _Polyline(cmap, grid.band)
+    line = _Polyline.of(cmap)
+    band = line.band(grid.band)
     xs = np.linspace(grid.xmin, grid.xmax, grid.nx) / line.scale
     ys = np.linspace(grid.ymin, grid.ymax, grid.ny) / line.scale
-    e, r = line.pairs(ys)
+    e, r = line.pairs(ys, band)
     cross, x_cross = line.crossings(e, ys[r])
     # sorted column p lies left of a crossing when p < k
     order = np.argsort(xs, kind="stable")
@@ -638,9 +712,10 @@ def _grid_regions(cmap: ConformalMap, grid: GridSpec) -> tuple[np.ndarray, np.nd
     interior = np.empty((grid.ny, grid.nx), dtype=bool)
     interior[:, order] = right % 2 == 1
 
-    i, c = sweep_pairs(xs, line.xlo[e], line.xhi[e])
+    xlo, xhi = line.x_ranges(band)
+    i, c = sweep_pairs(xs, xlo[e], xhi[e])
     e, r = e[i], r[i]
-    close = line.near(e, xs[c] + 1j * ys[r])
+    close = line.near(e, xs[c] + 1j * ys[r], band)
     near = np.zeros((grid.ny, grid.nx), dtype=bool)
     near[r[close], c[close]] = True
     return interior.reshape(-1), near.reshape(-1)
@@ -671,7 +746,9 @@ def grid_field(solution: DensitySolution, loading: LoadingSpec, cmap: ConformalM
     polynomial forms directly (preimage recorded as NaN). Interior points
     of a cavity get NaN displacement. Points inside the boundary band are
     flagged, not skipped. The region masks come from the grid's own axes
-    (_grid_regions), and the series are summed as cut at rounding.
+    (_grid_regions), and the series are summed as cut at rounding by the
+    evaluator kept on the solution, so a second grid of the same problem
+    builds no table.
     """
     ev = FieldEvaluator(solution, loading, cmap, material)
     pts = grid.points()

@@ -93,7 +93,11 @@ class BoundaryMesh:
             raise OracleError("mesh nodes are not distinct")
         if np.max(np.abs(np.abs(self.normal) - 1.0)) > 1e-12:
             raise OracleError("normals are not unit length")
-        x, y = self.z.real, self.z.imag
+        # on z divided by the power of two at or below gamma (exact), the
+        # cross products neither underflow at a tiny radius nor overflow at
+        # a huge one
+        zs = self.z / pow2_floor(self.cmap.gamma)
+        x, y = zs.real, zs.imag
         signed_area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
         if signed_area <= 0.0:
             raise OracleError("boundary polygon is not positively oriented")
@@ -108,12 +112,15 @@ def build_mesh(cmap: ConformalMap, q: int) -> BoundaryMesh:
     """Boundary mesh with q equispaced angles on |w| = gamma.
 
     Psi, Psi' and Psi'' at the nodes come from one Horner pass (map_jet).
+    The second derivative is grouped as -w Psi' - w (w Psi''): w Psi'' is of
+    order 1 and w^2 alone is not, so nothing overflows or underflows at
+    any radius.
     """
     theta = 2.0 * np.pi * np.arange(q) / q
     w = cmap.gamma * np.exp(1j * theta)
     z, dpsi, d2psi = map_jet(cmap, w, 2)
     zprime = 1j * w * dpsi
-    zsecond = -w * dpsi - w * w * d2psi
+    zsecond = -w * dpsi - w * (w * d2psi)
     h = np.abs(zprime)
     normal = w * dpsi / h
     return BoundaryMesh(cmap, q, theta, z, h, normal, zprime, zsecond)
@@ -445,12 +452,15 @@ def assemble_nystrom(mesh: BoundaryMesh, material: MaterialPair,
         rhs = -_components(dh_nodes)
 
     constraints = matrix[n:, :n]
-    wq = mesh.weights
-    for row, r in zip(constraints, rigid_fields(mesh.z)):
+    # the rows are built from the weights and the nodes divided by the power
+    # of two at or below gamma, so the rotation row, which scales as
+    # gamma^2, neither overflows nor underflows; dividing each row by the
+    # power of two at or below its max, both exact, keeps its norm in range
+    scale = pow2_floor(mesh.cmap.gamma)
+    wq = mesh.weights / scale
+    for row, r in zip(constraints, rigid_fields(mesh.z / scale)):
         row[n - 2 * q : n - q] = wq * r.real
         row[n - q :] = wq * r.imag
-        # the rotation row scales as gamma^2: divided first by the power of two
-        # at or below its max (exact), its norm neither overflows nor underflows
         row /= pow2_floor(np.max(np.abs(row)))
         row /= np.linalg.norm(row)
     matrix[:n, n:] = constraints.T

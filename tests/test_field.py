@@ -5,11 +5,16 @@ per-mode sums of the layer transforms, against a hand closed form for the
 circular cavity, and against the solved system's own interface conditions.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import elastinc.field as elastinc_field
 from elastinc.field import (
     FieldError,
     FieldEvaluator,
@@ -36,6 +41,7 @@ from elastinc.geometry import (
 )
 from elastinc.loading import LoadingSpec, boundary_series, unit_rhs_vectors
 from elastinc.materials import MaterialPair
+from elastinc.oracle import compare, solve_oracle
 from elastinc.system import DensitySolution, assemble_system, one_norm_condition, solve
 from elastinc.cli import CSV_HEADER, _write_field_csv
 from layer_reference import (
@@ -628,6 +634,71 @@ def test_residuals_sum_no_series_at_points(monkeypatch):
     assert max(want_t) <= BOUNDARY_TOL and want_c <= BOUNDARY_TOL
 
 
+def test_one_evaluator_serves_a_solved_problem(monkeypatch):
+    # the constructor keeps the evaluator on the solution, and grid_field,
+    # compare and the residuals go through it: a second round of calls builds
+    # no table, and every output equals a fresh evaluator's bit for bit
+    grid = GridSpec(-2.0, 2.0, -1.5, 1.5, 41, 31)
+    for material, residual in ((TRANS, transmission_residual), (CAV, boundary_traction_spread)):
+        sol = solve(assemble_system(material, build_geometry(FOURTERM, 16), RING_LOADING))
+        ref = solve_oracle(FOURTERM, material, RING_LOADING, 64)
+
+        def outputs(s):
+            fields = grid_field(s, RING_LOADING, FOURTERM, material, grid)
+            report = compare(ref, s, FOURTERM, material, RING_LOADING)
+            return ([getattr(fields, k) for k in ("w", "z", "u", "f", "fprime", "g")],
+                    report.rows(), residual(s, RING_LOADING, FOURTERM, material, 64))
+
+        ev = FieldEvaluator(sol, RING_LOADING, FOURTERM, material)
+        outputs(sol)
+        built = []
+        for name in ("faber_derivative_matrices", "LoadingSeries"):
+            real = getattr(elastinc_field, name)
+            monkeypatch.setattr(elastinc_field, name,
+                                lambda *args, name=name, real=real: built.append(name) or real(*args))
+        columns, rows, res = outputs(sol)
+        assert FieldEvaluator(sol, RING_LOADING, FOURTERM, material) is ev
+        assert built == []
+        monkeypatch.undo()
+
+        fresh = dataclasses.replace(sol)  # equal coefficients, no kept evaluator
+        assert FieldEvaluator(fresh, RING_LOADING, FOURTERM, material) is not ev
+        want_columns, want_rows, want_res = outputs(fresh)
+        for got, want in zip(columns, want_columns):
+            assert np.array_equal(got, want, equal_nan=True)
+        assert rows == want_rows and res == want_res
+
+
+def test_kept_evaluator_is_rebuilt_for_other_objects_or_coefficients():
+    sol = solve(assemble_system(TRANS, build_geometry(FOURTERM, 12), RING_LOADING))
+    ev = FieldEvaluator(sol, RING_LOADING, FOURTERM, TRANS)
+    assert FieldEvaluator(sol, RING_LOADING, FOURTERM, MaterialPair(2.0, 1.0, 4.0, 3.0)) is ev
+    other = LoadingSpec(RING_LOADING.A, RING_LOADING.B)  # keyed by identity
+    assert FieldEvaluator(sol, other, FOURTERM, TRANS) is not ev
+    ev = FieldEvaluator(sol, RING_LOADING, FOURTERM, TRANS)
+    before = transmission_residual(sol, RING_LOADING, FOURTERM, TRANS, 64)
+    sol.xe_plus[2] += 1e-4  # changed in place: the kept evaluator no longer holds
+    assert FieldEvaluator(sol, RING_LOADING, FOURTERM, TRANS) is not ev
+    assert transmission_residual(sol, RING_LOADING, FOURTERM, TRANS, 64)[0] > 1e-6 > before[0]
+
+
+def test_kept_evaluator_does_not_keep_its_solution_alive():
+    # the evaluator holds the solution's n and mode, not the solution: no
+    # reference cycle, so the solution dies on del without the cyclic collector
+    sol = solve(assemble_system(TRANS, build_geometry(FOURTERM, 16), RING_LOADING))
+    ev = FieldEvaluator(sol, RING_LOADING, FOURTERM, TRANS)
+    grid_field(sol, RING_LOADING, FOURTERM, TRANS, GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21))
+    transmission_residual(sol, RING_LOADING, FOURTERM, TRANS, 64)
+    alive = weakref.ref(sol)
+    gc.disable()
+    try:
+        del sol
+        assert alive() is None
+    finally:
+        gc.enable()
+    assert np.isfinite(ev.exterior_arrays(np.array([2.0 + 1.0j]))["u"][0])
+
+
 def test_ring_refuses_a_vanishing_map_derivative():
     # the slit a1 = 1 is refused as a map; unvalidated, its derivative
     # vanishes at theta = 0 and pi, two of the 16 ring points
@@ -1159,6 +1230,30 @@ def test_interior_values_match_derivative_recurrence(cmap, n):
     got = ev.interior_arrays_z(z)
     for key in ("u", "f", "fprime", "g"):
         assert np.max(np.abs(got[key] - want[key])) <= 1e-13 * np.max(np.abs(want[key])), key
+
+
+@pytest.mark.parametrize("gamma", [2.0**-600, 2.0**-510, 1.0, 2.0**510, 2.0**600])
+def test_seed_is_exact_for_a_map_of_depth_one(gamma, monkeypatch):
+    # the seed inverts w + a0 + a1 / w exactly, so every point of a disk or
+    # an ellipse stops after one Horner pass. a1 = c1 gamma^2 where that is a
+    # float: at 2^-600 it is 0 (the disk's seed, no square root), and at 2^600
+    # a1 = c1 gamma 2^400, where zeta^2 would overflow but (a1 / zeta) / zeta
+    # does not
+    passes = []
+    monkeypatch.setattr(elastinc_field, "map_jet",
+                        lambda c, w, order: passes.append(w.size) or map_jet(c, w, order))
+    rng = np.random.default_rng(11)
+    shapes = [complex(*rng.standard_normal(2)) * 0.6 for _ in range(4)] + [0.9, 0.9j, 0.0]
+    for c1 in shapes:
+        c0 = complex(*rng.standard_normal(2))
+        a1 = c1 * gamma * (gamma if gamma < 2.0**600 else 2.0**400)
+        cmap = ConformalMap(gamma, [c0 * gamma, a1])
+        w = gamma * (1.0 + 1e-6 + 3.0 * rng.random(500)) * np.exp(2j * np.pi * rng.random(500))
+        z = map_jet(cmap, w, 0)[0]
+        passes.clear()
+        back = invert_map(cmap, z)
+        assert passes == [z.size], c1
+        assert np.max(np.abs(back - w)) <= 1e-14 * gamma, c1
 
 
 def test_invert_map_elongated_ellipse():

@@ -480,12 +480,18 @@ def test_order_32_loading_oracle_agrees_with_series(material):
     assert report.boundary_max <= 1e-11 * np.max(np.abs(oracle_sol.u_boundary))
 
 
-@pytest.mark.parametrize("gamma", [1.0, 1e-90, 1e120])
+@pytest.mark.parametrize("gamma", [1.0, 1e-90, 1e120, 2.0**-1000, 1e-300, 1e-200, 1e200, 1e300,
+                                   2.0**1000])
 def test_rigid_motion_rows_at_extreme_radii(gamma):
     # the rotation row scales as gamma^2: its norm once overflowed from about
     # gamma = 1e77 and underflowed below about 1e-80, and the bordered matrix
-    # was singular (oracle-check exit 4)
-    cmap = ConformalMap(gamma, [0.1 * gamma, 0.3 * gamma**2])
+    # was singular (oracle-check exit 4). From about 1e154 the row itself
+    # overflowed, and below about 1e-154 the mesh's orientation test
+    # underflowed; both work on the nodes divided by a power of two. Beyond
+    # 1e±150 the term 0.3 gamma^2 is out of float range, so the map there is
+    # the shifted disk
+    a = [0.1 * gamma, 0.3 * gamma**2] if 1e-150 < gamma < 1e150 else [0.1 * gamma]
+    cmap = ConformalMap(gamma, a)
     system = assemble_nystrom(build_mesh(cmap, 64), TRANS, B1)
     assert np.allclose(np.linalg.norm(system.constraints, axis=1), 1.0, rtol=1e-14)
     oracle_sol = solve_nystrom(system)
